@@ -2,8 +2,7 @@
 TSPLIB parsing, and plot-data export.
 
 Every command exits 0 on success and nonzero with a one-line diagnostic on
-stderr otherwise. Output files are written atomically. MINMAXVRP_THREADS
-sets the worker-thread count for solving (default 1).
+stderr otherwise. Output files are written atomically.
 """
 
 import argparse
@@ -11,7 +10,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -21,20 +19,6 @@ from . import oracle as oc
 from . import problems as pb
 from . import rollout as ro
 from . import training as tr
-
-THREADS_ENV = "MINMAXVRP_THREADS"
-
-
-def _thread_count():
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
 
 def normalized_for_model(instance):
     """Shift/scale all coordinates into the unit square, aspect preserved.
@@ -121,12 +105,7 @@ def cmd_train(args):
     if args.resume:
         cfg, params, opt = tr.load_checkpoint(args.resume)
         tc = _load_train_config(args, stored_model=cfg)
-        if tc.model.to_dict() != cfg.to_dict():
-            diffs = ", ".join(
-                f"{k}={cfg.to_dict()[k]} vs {tc.model.to_dict()[k]}"
-                for k in sorted(cfg.to_dict())
-                if cfg.to_dict()[k] != tc.model.to_dict()[k])
-            raise ValueError(f"checkpoint does not match the config: {diffs}")
+        tr.check_model_matches(cfg, tc.model)
         return _run_training_loop(
             tc, args,
             lambda cb: tr.train(tc, params=params, opt=opt, on_epoch=cb))
@@ -141,8 +120,7 @@ def cmd_finetune(args):
         tc, args, lambda cb: tr.finetune(args.checkpoint, tc, on_epoch=cb))
 
 
-def _solve_one(job):
-    ins, cfg, params, args = job
+def _solve_one(ins, cfg, params, args):
     res = ro.infer(normalized_for_model(ins), cfg, params, n_per=args.per,
                    use_aug8=args.aug8, seed=args.seed)
     err = pb.validate(res.solution, ins)
@@ -163,13 +141,7 @@ def cmd_solve(args):
             raise ValueError(f"dataset kind {ins.kind} does not match "
                              f"checkpoint kind {cfg.kind}")
     start = time.perf_counter()
-    jobs = [(ins, cfg, params, args) for ins in instances]
-    threads = _thread_count()
-    if threads == 1:
-        records = [_solve_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_solve_one, jobs))
+    records = [_solve_one(ins, cfg, params, args) for ins in instances]
     wall = time.perf_counter() - start
     pb.atomic_write_text(args.out, "".join(json.dumps(r) + "\n"
                                            for r in records))

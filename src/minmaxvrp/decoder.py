@@ -24,13 +24,6 @@ def candidate_count(instance):
     return instance.M + instance.N
 
 
-def _node_coord(state):
-    ins = state.ins
-    if state.node_kind == "depot":
-        return ins.depot_coords[state.node_idx]
-    return ins.coords[state.node_idx]
-
-
 # ---------------------------------------------------------------------------
 # feasibility
 # ---------------------------------------------------------------------------
@@ -98,7 +91,7 @@ def dist_exp_row(state):
     """exp(ratio) per candidate, where ratio is the distance from the current
     node scaled by the farthest unvisited customer (capped, 1.0 fallback)."""
     ins = state.ins
-    here = _node_coord(state)
+    here = state.node_coord()
     unvisited_coords = ins.coords[~state.visited]
     if len(unvisited_coords):
         denom = float(np.sqrt(((unvisited_coords - here) ** 2).sum(axis=1)).max())

@@ -10,29 +10,28 @@ paths). Reductions that feed route lengths and means accumulate in float64.
 import base64
 import contextlib
 import math
-import threading
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# per-thread so concurrent rollouts toggle recording independently
-_grad_state = threading.local()
+_grad_enabled = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (pure numpy forward)."""
-    prev = grad_enabled()
-    _grad_state.enabled = False
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _grad_state.enabled = prev
+        _grad_enabled = prev
 
 
 def grad_enabled():
-    return getattr(_grad_state, "enabled", True)
+    return _grad_enabled
 
 
 class Tensor:
@@ -349,9 +348,8 @@ def backward(loss):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss._done:
         raise RuntimeError("backward called twice on the same graph without reset")
-    if not loss.requires_grad or loss._backward is None and not loss._parents:
-        if not loss.requires_grad:
-            raise RuntimeError("loss is detached from any requires_grad leaf")
+    if not loss.requires_grad:
+        raise RuntimeError("loss is detached from any requires_grad leaf")
 
     topo = []
     seen = set()

@@ -35,37 +35,13 @@ def _dist_tables(instance):
     return cc, dc
 
 
-def _held_karp_paths(members, cc, start_dist):
-    """Min path cost from the start point through all members, per end node.
+def _route_order_paths(members, cc, start_dist):
+    """Held-Karp over paths from the start point through all members.
 
     members: customer indexes. start_dist[j]: start-to-customer distance.
-    Returns {last: cost} over full-set paths.
+    Returns {last: (cost, order)}: the cheapest full-set path ending at
+    each member, with its visiting order.
     """
-    k = len(members)
-    idx = {j: i for i, j in enumerate(members)}
-    full = (1 << k) - 1
-    dp = {}
-    for j in members:
-        dp[(1 << idx[j], idx[j])] = start_dist[j]
-    for mask in range(1, full + 1):
-        for last in range(k):
-            if not mask & (1 << last):
-                continue
-            cur = dp.get((mask, last))
-            if cur is None:
-                continue
-            for nxt in range(k):
-                if mask & (1 << nxt):
-                    continue
-                cand = cur + cc[members[last], members[nxt]]
-                key = (mask | (1 << nxt), nxt)
-                if key not in dp or cand < dp[key]:
-                    dp[key] = cand
-    return {members[last]: dp[(full, last)] for last in range(k)}
-
-
-def _route_order_paths(members, cc, start_dist):
-    """Like _held_karp_paths but tracks the argmin orderings."""
     k = len(members)
     idx = {j: i for i, j in enumerate(members)}
     full = (1 << k) - 1

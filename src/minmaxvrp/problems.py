@@ -51,6 +51,9 @@ class Instance:
         self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 2)
         self.depot_coords = np.asarray(self.depot_coords, dtype=np.float64).reshape(-1, 2)
         check_instance_shape(self.kind, self.N, self.D, self.M)
+        if not (np.isfinite(self.coords).all()
+                and np.isfinite(self.depot_coords).all()):
+            raise ValueError("coordinates must be finite, got NaN or inf")
 
     @property
     def N(self):
@@ -63,9 +66,6 @@ class Instance:
     @property
     def n_pairs(self):
         return self.N // 2
-
-    def pickup_of(self, j):
-        return j - self.n_pairs
 
     def delivery_of(self, j):
         return j + self.n_pairs
@@ -248,10 +248,13 @@ def write_instances(path, instances):
 def read_instances(path):
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                out.append(instance_from_line(line))
+                try:
+                    out.append(instance_from_line(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -60,15 +60,16 @@ class DecodeState:
         return self.ins.coords[self.node_idx]
 
 
-def init_state(instance, permutation, rng=None):
-    return DecodeState(instance, permutation, rng)
+def step(state, action, mask=None):
+    """Apply one action in place; raises on masked or post-terminal actions.
 
-
-def step(state, action):
-    """Apply one action in place; raises on masked or post-terminal actions."""
+    mask is the state's feasibility row when the caller already holds it;
+    None computes it here.
+    """
     if state.terminal:
         raise RuntimeError("step on a terminal state")
-    mask = de.feasibility_mask(state)
+    if mask is None:
+        mask = de.feasibility_mask(state)
     if not mask[action]:
         raise ValueError(f"action {action} is masked at step {state.t}")
     ins = state.ins
@@ -166,7 +167,7 @@ def decode_batch(instance, perms, cfg, params, mode="greedy", rng=None,
     cand = de.candidate_rows(emb)
     kv = de.glimpse_kv(cand, cfg, params)
     cand_proj = dc.matmul(cand, params["dec.logit"])
-    states = [init_state(instance, o, rng) for o in perms]
+    states = [DecodeState(instance, o, rng) for o in perms]
     total = None
     while not states[0].terminal:
         ctx = dc.concat_rows([de.context(s, emb, cfg, params) for s in states])
@@ -187,8 +188,8 @@ def decode_batch(instance, perms, cfg, params, mode="greedy", rng=None,
                 chosen.append(int(rng.choice(len(probs), p=probs)))
         picked = dc.take_per_row(logp, chosen)
         total = picked if total is None else dc.add(total, picked)
-        for s, a in zip(states, chosen):
-            step(s, a)
+        for s, a, mask in zip(states, chosen, masks):
+            step(s, a, mask)
     results = []
     for s in states:
         rs = finish(s)

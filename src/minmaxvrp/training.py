@@ -216,6 +216,16 @@ def train(tc, params=None, opt=None, on_epoch=None):
     return params, opt, metrics
 
 
+def check_model_matches(stored, wanted):
+    """Raise ValueError naming every key where two ModelConfigs differ."""
+    stored, wanted = stored.to_dict(), wanted.to_dict()
+    diffs = ", ".join(f"{k}={stored[k]} vs {wanted[k]}"
+                      for k in sorted(stored) if stored[k] != wanted[k])
+    if diffs:
+        raise ValueError(f"checkpoint model does not match the requested "
+                         f"config: {diffs}")
+
+
 def finetune(checkpoint_path, tc, on_epoch=None):
     """Resume training from a checkpoint at tc's (usually smaller) lr.
 
@@ -223,12 +233,7 @@ def finetune(checkpoint_path, tc, on_epoch=None):
     moments are kept, the learning rate is replaced.
     """
     cfg, params, opt = load_checkpoint(checkpoint_path)
-    stored, wanted = cfg.to_dict(), tc.model.to_dict()
-    if stored != wanted:
-        diffs = ", ".join(f"{k}={stored[k]} vs {wanted[k]}"
-                          for k in sorted(stored) if stored[k] != wanted.get(k))
-        raise ValueError(f"checkpoint model does not match the requested "
-                         f"config: {diffs}")
+    check_model_matches(cfg, tc.model)
     opt.lr = tc.lr
     opt.lr_decay = tc.lr_decay
     return train(tc, params=params, opt=opt, on_epoch=on_epoch)

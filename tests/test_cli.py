@@ -227,23 +227,21 @@ def test_solve_gates_on_validate(trained, tmp_path, capsys, monkeypatch):
     assert code == 1 and "infeasible" in err
 
 
-def test_solve_thread_count_is_output_invariant(trained, tmp_path, monkeypatch):
+def test_solve_rejects_nan_coordinates_naming_the_line(trained, tmp_path,
+                                                       capsys):
     ckpt, data = trained
-    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
-    assert run(["solve", "--checkpoint", ckpt, "--dataset", data,
-                "--out", one]) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    assert run(["solve", "--checkpoint", ckpt, "--dataset", data,
-                "--out", two]) == 0
-    assert one.read_bytes() == two.read_bytes()
-
-
-def test_bad_thread_env(trained, tmp_path, capsys, monkeypatch):
-    ckpt, data = trained
-    monkeypatch.setenv(cli.THREADS_ENV, "zero")
-    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
-                           "--out", tmp_path / "x"], capsys)
-    assert code == 1 and cli.THREADS_ENV in err
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["customers"][0] = [float("nan"), 0.5]
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "nan.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", bad,
+                           "--out", tmp_path / "x.jsonl"], capsys)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert f"{bad}:2:" in err
+    assert "softmax" not in err
 
 
 def test_solve_kind_mismatch(trained, tmp_path, capsys):

@@ -27,7 +27,7 @@ def walk(state, actions):
 
 def test_mask_walkthrough_four_customers_three_routes():
     ins = mtsp(4, 3)
-    s = ro.init_state(ins, (0, 1, 2))
+    s = ro.DecodeState(ins, (0, 1, 2))
     M = 3
     # empty first route: depot masked, every customer open
     assert de.feasibility_mask(s).tolist() == [False] * 3 + [True] * 4
@@ -50,7 +50,7 @@ def test_mask_walkthrough_four_customers_three_routes():
 
 def test_mask_last_route_depot_blocked_while_customers_remain():
     ins = mtsp(3, 2)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     walk(s, [2 + 0, 0, 2 + 1])
     assert s.pos == 1 and s.current == [1]
     mask = de.feasibility_mask(s)
@@ -63,7 +63,7 @@ def test_mask_mpdp_full_walkthrough():
     ins = pb.Instance(kind="MPDP", coords=coords,
                       depot_coords=np.array([[0.5, 0.5]]), M=2)
     M = 2
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     assert de.feasibility_mask(s).tolist() == [False, False,
                                                True, True, False, False]
     walk(s, [M + 0])
@@ -92,7 +92,7 @@ def test_mask_multi_depot_phases():
     depots = rng_coords.uniform(0, 1, (2, 2))
     for kind in ("MDVRP", "FMDVRP"):
         ins = pb.Instance(kind=kind, coords=coords, depot_coords=depots, M=2)
-        s = ro.init_state(ins, (0, 1))
+        s = ro.DecodeState(ins, (0, 1))
         assert de.feasibility_mask(s).tolist() == [True, True, False, False, False]
         ro.step(s, 1)  # start at depot 1
         assert de.feasibility_mask(s).tolist() == [False, False, True, True, True]
@@ -111,7 +111,7 @@ def test_masked_probability_is_exactly_zero():
     cand = de.candidate_rows(emb)
     kv = de.glimpse_kv(cand, cfg, params)
     proj = dc.matmul(cand, params["dec.logit"])
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     ctx = de.context(s, emb, cfg, params)
     q = de.glimpse(ctx, kv, cfg, params)
     mask = de.feasibility_mask(s)[None, :]
@@ -140,7 +140,7 @@ def test_all_masked_row_raises():
 
 def test_dist_exp_row_range_and_fallback():
     ins = mtsp(5, 2)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     row = de.dist_exp_row(s)
     assert row.shape == (7,)
     assert (row >= 1.0 - 1e-12).all() and (row <= math.exp(30.0)).all()
@@ -159,7 +159,7 @@ def test_alpha_d_only_shifts_logits_not_masks():
     cand = de.candidate_rows(emb)
     kv = de.glimpse_kv(cand, cfg, params)
     proj = dc.matmul(cand, params["dec.logit"])
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     mask = de.feasibility_mask(s)[None, :]
     ctx = de.context(s, emb, cfg, params)
     q = de.glimpse(ctx, kv, cfg, params)
@@ -177,7 +177,7 @@ def test_alpha_d_only_shifts_logits_not_masks():
 
 def test_first_route_fractions_are_one():
     ins = mtsp(6, 3)
-    s = ro.init_state(ins, (2, 0, 1))
+    s = ro.DecodeState(ins, (2, 0, 1))
     frac_m, frac_n, feats = de.scalar_features(s)
     assert frac_m == 1.0 and frac_n == 1.0
     assert feats[0] == 0.0
@@ -186,7 +186,7 @@ def test_first_route_fractions_are_one():
 
 def test_mtsp_span_feature_is_constant_ld_shrinks():
     ins = mtsp(6, 2)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     span0 = de.scalar_features(s)[2][1]
     depot_d = np.sqrt(((ins.coords - ins.depot_coords[0]) ** 2).sum(axis=1))
     far = int(np.argmax(depot_d))
@@ -201,7 +201,7 @@ def test_mpdp_sum_pd_halves_on_symmetric_pairs():
     coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     ins = pb.Instance(kind="MPDP", coords=coords,
                       depot_coords=np.array([[0.5, 0.5]]), M=2)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     assert de.scalar_features(s)[2][4] == 2.0  # both unit pairs pending
     walk(s, [2 + 0, 2 + 2])
     frac_m, frac_n, feats = de.scalar_features(s)
@@ -212,7 +212,7 @@ def test_mpdp_sum_pd_halves_on_symmetric_pairs():
 
 def test_mpdp_longest_p_and_d_track_unvisited():
     ins = pb.gen_uniform("MPDP", N=6, D=1, M=2, seed=9)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     depot_d = np.sqrt(((ins.coords - ins.depot_coords[0]) ** 2).sum(axis=1))
     _, _, feats = de.scalar_features(s)
     assert abs(feats[2] - depot_d[:3].max()) < 1e-12
@@ -226,7 +226,7 @@ def test_context_row_shape_and_multi_depot_pool():
         ins = pb.gen_uniform(kind, N=5, D=2 if kind == "MDVRP" else 1,
                              M=2, seed=1)
         emb = en.encode(ins, cfg, params)
-        s = ro.init_state(ins, (0, 1), rng=np.random.default_rng(0))
+        s = ro.DecodeState(ins, (0, 1), rng=np.random.default_rng(0))
         row = de.context(s, emb, cfg, params)
         assert row.shape == (1, cfg.d_model)
         assert np.isfinite(row.data).all()
@@ -238,7 +238,7 @@ def test_glimpse_gradients_reach_encoder_params():
     emb = en.encode(ins, cfg, params)
     cand = de.candidate_rows(emb)
     kv = de.glimpse_kv(cand, cfg, params)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     ctx = de.context(s, emb, cfg, params)
     q = de.glimpse(ctx, kv, cfg, params)
     dc.backward(dc.mean_all(q))

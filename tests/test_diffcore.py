@@ -193,27 +193,16 @@ def test_no_grad_records_nothing():
     assert not out.requires_grad and out._backward is None
 
 
-def test_no_grad_is_per_thread():
-    import threading
-
-    entered = threading.Event()
-    release = threading.Event()
-    after = []
-
-    def worker():
+def test_no_grad_nests_and_restores_on_error():
+    with dc.no_grad():
         with dc.no_grad():
-            entered.set()
-            release.wait(5)
-        after.append(dc.grad_enabled())
-
-    t = threading.Thread(target=worker)
-    t.start()
-    assert entered.wait(5)
-    # worker sits inside no_grad; this thread must still record
+            assert not dc.grad_enabled()
+        assert not dc.grad_enabled()
     assert dc.grad_enabled()
-    release.set()
-    t.join()
-    assert after == [True]
+    with pytest.raises(KeyError):
+        with dc.no_grad():
+            raise KeyError("boom")
+    assert dc.grad_enabled()
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ def test_gen_rejects_bad_combinations():
         pb.gen_uniform("BOGUS", N=6, D=1, M=2, seed=0)
 
 
+def test_instance_rejects_non_finite_coordinates():
+    ok = [[0.1, 0.2], [0.3, 0.4]]
+    with pytest.raises(ValueError, match="finite"):
+        pb.Instance("MTSP", [[np.nan, 0.5], [0.3, 0.4]], [[0.0, 0.0]], M=2)
+    with pytest.raises(ValueError, match="finite"):
+        pb.Instance("MDVRP", ok, [[0.0, 0.0], [np.inf, 1.0]], M=2)
+
+
 # ---------------------------------------------------------------------------
 # route_length / minmax_objective
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import tiny_model
@@ -16,7 +18,7 @@ def make(kind, N=6, M=2, D=2, seed=0):
 
 def model_free_walk(ins, perm, rng=None):
     """Drive a state to terminal picking the first feasible action each step."""
-    s = ro.init_state(ins, perm, rng=rng)
+    s = ro.DecodeState(ins, perm, rng=rng)
     while not s.terminal:
         ro.step(s, int(np.argmax(de.feasibility_mask(s))))
     return s
@@ -30,19 +32,19 @@ def test_bad_permutation_rejected():
     ins = make("MTSP")
     for bad in [(0, 0), (0, 2), (0,), (0, 1, 2)]:
         with pytest.raises(ValueError):
-            ro.init_state(ins, bad)
+            ro.DecodeState(ins, bad)
 
 
 def test_masked_action_and_terminal_step_raise():
     ins = make("MTSP", N=4, M=2)
-    s = ro.init_state(ins, (0, 1))
+    s = ro.DecodeState(ins, (0, 1))
     with pytest.raises(ValueError, match="masked"):
         ro.step(s, 0)  # depot close on an empty route
     s = model_free_walk(ins, (0, 1))
     with pytest.raises(RuntimeError):
         ro.step(s, 2)
     with pytest.raises(RuntimeError):
-        ro.finish(ro.init_state(ins, (0, 1)))
+        ro.finish(ro.DecodeState(ins, (0, 1)))
 
 
 def test_step_counts_match_problem_family():
@@ -61,7 +63,7 @@ def test_step_counts_match_problem_family():
 
 def test_route_length_accumulates_from_depot():
     ins = make("MTSP", N=4, M=2)
-    s = ro.init_state(ins, (1, 0))
+    s = ro.DecodeState(ins, (1, 0))
     ro.step(s, 2 + 0)
     ro.step(s, 2 + 3)
     d = ins.depot_coords[0]
@@ -75,7 +77,7 @@ def test_route_length_accumulates_from_depot():
 
 def test_permutation_decides_depot_slots():
     ins = make("MTSP", N=4, M=3)
-    s = ro.init_state(ins, (2, 0, 1))
+    s = ro.DecodeState(ins, (2, 0, 1))
     ro.step(s, 3 + 0)
     mask = de.feasibility_mask(s)
     assert mask[2] and not mask[0] and not mask[1]
@@ -151,6 +153,32 @@ def test_decode_batch_matches_stacked_single_rollouts():
         assert results[k][0].routes == rs.routes
         assert abs(results[k][1] - obj) < 1e-12
         assert abs(float(total.data[k, 0]) - logp) <= 1e-5
+
+
+def test_decode_batch_rejects_masked_forced_action():
+    cfg, params = tiny_model("MTSP")
+    ins = make("MTSP", N=4, M=2)
+    # closing the first route before it holds a customer is masked
+    with pytest.raises(ValueError, match="masked"):
+        ro.decode_batch(ins, [(0, 1)], cfg, params, forced=[[0]])
+
+
+def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
+    real = de.feasibility_mask
+    calls = Counter()
+
+    def counted(state):
+        calls[id(state)] += 1
+        return real(state)
+
+    monkeypatch.setattr(de, "feasibility_mask", counted)
+    for kind in ALL_KINDS:
+        calls.clear()
+        cfg, params = tiny_model(kind)
+        ins = make(kind, N=6, M=3, seed=5)
+        ro.decode_batch(ins, [(0, 1, 2), (2, 1, 0), (1, 2, 0)], cfg, params)
+        steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
+        assert sorted(calls.values()) == [steps] * 3
 
 
 def test_decode_mode_validation():
