@@ -18,10 +18,30 @@ MASK_VALUE = -1e9
 RATIO_CAP = 30.0
 
 
-def candidate_count(instance):
-    if instance.kind in ("MDVRP", "FMDVRP"):
-        return instance.D + instance.N
-    return instance.M + instance.N
+class DecodeConstants:
+    """Per-instance arrays that every decode step of every rollout reads.
+
+    cand_coords: coordinates per candidate row (a single-depot agent slot
+    sits at the depot). MPDP: pair_d (pickup to delivery) and depot_d (depot
+    to each customer). Other kinds: nearest (each customer to its nearest
+    depot) and span, the largest of those.
+    """
+
+    def __init__(self, ins):
+        xy, depots, n_pairs = ins.coords, ins.depot_coords, ins.n_pairs
+        multi = ins.kind in ("MDVRP", "FMDVRP")
+        slot_coords = depots if multi else np.repeat(depots, ins.M, axis=0)
+        self.cand_coords = np.concatenate([slot_coords, xy], axis=0)
+        if ins.kind == "MPDP":
+            self.pair_d = np.sqrt(((xy[:n_pairs] - xy[n_pairs:]) ** 2).sum(axis=1))
+            self.depot_d = np.sqrt(((xy - depots[0]) ** 2).sum(axis=1))
+            return
+        if multi:
+            d2 = ((xy[:, None, :] - depots[None, :, :]) ** 2).sum(axis=2)
+            self.nearest = np.sqrt(d2.min(axis=1))
+        else:
+            self.nearest = np.sqrt(((xy - depots[0]) ** 2).sum(axis=1))
+        self.span = float(self.nearest.max())
 
 
 # ---------------------------------------------------------------------------
@@ -31,55 +51,30 @@ def candidate_count(instance):
 def feasibility_mask(state):
     """Boolean row over candidates, True where the action is legal now."""
     ins = state.ins
-    M, N = ins.M, ins.N
     unvisited = ~state.visited
     left = state.n_unvisited
-    routes_after = M - state.pos - 1
-
-    if ins.kind in ("MDVRP", "FMDVRP"):
-        D = ins.D
-        mask = np.zeros(D + N, dtype=bool)
-        if state.needs_start:
-            mask[:D] = True
-            return mask
-        mask[D:] = unvisited & (left - 1 >= routes_after)
-        if state.current:
-            if routes_after >= 1:
-                can_end = left >= routes_after
-            else:
-                can_end = left == 0
-            if can_end:
-                if ins.kind == "MDVRP":
-                    mask[state.start_depot] = True
-                else:
-                    mask[:D] = True
+    routes_after = ins.M - state.pos - 1
+    n_slots = ins.D if state.multi else ins.M
+    mask = np.zeros(n_slots + ins.N, dtype=bool)
+    if state.needs_start:
+        mask[:n_slots] = True
         return mask
-
-    mask = np.zeros(M + N, dtype=bool)
-    o_c = state.o[state.pos]
+    can_close = bool(state.current)
     if ins.kind == "MPDP":
-        pairs_left = state.pairs_remaining
         n_pairs = ins.n_pairs
-        pick_ok = pairs_left - 1 >= routes_after
-        for p in range(n_pairs):
-            if unvisited[p] and pick_ok:
-                mask[M + p] = True
-            # delivery legal only once its pickup sits in the current route
-            if unvisited[n_pairs + p] and p in state.open_pickups:
-                mask[M + n_pairs + p] = True
-        if state.current and not state.open_pickups:
-            if routes_after >= 1:
-                mask[o_c] = pairs_left >= routes_after
-            else:
-                mask[o_c] = pairs_left == 0
-        return mask
-
-    mask[M:] = unvisited & (left - 1 >= routes_after)
-    if state.current:
-        if routes_after >= 1:
-            mask[o_c] = left >= routes_after
+        left = state.pairs_remaining
+        mask[n_slots:n_slots + n_pairs] = unvisited[:n_pairs] & (left - 1 >= routes_after)
+        # delivery legal only once its pickup sits in the current route
+        mask[n_slots + n_pairs:] = unvisited[n_pairs:] & state.open_pairs
+        can_close = can_close and not state.open_pairs.any()
+    else:
+        mask[n_slots:] = unvisited & (left - 1 >= routes_after)
+    # what is left must fill every later route, and the last route takes all
+    if can_close and (left >= routes_after if routes_after else left == 0):
+        if ins.kind == "FMDVRP":
+            mask[:n_slots] = True
         else:
-            mask[o_c] = left == 0
+            mask[state.start_depot if state.multi else state.o[state.pos]] = True
     return mask
 
 
@@ -90,19 +85,14 @@ def feasibility_mask(state):
 def dist_exp_row(state):
     """exp(ratio) per candidate, where ratio is the distance from the current
     node scaled by the farthest unvisited customer (capped, 1.0 fallback)."""
-    ins = state.ins
     here = state.node_coord()
-    unvisited_coords = ins.coords[~state.visited]
+    unvisited_coords = state.ins.coords[~state.visited]
     if len(unvisited_coords):
         denom = float(np.sqrt(((unvisited_coords - here) ** 2).sum(axis=1)).max())
     else:
         denom = 0.0
 
-    if ins.kind in ("MDVRP", "FMDVRP"):
-        slot_coords = ins.depot_coords
-    else:
-        slot_coords = np.repeat(ins.depot_coords, ins.M, axis=0)
-    cand = np.concatenate([slot_coords, ins.coords], axis=0)
+    cand = state.consts.cand_coords
     if denom <= 0.0:
         ratios = np.ones(len(cand))
     else:
@@ -121,6 +111,7 @@ def scalar_features(state):
     Returns (agents_fraction, customers_fraction, [length features]).
     """
     ins = state.ins
+    c = state.consts
     M, N = ins.M, ins.N
     m = state.pos + 1
     frac_m = (M - m + 1) / M
@@ -128,55 +119,46 @@ def scalar_features(state):
 
     if ins.kind == "MPDP":
         n_pairs = ins.n_pairs
-        picks_left = int(unvisited[:n_pairs].sum())
-        frac_n = 2.0 * picks_left / N
-        pair_d = np.sqrt(((ins.coords[:n_pairs] - ins.coords[n_pairs:]) ** 2).sum(axis=1))
-        depot_d = np.sqrt(((ins.coords - ins.depot_coords[0]) ** 2).sum(axis=1))
-        served_here = [p for p in range(n_pairs)
-                       if p in state.current_pairs_done]
-        longest_pd = float(pair_d[served_here].max()) if served_here else 0.0
         up = unvisited[:n_pairs]
         ud = unvisited[n_pairs:]
-        longest_p = float(depot_d[:n_pairs][up].max()) if up.any() else 0.0
-        longest_d = float(depot_d[n_pairs:][ud].max()) if ud.any() else 0.0
-        sum_pd = float(pair_d[up].sum())
+        frac_n = 2.0 * int(up.sum()) / N
+        done = state.done_pairs
+        longest_pd = float(c.pair_d[done].max()) if done.any() else 0.0
+        longest_p = float(c.depot_d[:n_pairs][up].max()) if up.any() else 0.0
+        longest_d = float(c.depot_d[n_pairs:][ud].max()) if ud.any() else 0.0
+        sum_pd = float(c.pair_d[up].sum())
         feats = [state.route_len, longest_pd, longest_p, longest_d,
                  sum_pd / max(M - m, 1)]
         return frac_m, frac_n, feats
 
     frac_n = state.n_unvisited / N
-    if ins.kind in ("MDVRP", "FMDVRP"):
-        d2 = ((ins.coords[:, None, :] - ins.depot_coords[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.sqrt(d2.min(axis=1))
-    else:
-        nearest = np.sqrt(((ins.coords - ins.depot_coords[0]) ** 2).sum(axis=1))
-    span = float(nearest.max())
-    longest_left = float(nearest[unvisited].max()) if unvisited.any() else 0.0
-    return frac_m, frac_n, [state.route_len, span, longest_left]
+    longest_left = float(c.nearest[unvisited].max()) if unvisited.any() else 0.0
+    return frac_m, frac_n, [state.route_len, c.span, longest_left]
 
 
-def context(state, emb, cfg, params):
-    """The 1 x d context row: pooled graph + step + length terms."""
+def pooled_graph(emb, params):
+    """The 1 x d pooled-graph term of the context, constant per instance."""
     parts = [emb.H_a, emb.H_c]
     if emb.H_d is not None:
         parts.append(emb.H_d)
-    pooled = dc.matmul(dc.mean_rows(dc.concat_rows(parts)), params["dec.emb"])
+    return dc.matmul(dc.mean_rows(dc.concat_rows(parts)), params["dec.emb"])
 
-    o_c = state.o[state.pos]
-    h_agent = dc.gather_rows(emb.H_a, [o_c])
-    if state.node_kind == "depot":
-        if emb.H_d is not None:
-            h_node = dc.gather_rows(emb.H_d, [state.node_idx])
-        else:
-            h_node = h_agent  # the agent embedding stands in for the depot
-    else:
-        h_node = dc.gather_rows(emb.H_c, [state.node_idx])
-    frac_m, frac_n, feats = scalar_features(state)
-    step_in = dc.concat_cols([h_agent, h_node,
-                              dc.constant([[frac_m]]), dc.constant([[frac_n]])])
-    step = dc.matmul(step_in, params["dec.step"])
-    length = dc.matmul(dc.constant([feats]), params["dec.length"])
-    return dc.add(dc.add(pooled, step), length)
+
+def context(states, emb, cand, pooled, params):
+    """The K x d context rows of K states: pooled graph + step + length.
+
+    Row k joins state k's agent row of emb.H_a, its current node's row of
+    the candidate rows cand and its scalar features; the pooled-graph term
+    (pooled_graph) is shared by every row.
+    """
+    agents = dc.gather_rows(emb.H_a, [s.o[s.pos] for s in states])
+    nodes = dc.gather_rows(cand, [s.node for s in states])
+    scalars = [scalar_features(s) for s in states]
+    fracs = dc.constant([[frac_m, frac_n] for frac_m, frac_n, _ in scalars])
+    step = dc.matmul(dc.concat_cols([agents, nodes, fracs]), params["dec.step"])
+    length = dc.matmul(dc.constant([feats for _, _, feats in scalars]),
+                       params["dec.length"])
+    return dc.add(dc.add(step, pooled), length)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,6 @@ class ProbeStore:
     def record(self, layer, relation, head, raw, soft):
         self._scores[(layer, relation, head)] = (raw.copy(), soft.copy())
 
-    def relations(self, layer):
-        return sorted({r for (l, r, _h) in self._scores if l == layer})
-
     def blocks(self, layer, head):
         out = {}
         for (l, r, h), mats in self._scores.items():

@@ -8,6 +8,7 @@ N+2M (each route also opens with a depot choice).
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,14 +19,21 @@ from . import problems as pb
 
 
 class DecodeState:
-    """Mutable trajectory state for one (instance, permutation) rollout."""
+    """Mutable trajectory state for one (instance, permutation) rollout.
 
-    def __init__(self, ins, o, rng=None):
+    node is the candidate row of the current node (see decoder); at a
+    single-depot kind's depot it is the current agent's slot. consts is the
+    instance's DecodeConstants, shared by the rollouts of one decode_batch;
+    None builds them for this state alone.
+    """
+
+    def __init__(self, ins, o, rng=None, consts=None):
         o = tuple(int(v) for v in o)
         if sorted(o) != list(range(ins.M)):
             raise ValueError(f"permutation {o} is not a bijection on 0..{ins.M - 1}")
         self.ins = ins
         self.o = o
+        self.consts = consts if consts is not None else de.DecodeConstants(ins)
         self.pos = 0
         self.current = []
         self.routes = []
@@ -41,13 +49,14 @@ class DecodeState:
         self.start_depot = None if self.multi else 0
         if self.multi:
             # the context sees a random depot before the first depot choice
-            self.node_idx = int(rng.integers(ins.D)) if rng is not None else 0
+            self.node = int(rng.integers(ins.D)) if rng is not None else 0
         else:
-            self.node_idx = 0
-        self.node_kind = "depot"
+            self.node = o[0]
         if ins.kind == "MPDP":
-            self.open_pickups = set()
-            self.current_pairs_done = set()
+            # per pair: pickup in the current route with its delivery still
+            # due, and pair served whole within the current route
+            self.open_pairs = np.zeros(ins.n_pairs, dtype=bool)
+            self.done_pairs = np.zeros(ins.n_pairs, dtype=bool)
             self.pairs_remaining = ins.n_pairs
 
     @property
@@ -55,9 +64,7 @@ class DecodeState:
         return self.pos >= self.ins.M
 
     def node_coord(self):
-        if self.node_kind == "depot":
-            return self.ins.depot_coords[self.node_idx]
-        return self.ins.coords[self.node_idx]
+        return self.consts.cand_coords[self.node]
 
 
 def step(state, action, mask=None):
@@ -79,7 +86,7 @@ def step(state, action, mask=None):
         if state.multi and state.needs_start:
             state.start_depot = action
             state.needs_start = False
-            state.node_kind, state.node_idx = "depot", action
+            state.node = action
         else:
             end = action if state.multi else 0
             state.route_len += math.hypot(*(state.node_coord()
@@ -93,24 +100,25 @@ def step(state, action, mask=None):
             if state.multi:
                 state.needs_start = True
                 state.start_depot = None
-            # next route's pre-start context node is this closing depot
-            state.node_kind, state.node_idx = "depot", end
+            # the next route's pre-start context node is this closing
+            # depot, which a single-depot kind reads as the next agent's slot
+            state.node = action if state.multi or state.terminal else state.o[state.pos]
             if ins.kind == "MPDP":
-                state.current_pairs_done = set()
+                state.done_pairs[:] = False
     else:
         j = action - n_slots
         state.route_len += math.hypot(*(state.node_coord() - ins.coords[j]))
         state.visited[j] = True
         state.n_unvisited -= 1
         state.current.append(j)
-        state.node_kind, state.node_idx = "cust", j
+        state.node = action
         if ins.kind == "MPDP":
             if j < ins.n_pairs:
                 state.pairs_remaining -= 1
-                state.open_pickups.add(j)
+                state.open_pairs[j] = True
             else:
-                state.open_pickups.discard(j - ins.n_pairs)
-                state.current_pairs_done.add(j - ins.n_pairs)
+                state.open_pairs[j - ins.n_pairs] = False
+                state.done_pairs[j - ins.n_pairs] = True
     state.t += 1
     state.actions.append(int(action))
     return state
@@ -167,10 +175,12 @@ def decode_batch(instance, perms, cfg, params, mode="greedy", rng=None,
     cand = de.candidate_rows(emb)
     kv = de.glimpse_kv(cand, cfg, params)
     cand_proj = dc.matmul(cand, params["dec.logit"])
-    states = [DecodeState(instance, o, rng) for o in perms]
+    pooled = de.pooled_graph(emb, params)
+    consts = de.DecodeConstants(instance)
+    states = [DecodeState(instance, o, rng, consts) for o in perms]
     total = None
     while not states[0].terminal:
-        ctx = dc.concat_rows([de.context(s, emb, cfg, params) for s in states])
+        ctx = de.context(states, emb, cand, pooled, params)
         q = de.glimpse(ctx, kv, cfg, params)
         exp_rows = np.stack([de.dist_exp_row(s) for s in states])
         masks = np.stack([de.feasibility_mask(s) for s in states])
@@ -179,22 +189,17 @@ def decode_batch(instance, perms, cfg, params, mode="greedy", rng=None,
         if forced is not None:
             chosen = [seq[states[0].t] for seq in forced]
         elif mode == "greedy":
-            chosen = [int(np.argmax(rows[k])) for k in range(len(states))]
+            chosen = [int(np.argmax(row)) for row in rows]
         else:
-            chosen = []
-            for k in range(len(states)):
-                probs = np.exp(rows[k].astype(np.float64))
-                probs /= probs.sum()
-                chosen.append(int(rng.choice(len(probs), p=probs)))
+            probs = np.exp(rows.astype(np.float64))
+            probs /= probs.sum(axis=1, keepdims=True)
+            chosen = [int(rng.choice(len(p), p=p)) for p in probs]
         picked = dc.take_per_row(logp, chosen)
         total = picked if total is None else dc.add(total, picked)
         for s, a, mask in zip(states, chosen, masks):
             step(s, a, mask)
-    results = []
-    for s in states:
-        rs = finish(s)
-        results.append((rs, pb.minmax_objective(rs, instance)))
-    return results, total
+    solutions = [finish(s) for s in states]
+    return [(rs, pb.minmax_objective(rs, instance)) for rs in solutions], total
 
 
 def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
@@ -205,12 +210,7 @@ def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
     return rs, obj, float(total.data[0, 0])
 
 
-class InferResult:
-    def __init__(self, solution, objective, aug_index, permutation):
-        self.solution = solution
-        self.objective = objective
-        self.aug_index = aug_index
-        self.permutation = permutation
+InferResult = namedtuple("InferResult", "solution objective aug_index permutation")
 
 
 def infer(instance, cfg, params, n_per=1, use_aug8=False, seed=0):

@@ -276,8 +276,23 @@ def save_checkpoint(path, cfg, params, opt):
     pb.atomic_write_text(path, json.dumps(payload))
 
 
+def _check_schema(what, arrays, shapes):
+    """Raise ValueError naming the first entry of arrays that is missing,
+    mis-shaped or unknown against shapes (name -> shape)."""
+    for name in list(shapes) + [n for n in arrays if n not in shapes]:
+        have = arrays[name].shape if name in arrays else "missing"
+        want = shapes.get(name, "no such entry")
+        if have != want:
+            raise ValueError(f"checkpoint {what} entry {name} is {have}; "
+                             f"the stored model config expects {want}")
+
+
 def load_checkpoint(path):
-    """Read a checkpoint back as (ModelConfig, params, AdamState)."""
+    """Read a checkpoint back as (ModelConfig, params, AdamState).
+
+    Every parameter and Adam moment must have the name and shape that
+    init_params gives the stored config.
+    """
     with open(path) as f:
         payload = json.load(f)
     version = payload.get("format_version")
@@ -285,13 +300,18 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint format version {version} is not the "
                          f"supported version {CHECKPOINT_VERSION}")
     cfg = en.ModelConfig.from_dict(payload["model"])
+    shapes = {name: p.shape for name, p in
+              en.init_params(cfg, np.random.default_rng(0)).items()}
+    arrays = dc.records_to_arrays(payload["params"])
+    _check_schema("params", arrays, shapes)
     params = {name: dc.Tensor(arr, requires_grad=True, dtype=arr.dtype)
-              for name, arr in dc.records_to_arrays(payload["params"]).items()}
-    en.check_params(cfg, params)
+              for name, arr in arrays.items()}
     o = payload["optimizer"]
     opt = dc.AdamState(params, lr=o["lr"], lr_decay=o["lr_decay"],
                        beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"])
     opt.step_count = int(o["step_count"])
-    opt.m = dc.records_to_arrays(o["m"])
-    opt.v = dc.records_to_arrays(o["v"])
+    for part in ("m", "v"):
+        moments = dc.records_to_arrays(o[part])
+        _check_schema(f"optimizer.{part}", moments, shapes)
+        setattr(opt, part, moments)
     return cfg, params, opt

@@ -112,7 +112,7 @@ def test_masked_probability_is_exactly_zero():
     kv = de.glimpse_kv(cand, cfg, params)
     proj = dc.matmul(cand, params["dec.logit"])
     s = ro.DecodeState(ins, (0, 1))
-    ctx = de.context(s, emb, cfg, params)
+    ctx = de.context([s], emb, cand, de.pooled_graph(emb, params), params)
     q = de.glimpse(ctx, kv, cfg, params)
     mask = de.feasibility_mask(s)[None, :]
     logp = de.logits(q, proj, de.dist_exp_row(s)[None, :], mask,
@@ -161,7 +161,7 @@ def test_alpha_d_only_shifts_logits_not_masks():
     proj = dc.matmul(cand, params["dec.logit"])
     s = ro.DecodeState(ins, (0, 1))
     mask = de.feasibility_mask(s)[None, :]
-    ctx = de.context(s, emb, cfg, params)
+    ctx = de.context([s], emb, cand, de.pooled_graph(emb, params), params)
     q = de.glimpse(ctx, kv, cfg, params)
     exp_rows = de.dist_exp_row(s)[None, :]
     with_bias = de.logits(q, proj, exp_rows, mask, params, cfg.d_model).data.copy()
@@ -220,6 +220,38 @@ def test_mpdp_longest_p_and_d_track_unvisited():
     assert feats[1] == 0.0  # no pair served yet
 
 
+def mpdp_loop_reference(s):
+    """The MPDP mask and served-pair feature as per-pair loops over the
+    current route's contents."""
+    ins = s.ins
+    M, n = ins.M, ins.n_pairs
+    open_pairs = {j for j in s.current if j < n and j + n not in s.current}
+    served = [j - n for j in s.current if j >= n]
+    pairs_left = int((~s.visited[:n]).sum())
+    routes_after = M - s.pos - 1
+    mask = np.zeros(M + ins.N, dtype=bool)
+    for p in range(n):
+        mask[M + p] = not s.visited[p] and pairs_left - 1 >= routes_after
+        mask[M + n + p] = not s.visited[n + p] and p in open_pairs
+    if s.current and not open_pairs:
+        mask[s.o[s.pos]] = (pairs_left >= routes_after if routes_after
+                            else pairs_left == 0)
+    pair_d = np.sqrt(((ins.coords[:n] - ins.coords[n:]) ** 2).sum(axis=1))
+    return mask, max((float(pair_d[p]) for p in served), default=0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mpdp_arrays_match_per_pair_loops(seed):
+    ins = pb.gen_uniform("MPDP", N=10, D=1, M=2 + seed % 3, seed=seed)
+    rng = np.random.default_rng(seed)
+    s = ro.DecodeState(ins, tuple(rng.permutation(ins.M)))
+    while not s.terminal:
+        mask, longest_pd = mpdp_loop_reference(s)
+        assert de.feasibility_mask(s).tolist() == mask.tolist()
+        assert de.scalar_features(s)[2][1] == longest_pd
+        ro.step(s, int(rng.choice(np.flatnonzero(mask))))
+
+
 def test_context_row_shape_and_multi_depot_pool():
     for kind in ("MTSP", "MDVRP"):
         cfg, params = tiny_model(kind)
@@ -227,9 +259,38 @@ def test_context_row_shape_and_multi_depot_pool():
                              M=2, seed=1)
         emb = en.encode(ins, cfg, params)
         s = ro.DecodeState(ins, (0, 1), rng=np.random.default_rng(0))
-        row = de.context(s, emb, cfg, params)
+        row = de.context([s], emb, de.candidate_rows(emb),
+                         de.pooled_graph(emb, params), params)
         assert row.shape == (1, cfg.d_model)
         assert np.isfinite(row.data).all()
+
+
+@pytest.mark.parametrize("kind", ["MTSP", "MPDP", "MDVRP", "FMDVRP"])
+def test_context_rows_match_one_state_calls(kind):
+    cfg, params = tiny_model(kind, seed=4)
+    multi = kind in ("MDVRP", "FMDVRP")
+    ins = pb.gen_uniform(kind, N=6, D=2 if multi else 1, M=2, seed=6)
+    emb = en.encode(ins, cfg, params)
+    cand = de.candidate_rows(emb)
+    pooled = de.pooled_graph(emb, params)
+    rng = np.random.default_rng(1)
+    # with D = M = 2, customers start at candidate 2, and agent 1 (first
+    # under the permutation (1, 0)) closes its route with action 1
+    if multi:  # pre-start, at a start depot, at a customer, after a close
+        walks = [[], [1], [1, 2 + 0], [1, 2 + 0, 1]]
+    elif kind == "MPDP":  # at the depot, at a pickup, after a close
+        walks = [[], [2 + 0], [2 + 0, 2 + 3, 1]]
+    else:
+        walks = [[], [2 + 0], [2 + 0, 1]]
+    states = [walk(ro.DecodeState(ins, (1, 0), rng=rng), w) for w in walks]
+    assert states[-1].pos == 1
+    if not multi:  # the depot reads as the current agent's slot
+        assert states[-1].node == states[-1].o[1]
+    rows = de.context(states, emb, cand, pooled, params).data
+    assert rows.shape == (len(states), cfg.d_model)
+    for k, s in enumerate(states):
+        one = de.context([s], emb, cand, pooled, params).data
+        np.testing.assert_allclose(rows[k:k + 1], one, rtol=1e-6, atol=1e-7)
 
 
 def test_glimpse_gradients_reach_encoder_params():
@@ -239,7 +300,7 @@ def test_glimpse_gradients_reach_encoder_params():
     cand = de.candidate_rows(emb)
     kv = de.glimpse_kv(cand, cfg, params)
     s = ro.DecodeState(ins, (0, 1))
-    ctx = de.context(s, emb, cfg, params)
+    ctx = de.context([s], emb, cand, de.pooled_graph(emb, params), params)
     q = de.glimpse(ctx, kv, cfg, params)
     dc.backward(dc.mean_all(q))
     assert params["embed.customer.W"].grad is not None

@@ -3,6 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import tiny_model
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minmaxvrp import decoder as de
 from minmaxvrp import problems as pb
@@ -179,6 +181,58 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
         ro.decode_batch(ins, [(0, 1, 2), (2, 1, 0), (1, 2, 0)], cfg, params)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
         assert sorted(calls.values()) == [steps] * 3
+
+
+def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
+    real_consts, real_context = de.DecodeConstants, de.context
+    calls = Counter()
+
+    def consts(ins):
+        calls["consts"] += 1
+        return real_consts(ins)
+
+    def context(states, *args):
+        calls["context"] += 1
+        calls["rows"] += len(states)
+        return real_context(states, *args)
+
+    monkeypatch.setattr(de, "DecodeConstants", consts)
+    monkeypatch.setattr(de, "context", context)
+    for kind in ALL_KINDS:
+        calls.clear()
+        cfg, params = tiny_model(kind)
+        ins = make(kind, N=6, M=3, seed=5)
+        ro.decode_batch(ins, [(0, 1, 2), (2, 1, 0), (1, 2, 0)], cfg, params)
+        steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
+        assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_any_legal_walk_is_valid_and_replays(kind, M, seed, data):
+    units = data.draw(st.integers(M, 3 if kind == "MPDP" else 6), label="N")
+    N = 2 * units if kind == "MPDP" else units  # MPDP counts pairs
+    D = data.draw(st.integers(1, 3), label="D") if kind in ("MDVRP", "FMDVRP") else 1
+    rng = np.random.default_rng(seed)
+    ins = pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                      depot_coords=rng.uniform(0, 1, (D, 2)), M=M)
+    perm = tuple(int(v) for v in rng.permutation(M))
+    s = ro.DecodeState(ins, perm, rng=rng)
+    while not s.terminal:
+        legal = np.flatnonzero(de.feasibility_mask(s)).tolist()
+        ro.step(s, data.draw(st.sampled_from(legal), label="action"))
+    rs = ro.finish(s)
+    assert pb.validate(rs, ins) is None
+    actions = ro.actions_from_solution(rs, perm, ins)
+    assert actions == s.actions
+    replay = ro.DecodeState(ins, perm)
+    for a in actions:
+        ro.step(replay, a)
+    again = ro.finish(replay)
+    assert (again.routes, again.start_depots, again.end_depots) == \
+        (rs.routes, rs.start_depots, rs.end_depots)
 
 
 def test_decode_mode_validation():

@@ -222,6 +222,46 @@ def test_checkpoint_version_and_corruption_errors(tmp_path):
         tr.load_checkpoint(path)
 
 
+def _saved_payload(tmp_path):
+    cfg, params = tiny_model("MTSP")
+    opt = dc.AdamState(params, lr=1e-3)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, cfg, params, opt)
+    return path, json.loads(path.read_text())
+
+
+def _one_line_error(path):
+    with pytest.raises(ValueError) as err:
+        tr.load_checkpoint(path)
+    assert "\n" not in str(err.value)
+    return str(err.value)
+
+
+def test_load_checkpoint_rejects_missing_param(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    del payload["params"]["dec.glimpse.q0"]
+    path.write_text(json.dumps(payload))
+    msg = _one_line_error(path)
+    assert "params" in msg and "dec.glimpse.q0" in msg
+
+
+def test_load_checkpoint_rejects_misshaped_moment(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    rec = payload["optimizer"]["m"]["dec.emb"]
+    rec["shape"] = [rec["shape"][0] * rec["shape"][1], 1]
+    path.write_text(json.dumps(payload))
+    msg = _one_line_error(path)
+    assert "optimizer.m" in msg and "dec.emb" in msg
+
+
+def test_load_checkpoint_rejects_unknown_moment(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    payload["optimizer"]["v"]["dec.extra"] = payload["optimizer"]["v"]["dec.emb"]
+    path.write_text(json.dumps(payload))
+    msg = _one_line_error(path)
+    assert "optimizer.v" in msg and "dec.extra" in msg
+
+
 def test_finetune_rejects_mismatched_width(tmp_path):
     cfg, params = tiny_model("MTSP")
     opt = dc.AdamState(params, lr=1e-3)
