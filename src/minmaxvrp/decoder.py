@@ -4,7 +4,10 @@ masks, and distance-biased masked logits.
 Candidate actions are indexed [agent slots 0..M-1, customers M..M+N-1] for
 single-depot kinds and [depot slots 0..D-1, customers D..D+N-1] for
 multi-depot kinds. Functions here take the rollout's DecodeState by duck
-type so the two modules stay import-acyclic.
+type so the two modules stay import-acyclic. The state holds R = V x K rows
+(V variants of an instance, K permutations each); every function here runs
+once per decode step for all rows, and the tensors carry the V variants on a
+leading batch axis.
 """
 
 import math
@@ -19,29 +22,37 @@ RATIO_CAP = 30.0
 
 
 class DecodeConstants:
-    """Per-instance arrays that every decode step of every rollout reads.
+    """Per-variant arrays that every decode step reads, stacked over the V
+    variants of one decode_batch.
 
-    cand_coords: coordinates per candidate row (a single-depot agent slot
-    sits at the depot). MPDP: pair_d (pickup to delivery) and depot_d (depot
-    to each customer). Other kinds: nearest (each customer to its nearest
-    depot) and span, the largest of those.
+    cand_coords: V x C x 2 coordinates per candidate row (a single-depot
+    agent slot sits at the depot); cand_dist: V x C x C distances between
+    candidate rows. MPDP: pair_d V x P (pickup to delivery) and depot_d
+    V x N (depot to each customer). Other kinds: nearest V x N (each
+    customer to its nearest depot) and span V, the largest of those.
     """
 
-    def __init__(self, ins):
-        xy, depots, n_pairs = ins.coords, ins.depot_coords, ins.n_pairs
+    def __init__(self, variants):
+        ins = variants[0]
+        xy = np.stack([v.coords for v in variants])
+        depots = np.stack([v.depot_coords for v in variants])
+        n_pairs = ins.n_pairs
         multi = ins.kind in ("MDVRP", "FMDVRP")
-        slot_coords = depots if multi else np.repeat(depots, ins.M, axis=0)
-        self.cand_coords = np.concatenate([slot_coords, xy], axis=0)
+        slot_coords = depots if multi else np.repeat(depots, ins.M, axis=1)
+        cand = self.cand_coords = np.concatenate([slot_coords, xy], axis=1)
+        self.cand_dist = np.empty(cand.shape[:2] + cand.shape[1:2])
+        for dist, c in zip(self.cand_dist, cand):  # one variant at a time: less memory
+            np.sqrt(((c - c[:, None]) ** 2).sum(axis=2), out=dist)
         if ins.kind == "MPDP":
-            self.pair_d = np.sqrt(((xy[:n_pairs] - xy[n_pairs:]) ** 2).sum(axis=1))
-            self.depot_d = np.sqrt(((xy - depots[0]) ** 2).sum(axis=1))
+            self.pair_d = np.sqrt(((xy[:, :n_pairs] - xy[:, n_pairs:]) ** 2).sum(axis=2))
+            self.depot_d = np.sqrt(((xy - depots) ** 2).sum(axis=2))
             return
         if multi:
-            d2 = ((xy[:, None, :] - depots[None, :, :]) ** 2).sum(axis=2)
-            self.nearest = np.sqrt(d2.min(axis=1))
+            d2 = ((xy[:, :, None, :] - depots[:, None, :, :]) ** 2).sum(axis=3)
+            self.nearest = np.sqrt(d2.min(axis=2))
         else:
-            self.nearest = np.sqrt(((xy - depots[0]) ** 2).sum(axis=1))
-        self.span = float(self.nearest.max())
+            self.nearest = np.sqrt(((xy - depots) ** 2).sum(axis=2))
+        self.span = self.nearest.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -49,32 +60,35 @@ class DecodeConstants:
 # ---------------------------------------------------------------------------
 
 def feasibility_mask(state):
-    """Boolean row over candidates, True where the action is legal now."""
-    ins = state.ins
-    unvisited = ~state.visited
-    left = state.n_unvisited
-    routes_after = ins.M - state.pos - 1
-    n_slots = ins.D if state.multi else ins.M
-    mask = np.zeros(n_slots + ins.N, dtype=bool)
-    if state.needs_start:
-        mask[:n_slots] = True
-        return mask
-    can_close = bool(state.current)
-    if ins.kind == "MPDP":
-        n_pairs = ins.n_pairs
-        left = state.pairs_remaining
-        mask[n_slots:n_slots + n_pairs] = unvisited[:n_pairs] & (left - 1 >= routes_after)
+    """Boolean R x C over the state's rows and candidates, True where the
+    action is legal now."""
+    n_slots, visited = state.n_slots, state.visited
+    routes_after = state.M - 1 - state.pos
+    left = state.pairs_remaining if state.kind == "MPDP" else state.n_unvisited
+    mask = np.zeros((len(state.rows), n_slots + state.N), dtype=bool)
+    # a customer joins only if enough stay unvisited for the later routes
+    fits = left > routes_after
+    if state.multi:
+        fits &= ~state.needs_start
+    can_close = state.node >= n_slots  # the route holds a customer
+    if state.kind == "MPDP":
+        n_pairs = state.n_pairs
+        np.logical_and(~visited[:, :n_pairs], fits[:, None],
+                       out=mask[:, n_slots:n_slots + n_pairs])
         # delivery legal only once its pickup sits in the current route
-        mask[n_slots + n_pairs:] = unvisited[n_pairs:] & state.open_pairs
-        can_close = can_close and not state.open_pairs.any()
+        np.logical_and(~visited[:, n_pairs:], state.open_pairs,
+                       out=mask[:, n_slots + n_pairs:])
+        can_close &= ~state.open_pairs.any(axis=1)
     else:
-        mask[n_slots:] = unvisited & (left - 1 >= routes_after)
+        np.logical_and(~visited, fits[:, None], out=mask[:, n_slots:])
     # what is left must fill every later route, and the last route takes all
-    if can_close and (left >= routes_after if routes_after else left == 0):
-        if ins.kind == "FMDVRP":
-            mask[:n_slots] = True
-        else:
-            mask[state.start_depot if state.multi else state.o[state.pos]] = True
+    can_close &= np.where(routes_after > 0, left >= routes_after, left == 0)
+    if state.kind == "FMDVRP":
+        mask[:, :n_slots] = (can_close | state.needs_start)[:, None]
+        return mask
+    mask[state.rows, state.start_depot if state.multi else state.agent] = can_close
+    if state.multi:  # a route first picks its start depot
+        mask[:, :n_slots] |= state.needs_start[:, None]
     return mask
 
 
@@ -83,22 +97,13 @@ def feasibility_mask(state):
 # ---------------------------------------------------------------------------
 
 def dist_exp_row(state):
-    """exp(ratio) per candidate, where ratio is the distance from the current
-    node scaled by the farthest unvisited customer (capped, 1.0 fallback)."""
-    here = state.node_coord()
-    unvisited_coords = state.ins.coords[~state.visited]
-    if len(unvisited_coords):
-        denom = float(np.sqrt(((unvisited_coords - here) ** 2).sum(axis=1)).max())
-    else:
-        denom = 0.0
-
-    cand = state.consts.cand_coords
-    if denom <= 0.0:
-        ratios = np.ones(len(cand))
-    else:
-        ratios = np.sqrt(((cand - here) ** 2).sum(axis=1)) / denom
-        ratios = np.minimum(ratios, RATIO_CAP)
-    return np.exp(ratios)
+    """R x C exp(ratio), where ratio is the distance from a row's current
+    node to a candidate scaled by the row's farthest unvisited customer
+    (capped, 1.0 fallback)."""
+    dist = state.consts.cand_dist[state.variant, state.node]
+    denom = np.where(state.visited, 0.0, dist[:, state.n_slots:]).max(axis=1)[:, None]
+    ratios = np.divide(dist, denom, out=np.ones_like(dist), where=denom > 0.0)
+    return np.exp(np.minimum(ratios, RATIO_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -108,32 +113,30 @@ def dist_exp_row(state):
 def scalar_features(state):
     """The fraction and length features fed to W_step and W_length.
 
-    Returns (agents_fraction, customers_fraction, [length features]).
+    Returns (R x 2 [agents fraction, customers fraction], R x L length
+    features).
     """
-    ins = state.ins
-    c = state.consts
-    M, N = ins.M, ins.N
-    m = state.pos + 1
-    frac_m = (M - m + 1) / M
-    unvisited = ~state.visited
-
-    if ins.kind == "MPDP":
-        n_pairs = ins.n_pairs
-        up = unvisited[:n_pairs]
-        ud = unvisited[n_pairs:]
-        frac_n = 2.0 * int(up.sum()) / N
-        done = state.done_pairs
-        longest_pd = float(c.pair_d[done].max()) if done.any() else 0.0
-        longest_p = float(c.depot_d[:n_pairs][up].max()) if up.any() else 0.0
-        longest_d = float(c.depot_d[n_pairs:][ud].max()) if ud.any() else 0.0
-        sum_pd = float(c.pair_d[up].sum())
-        feats = [state.route_len, longest_pd, longest_p, longest_d,
-                 sum_pd / max(M - m, 1)]
-        return frac_m, frac_n, feats
-
-    frac_n = state.n_unvisited / N
-    longest_left = float(c.nearest[unvisited].max()) if unvisited.any() else 0.0
-    return frac_m, frac_n, [state.route_len, c.span, longest_left]
+    c, v = state.consts, state.variant
+    M, N, visited = state.M, state.N, state.visited
+    if state.kind == "MPDP":
+        R, n_pairs = len(visited), state.n_pairs
+        pair_d = c.pair_d[v]
+        out = np.empty((R, 7))
+        out[:, 1] = 2.0 * state.pairs_remaining / N
+        out[:, 3] = np.where(state.done_pairs, pair_d, 0.0).max(axis=1)
+        # the farthest unvisited pickup and delivery from the depot
+        out[:, 4:6] = np.where(visited, 0.0, c.depot_d[v]).reshape(R, 2, n_pairs).max(axis=2)
+        # row by row: a sum over the whole row would round differently
+        out[:, 6] = [d[~u].sum() for d, u in zip(pair_d, visited[:, :n_pairs])]
+        out[:, 6] /= np.maximum(M - 1 - state.pos, 1)
+    else:
+        out = np.empty((len(visited), 5))
+        out[:, 1] = state.n_unvisited / N
+        out[:, 3] = c.span[v]
+        out[:, 4] = np.where(visited, 0.0, c.nearest[v]).max(axis=1)
+    out[:, 0] = (M - state.pos) / M
+    out[:, 2] = state.route_len
+    return out[:, :2], out[:, 2:]
 
 
 def pooled_graph(emb, params):
@@ -144,19 +147,21 @@ def pooled_graph(emb, params):
     return dc.matmul(dc.mean_rows(dc.concat_rows(parts)), params["dec.emb"])
 
 
-def context(states, emb, cand, pooled, params):
-    """The K x d context rows of K states: pooled graph + step + length.
+def context(state, H_a, cand, pooled, params):
+    """The V x K x d context rows of the state's V x K rows: pooled graph +
+    step + length.
 
-    Row k joins state k's agent row of emb.H_a, its current node's row of
-    the candidate rows cand and its scalar features; the pooled-graph term
-    (pooled_graph) is shared by every row.
+    Row (a, k) joins its agent row of H_a[a], its current node's row of the
+    candidate rows cand[a] and its scalar features; the pooled-graph term
+    pooled[a] (pooled_graph) is shared by the K rows of variant a.
     """
-    agents = dc.gather_rows(emb.H_a, [s.o[s.pos] for s in states])
-    nodes = dc.gather_rows(cand, [s.node for s in states])
-    scalars = [scalar_features(s) for s in states]
-    fracs = dc.constant([[frac_m, frac_n] for frac_m, frac_n, _ in scalars])
+    V = cand.shape[0]
+    agents = dc.gather_rows(H_a, state.agent.reshape(V, -1))
+    nodes = dc.gather_rows(cand, state.node.reshape(V, -1))
+    fracs, feats = scalar_features(state)
+    fracs = dc.constant(fracs.reshape(V, -1, fracs.shape[1]))
     step = dc.matmul(dc.concat_cols([agents, nodes, fracs]), params["dec.step"])
-    length = dc.matmul(dc.constant([feats for _, _, feats in scalars]),
+    length = dc.matmul(dc.constant(feats.reshape(V, -1, feats.shape[1])),
                        params["dec.length"])
     return dc.add(dc.add(step, pooled), length)
 
@@ -172,36 +177,36 @@ def candidate_rows(emb):
 
 
 def glimpse_kv(cand, cfg, params):
-    """Per-head key/value projections of the fixed candidate rows."""
-    return [(dc.matmul(cand, params[f"dec.glimpse.k{i}"]),
+    """Per-head (transposed key, value) projections of the fixed candidate
+    rows, V x d_head x C and V x C x d_head."""
+    return [(dc.transpose(dc.matmul(cand, params[f"dec.glimpse.k{i}"])),
              dc.matmul(cand, params[f"dec.glimpse.v{i}"]))
             for i in range(cfg.n_heads)]
 
 
 def glimpse(H_ctx, kv, cfg, params):
-    """Scaled multi-head attention of the K context rows over candidates."""
+    """Scaled multi-head attention of the context rows over candidates."""
     d_k = cfg.d_head
     heads = []
-    for i, (k, v) in enumerate(kv):
+    for i, (k_t, v) in enumerate(kv):
         q = dc.matmul(H_ctx, params[f"dec.glimpse.q{i}"])
-        soft = dc.softmax_rows(dc.scale(dc.matmul(q, dc.transpose(k)),
-                                        1.0 / math.sqrt(d_k)))
+        soft = dc.softmax_rows(dc.scale(dc.matmul(q, k_t), 1.0 / math.sqrt(d_k)))
         heads.append(dc.matmul(soft, v))
     merged = heads[0] if len(heads) == 1 else dc.concat_cols(heads)
     return dc.matmul(merged, params["dec.glimpse.proj"])
 
 
 def logits(q, cand_proj, exp_rows, masks, params, d_model):
-    """Masked log-probabilities, K x C.
+    """Masked log-probabilities, V x K x C.
 
-    q: K x d glimpse output; cand_proj: candidates @ W_L; exp_rows/masks:
-    K x C numpy (distance factors and feasibility).
+    q: V x K x d glimpse output; cand_proj: candidates @ W_L, V x C x d;
+    exp_rows/masks: V x K x C numpy (distance factors and feasibility).
     """
     scores = dc.scale(dc.matmul(q, dc.transpose(cand_proj)),
                       1.0 / math.sqrt(d_model))
     bias = dc.scale(dc.constant(exp_rows), params["dec.alpha_dist"])
     u = dc.scale(dc.tanh(dc.add(scores, bias)), LOGIT_CLIP)
-    if not masks.any(axis=1).all():
+    if not masks.any(axis=-1).all():
         raise ValueError("a decode state has no feasible action")
     penal = np.where(masks, 0.0, MASK_VALUE)
     return dc.log_softmax_rows(dc.add(u, dc.constant(penal)))

@@ -1,14 +1,18 @@
 """Reverse-mode autodiff over dense 2-D arrays, plus an Adam optimizer.
 
-Everything is a matrix: scalars are 1x1, vectors are 1xd. Ops record their
-backward closure on the output tensor; ``backward`` on a scalar loss walks the
-implicit graph in reverse topological order once. Parameters default to
-float32; float64 is available (gradient checks run there, on the same code
-paths). Reductions that feed route lengths and means accumulate in float64.
+Everything is a matrix: scalars are 1x1, vectors are 1xd. The decoder's ops
+also take a batch of matrices, V x rows x cols, and a 2-D parameter used with
+one broadcasts over the batch axis (its gradient sums over that axis). Ops
+record their backward closure on the output tensor; ``backward`` on a scalar
+loss walks the implicit graph in reverse topological order once. Parameters
+default to float32; float64 is available (gradient checks run there, on the
+same code paths). Reductions that feed route lengths and means accumulate in
+float64.
 """
 
 import base64
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +39,7 @@ def grad_enabled():
 
 
 class Tensor:
-    """A 2-D array node in the computation graph.
+    """A 2-D (or batched 3-D) array node in the computation graph.
 
     fields: data (row-major ndarray), requires_grad, grad (same shape or
     None), plus the recorded parents and backward closure for non-leaves.
@@ -49,8 +53,8 @@ class Tensor:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ValueError(f"diffcore tensors are 2-D, got shape {arr.shape}")
+        elif arr.ndim > 3:
+            raise ValueError(f"diffcore tensors are 2-D or 3-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
@@ -72,24 +76,31 @@ class Tensor:
     def item(self):
         if self.data.size != 1:
             raise ValueError(f"item() on non-scalar shape {self.data.shape}")
-        return float(self.data[0, 0])
+        return float(self.data.flat[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values in {what}")
 
 
 def _make(data, parents, backward_fn):
-    """Wrap an op result; record the closure only while grads are enabled."""
-    needs = grad_enabled() and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs, dtype=data.dtype)
-    if needs:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    """Wrap an op result; record the closure only while grads are enabled.
+
+    Op results are already 2-D or 3-D arrays, so the Tensor is filled in
+    without __init__'s conversion.
+    """
+    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = needs
+    out.grad = None
+    out._parents = tuple(parents) if needs else ()
+    out._backward = backward_fn if needs else None
+    out._done = False
     return out
 
 
@@ -107,28 +118,36 @@ def _accum(t, g):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    """a @ b per batch entry; a 2-D b is shared by every entry of a 3-D a."""
+    ad, bd = a.data, b.data
+    if (ad.shape[-1] != bd.shape[-2] or bd.ndim > ad.ndim
+            or (bd.ndim == 3 and len(ad) != len(bd))):
+        raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+    out_data = ad @ bd
 
     def backward(g, out):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ b.data.mT)
+        if b.data.ndim < a.data.ndim:  # shared b: sum over the batch axis
+            _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            _accum(b, a.data.mT @ g)
 
     return _make(out_data, (a, b), backward)
 
 
 def transpose(a):
-    out_data = np.ascontiguousarray(a.data.T)
+    """Swap the last two axes."""
+    out_data = np.ascontiguousarray(a.data.mT)
 
     def backward(g, out):
-        _accum(a, g.T)
+        _accum(a, g.mT)
 
     return _make(out_data, (a,), backward)
 
 
 def add(a, b):
-    """Elementwise sum; b may be a 1xd row broadcast over a's rows."""
+    """Elementwise sum; b may be one row per matrix (1 x d, or V x 1 x d for
+    a V x rows x d a) broadcast over a's rows."""
     if a.shape == b.shape:
         out_data = a.data + b.data
 
@@ -136,12 +155,12 @@ def add(a, b):
             _accum(a, g)
             _accum(b, g)
 
-    elif b.shape == (1, a.shape[1]):
+    elif b.shape == a.shape[:-2] + (1, a.shape[-1]):
         out_data = a.data + b.data
 
         def backward(g, out):
             _accum(a, g)
-            _accum(b, g.sum(axis=0, keepdims=True))
+            _accum(b, g.sum(axis=-2, keepdims=True))
 
     else:
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
@@ -187,7 +206,7 @@ def concat_rows(tensors):
     if len(cols) != 1:
         raise ValueError(f"concat_rows column mismatch: {[t.shape for t in tensors]}")
     out_data = np.concatenate([t.data for t in tensors], axis=0)
-    offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
+    offsets = list(itertools.accumulate((t.shape[0] for t in tensors), initial=0))
 
     def backward(g, out):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -197,15 +216,29 @@ def concat_rows(tensors):
 
 
 def concat_cols(tensors):
-    rows = {t.shape[0] for t in tensors}
+    rows = {t.shape[:-1] for t in tensors}
     if len(rows) != 1:
         raise ValueError(f"concat_cols row mismatch: {[t.shape for t in tensors]}")
-    out_data = np.concatenate([t.data for t in tensors], axis=1)
-    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = list(itertools.accumulate((t.shape[-1] for t in tensors), initial=0))
 
     def backward(g, out):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[:, lo:hi])
+            _accum(t, g[..., lo:hi])
+
+    return _make(out_data, tuple(tensors), backward)
+
+
+def stack(tensors):
+    """V same-shape 2-D tensors -> one V x rows x cols batch."""
+    shapes = {t.shape for t in tensors}
+    if len(shapes) != 1 or tensors[0].data.ndim != 2:
+        raise ValueError(f"stack needs same-shape 2-D tensors: {[t.shape for t in tensors]}")
+    out_data = np.stack([t.data for t in tensors])
+
+    def backward(g, out):
+        for t, g_t in zip(tensors, g):
+            _accum(t, g_t)
 
     return _make(out_data, tuple(tensors), backward)
 
@@ -222,12 +255,19 @@ def mean_rows(a):
 
 
 def gather_rows(a, indexes):
-    """Select rows by index (with repeats allowed); backward scatters."""
+    """Select rows by index (with repeats allowed); backward scatters.
+
+    A 2-D a takes a flat index list; a V x rows x d a takes V x K indexes,
+    row v of them into a[v], and gives V x K x d.
+    """
     idx = np.asarray(indexes, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows takes a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather_rows index out of range for {a.shape[0]} rows")
+    if idx.ndim != a.data.ndim - 1 or (idx.ndim == 2 and len(idx) != a.shape[0]):
+        raise ValueError(f"gather_rows needs one index list per matrix, got "
+                         f"{idx.shape} for {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2]):
+        raise IndexError(f"gather_rows index out of range for {a.shape[-2]} rows")
+    if idx.ndim == 2:
+        idx = (np.arange(len(idx))[:, None], idx)
     out_data = a.data[idx]
 
     def backward(g, out):
@@ -239,19 +279,20 @@ def gather_rows(a, indexes):
 
 
 def take_per_row(a, indexes):
-    """out[k, 0] = a[k, indexes[k]] -> Kx1 column."""
+    """out[..., k, 0] = a[..., k, indexes[..., k]] -> one column."""
     idx = np.asarray(indexes, dtype=np.intp)
-    if idx.shape != (a.shape[0],):
+    if idx.shape != a.shape[:-1]:
         raise ValueError(f"take_per_row needs one index per row, got {idx.shape} for {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise IndexError(f"take_per_row index out of range for {a.shape[1]} cols")
-    rows = np.arange(a.shape[0])
-    out_data = a.data[rows, idx].reshape(-1, 1)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-1]):
+        raise IndexError(f"take_per_row index out of range for {a.shape[-1]} cols")
+    flat = a.data.reshape(-1, a.shape[-1])
+    rows, cols = np.arange(len(flat)), idx.reshape(-1)
+    out_data = flat[rows, cols].reshape(idx.shape + (1,))
 
     def backward(g, out):
-        acc = np.zeros_like(a.data)
-        acc[rows, idx] = g[:, 0]
-        _accum(a, acc)
+        acc = np.zeros_like(flat)
+        acc[rows, cols] = g.reshape(-1)
+        _accum(a, acc.reshape(a.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -310,15 +351,15 @@ def exp(a):
 
 
 def softmax_rows(a):
-    """Row softmax, stabilized by subtracting the row max."""
+    """Row softmax (over the last axis), stabilized by subtracting the row max."""
     _finite(a.data, "softmax input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g, out):
         s = out.data
-        dot = np.sum(g * s, axis=1, keepdims=True)
+        dot = np.sum(g * s, axis=-1, keepdims=True)
         _accum(a, s * (g - dot))
 
     return _make(out_data, (a,), backward)
@@ -326,13 +367,13 @@ def softmax_rows(a):
 
 def log_softmax_rows(a):
     _finite(a.data, "log_softmax input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
 
     def backward(g, out):
         s = np.exp(out.data)
-        rowsum = g.sum(axis=1, keepdims=True)
+        rowsum = g.sum(axis=-1, keepdims=True)
         _accum(a, g - s * rowsum)
 
     return _make(out_data, (a,), backward)

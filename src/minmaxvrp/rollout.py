@@ -4,10 +4,11 @@ permutation sampling, and inference over permutations and symmetries.
 One rollout builds all M routes in the order given by an agent permutation
 o; a depot action closes the current route and hands over to the next
 agent. Single-depot episodes take exactly N+M steps, multi-depot episodes
-N+2M (each route also opens with a depot choice).
+N+2M (each route also opens with a depot choice), so the rollouts of a
+batch (every permutation of every symmetry of an instance) decode in
+lockstep.
 """
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -19,117 +20,139 @@ from . import problems as pb
 
 
 class DecodeState:
-    """Mutable trajectory state for one (instance, permutation) rollout.
+    """Trajectory state of R = V x K rollouts as R-row arrays: row a * K + k
+    decodes variant a of an instance under permutation k.
 
-    node is the candidate row of the current node (see decoder); at a
-    single-depot kind's depot it is the current agent's slot. consts is the
-    instance's DecodeConstants, shared by the rollouts of one decode_batch;
-    None builds them for this state alone.
+    variants (one Instance, or V of the same kind and sizes) and perms (K
+    permutations) fix the rows; every row takes the same number of steps.
+    agent is each row's current agent, and node its candidate row of the
+    current node (see decoder); at a single-depot kind's depot that is the
+    current agent's slot, so a row's route holds a customer exactly when
+    node is a customer. route_len is the current route's length so far. A
+    multi-depot row's context sees a random depot before its first depot
+    choice: rng draws it, one Generator for every variant or one per
+    variant, K draws per variant in permutation order (None: depot 0).
     """
 
-    def __init__(self, ins, o, rng=None, consts=None):
-        o = tuple(int(v) for v in o)
-        if sorted(o) != list(range(ins.M)):
-            raise ValueError(f"permutation {o} is not a bijection on 0..{ins.M - 1}")
-        self.ins = ins
-        self.o = o
-        self.consts = consts if consts is not None else de.DecodeConstants(ins)
-        self.pos = 0
-        self.current = []
-        self.routes = []
-        self.start_depots = []
-        self.end_depots = []
-        self.visited = np.zeros(ins.N, dtype=bool)
-        self.n_unvisited = ins.N
-        self.route_len = 0.0
+    def __init__(self, variants, perms, rng=None):
+        variants = [variants] if isinstance(variants, pb.Instance) else list(variants)
+        ins = variants[0]
+        perms = [tuple(int(v) for v in o) for o in perms]
+        for o in perms:
+            if sorted(o) != list(range(ins.M)):
+                raise ValueError(f"permutation {o} is not a bijection on 0..{ins.M - 1}")
+        V, K = len(variants), len(perms)
+        self.variants = variants
+        self.kind, self.N, self.M, self.n_pairs = ins.kind, ins.N, ins.M, ins.n_pairs
+        self.multi = ins.kind in pb.MULTI_DEPOT_KINDS
+        self.n_slots = ins.D if self.multi else ins.M
+        self.n_steps = ins.N + (2 if self.multi else 1) * ins.M
+        self.consts = de.DecodeConstants(variants)
+        R = V * K
+        self.rows = np.arange(R)
+        self.variant = self.rows // K
+        # the agent order, with the last agent repeated for a finished row
+        self.o = np.array([o + o[-1:] for o in perms] * V, dtype=np.intp)
+        self.pos = np.zeros(R, dtype=np.intp)
+        self.agent = self.o[:, 0].copy()
+        self.route_len = np.zeros(R)
+        # every candidate a row has stepped to; visited is its customer part
+        self.taken = np.zeros((R, self.n_slots + ins.N), dtype=bool)
+        self.visited = self.taken[:, self.n_slots:]
+        self.n_unvisited = np.full(R, ins.N)
+        self.needs_start = np.full(R, self.multi)
+        self.start_depot = np.zeros(R, dtype=np.intp)
         self.t = 0
-        self.actions = []
-        self.multi = ins.kind in ("MDVRP", "FMDVRP")
-        self.needs_start = self.multi
-        self.start_depot = None if self.multi else 0
+        self.log = []  # one R-array of actions per step
         if self.multi:
-            # the context sees a random depot before the first depot choice
-            self.node = int(rng.integers(ins.D)) if rng is not None else 0
+            rngs = rng if isinstance(rng, (list, tuple)) else [rng] * V
+            self.node = np.array([int(g.integers(ins.D)) if g is not None else 0
+                                  for g in rngs for _ in range(K)], dtype=np.intp)
         else:
-            self.node = o[0]
+            self.node = self.agent.copy()
         if ins.kind == "MPDP":
             # per pair: pickup in the current route with its delivery still
             # due, and pair served whole within the current route
-            self.open_pairs = np.zeros(ins.n_pairs, dtype=bool)
-            self.done_pairs = np.zeros(ins.n_pairs, dtype=bool)
-            self.pairs_remaining = ins.n_pairs
+            self.open_pairs = np.zeros((R, ins.n_pairs), dtype=bool)
+            self.done_pairs = np.zeros((R, ins.n_pairs), dtype=bool)
+            self.pairs_remaining = np.full(R, ins.n_pairs)
 
     @property
     def terminal(self):
-        return self.pos >= self.ins.M
+        return self.t >= self.n_steps
 
-    def node_coord(self):
-        return self.consts.cand_coords[self.node]
+    @property
+    def actions(self):
+        """R x t array of the actions taken so far."""
+        return np.array(self.log, dtype=np.intp).reshape(-1, len(self.rows)).T
 
 
-def step(state, action, mask=None):
-    """Apply one action in place; raises on masked or post-terminal actions.
+def step(state, actions, mask=None):
+    """Apply one action per row in place; raises on masked or post-terminal
+    actions.
 
-    mask is the state's feasibility row when the caller already holds it;
+    mask is the state's R x C feasibility when the caller already holds it;
     None computes it here.
     """
     if state.terminal:
         raise RuntimeError("step on a terminal state")
     if mask is None:
         mask = de.feasibility_mask(state)
-    if not mask[action]:
-        raise ValueError(f"action {action} is masked at step {state.t}")
-    ins = state.ins
-    n_slots = ins.D if state.multi else ins.M
-
-    if action < n_slots:
-        if state.multi and state.needs_start:
-            state.start_depot = action
-            state.needs_start = False
-            state.node = action
-        else:
-            end = action if state.multi else 0
-            state.route_len += math.hypot(*(state.node_coord()
-                                            - ins.depot_coords[end]))
-            state.routes.append(state.current)
-            state.start_depots.append(state.start_depot)
-            state.end_depots.append(end)
-            state.pos += 1
-            state.current = []
-            state.route_len = 0.0
-            if state.multi:
-                state.needs_start = True
-                state.start_depot = None
-            # the next route's pre-start context node is this closing
-            # depot, which a single-depot kind reads as the next agent's slot
-            state.node = action if state.multi or state.terminal else state.o[state.pos]
-            if ins.kind == "MPDP":
-                state.done_pairs[:] = False
+    rows, n_slots = state.rows, state.n_slots
+    actions = np.array(actions, dtype=np.intp).reshape(len(rows))
+    legal = mask[rows, actions]
+    if not legal.all():
+        raise ValueError(f"action {actions[~legal][0]} is masked at step {state.t}")
+    cust = actions >= n_slots
+    # the move (to a customer, or to the depot a slot stands for) extends
+    # the route, and a depot action ends it
+    state.route_len = (state.route_len
+                       + state.consts.cand_dist[state.variant, state.node, actions]) * cust
+    state.taken[rows, actions] = True
+    state.n_unvisited -= cust
+    closing = ~(cust | state.needs_start) if state.multi else ~cust
+    state.pos += closing
+    state.agent = state.o[rows, state.pos]
+    if state.multi:
+        state.start_depot = np.where(state.needs_start, actions, state.start_depot)
+        state.needs_start = closing
+        state.node = actions
     else:
-        j = action - n_slots
-        state.route_len += math.hypot(*(state.node_coord() - ins.coords[j]))
-        state.visited[j] = True
-        state.n_unvisited -= 1
-        state.current.append(j)
-        state.node = action
-        if ins.kind == "MPDP":
-            if j < ins.n_pairs:
-                state.pairs_remaining -= 1
-                state.open_pairs[j] = True
-            else:
-                state.open_pairs[j - ins.n_pairs] = False
-                state.done_pairs[j - ins.n_pairs] = True
+        # a closed route hands over to the next agent's slot; after the
+        # last close that is the slot just closed
+        state.node = np.where(closing, state.agent, actions)
+    if state.kind == "MPDP":
+        n_pairs = state.n_pairs
+        state.done_pairs[closing] = False
+        j = actions[cust] - n_slots
+        pair, pickup = (rows[cust], j % n_pairs), j < n_pairs
+        state.open_pairs[pair] = pickup
+        state.done_pairs[pair] = ~pickup
+        state.pairs_remaining -= cust & (actions < n_slots + n_pairs)
     state.t += 1
-    state.actions.append(int(action))
+    state.log.append(actions)
     return state
 
 
 def finish(state):
+    """One RouteSet per row, read from the row's actions."""
     if not state.terminal:
         raise RuntimeError("finish on a non-terminal state")
-    return pb.RouteSet(routes=state.routes,
-                       start_depots=state.start_depots,
-                       end_depots=state.end_depots)
+    n_slots, multi = state.n_slots, state.multi
+    out = []
+    for row in state.actions.tolist():
+        routes, starts, ends, current = [], [], [], []
+        for a in row:
+            if a >= n_slots:
+                current.append(a - n_slots)
+            elif multi and len(starts) == len(routes):
+                starts.append(a)
+            else:
+                routes.append(current)
+                ends.append(a if multi else 0)
+                current = []
+        out.append(pb.RouteSet(routes=routes, start_depots=starts, end_depots=ends))
+    return out
 
 
 def actions_from_solution(solution, permutation, instance):
@@ -157,49 +180,55 @@ def sample_permutations(M, K, rng):
     return [tuple(int(v) for v in rng.permutation(M)) for _ in range(K)]
 
 
-def decode_batch(instance, perms, cfg, params, mode="greedy", rng=None,
-                 emb=None, forced=None):
-    """Roll out K permutations of one instance in lockstep.
+def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
+                 forced=None):
+    """Roll out K permutations of each of V same-size instances in lockstep.
 
-    Shares a single encoder forward pass across the K rollouts. Returns
-    (list of (RouteSet, objective), log-prob sums as a K x 1 Tensor).
-    forced, when given, is one action sequence per permutation and
+    instances is one Instance, or V variants of one (such as its augment8
+    symmetries); each is encoded once, and one decode step serves all
+    R = V x K rollouts. Returns (list of R (RouteSet, objective) in row
+    order a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
+    sampled actions, one row at a time in row order, and the multi-depot
+    pre-start nodes (see DecodeState, which also takes one Generator per
+    variant). forced, when given, is one action sequence per row and
     overrides both decoding modes (teacher forcing).
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
-    if mode == "sample" and rng is None and forced is None:
+    sampling = mode == "sample" and forced is None
+    if sampling and not isinstance(rng, np.random.Generator):
         raise ValueError("sampled decoding needs an rng")
-    if emb is None:
-        emb = en.encode(instance, cfg, params)
-    cand = de.candidate_rows(emb)
+    state = DecodeState(instances, perms, rng)
+    V, K = len(state.variants), len(perms)
+    embs = [en.encode(var, cfg, params) for var in state.variants]
+    H_a = dc.stack([emb.H_a for emb in embs])
+    cand = dc.stack([de.candidate_rows(emb) for emb in embs])
+    pooled = dc.stack([de.pooled_graph(emb, params) for emb in embs])
     kv = de.glimpse_kv(cand, cfg, params)
     cand_proj = dc.matmul(cand, params["dec.logit"])
-    pooled = de.pooled_graph(emb, params)
-    consts = de.DecodeConstants(instance)
-    states = [DecodeState(instance, o, rng, consts) for o in perms]
     total = None
-    while not states[0].terminal:
-        ctx = de.context(states, emb, cand, pooled, params)
+    while not state.terminal:
+        ctx = de.context(state, H_a, cand, pooled, params)
         q = de.glimpse(ctx, kv, cfg, params)
-        exp_rows = np.stack([de.dist_exp_row(s) for s in states])
-        masks = np.stack([de.feasibility_mask(s) for s in states])
-        logp = de.logits(q, cand_proj, exp_rows, masks, params, cfg.d_model)
-        rows = logp.data
+        exp_rows = de.dist_exp_row(state)
+        masks = de.feasibility_mask(state)
+        logp = de.logits(q, cand_proj, exp_rows.reshape(V, K, -1),
+                         masks.reshape(V, K, -1), params, cfg.d_model)
+        rows = logp.data.reshape(V * K, -1)
         if forced is not None:
-            chosen = [seq[states[0].t] for seq in forced]
-        elif mode == "greedy":
-            chosen = [int(np.argmax(row)) for row in rows]
-        else:
+            chosen = [seq[state.t] for seq in forced]
+        elif sampling:
             probs = np.exp(rows.astype(np.float64))
             probs /= probs.sum(axis=1, keepdims=True)
-            chosen = [int(rng.choice(len(p), p=p)) for p in probs]
+            chosen = [rng.choice(len(p), p=p) for p in probs]
+        else:
+            chosen = rows.argmax(axis=1)
+        chosen = np.array(chosen, dtype=np.intp).reshape(V, K)
         picked = dc.take_per_row(logp, chosen)
         total = picked if total is None else dc.add(total, picked)
-        for s, a, mask in zip(states, chosen, masks):
-            step(s, a, mask)
-    solutions = [finish(s) for s in states]
-    return [(rs, pb.minmax_objective(rs, instance)) for rs in solutions], total
+        step(state, chosen, masks)
+    return [(rs, pb.minmax_objective(rs, state.variants[r // K]))
+            for r, rs in enumerate(finish(state))], total
 
 
 def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
@@ -207,7 +236,7 @@ def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
     results, total = decode_batch(instance, [permutation], cfg, params,
                                   mode=mode, rng=rng)
     (rs, obj), = results
-    return rs, obj, float(total.data[0, 0])
+    return rs, obj, float(total.data[0, 0, 0])
 
 
 InferResult = namedtuple("InferResult", "solution objective aug_index permutation")
@@ -229,18 +258,15 @@ def infer(instance, cfg, params, n_per=1, use_aug8=False, seed=0):
     for _ in range(n_per - 1):
         perms.append(tuple(int(v) for v in perm_rng.permutation(M)))
 
-    if use_aug8:
-        variants, _inv = pb.augment8(instance)
-    else:
-        variants = [instance]
-    best = None
+    variants = pb.augment8(instance)[0] if use_aug8 else [instance]
+    node_rngs = [np.random.default_rng((seed, instance.uid, 2, a))
+                 for a in range(len(variants))]
     with dc.no_grad():
-        for a, var in enumerate(variants):
-            node_rng = np.random.default_rng((seed, instance.uid, 2, a))
-            results, _ = decode_batch(var, perms, cfg, params,
-                                      mode="greedy", rng=node_rng)
-            for k, (rs, _obj_aug) in enumerate(results):
-                obj = pb.minmax_objective(rs, instance)
-                if best is None or obj < best.objective - 1e-12:
-                    best = InferResult(rs, obj, a, perms[k])
+        results, _ = decode_batch(variants, perms, cfg, params,
+                                  mode="greedy", rng=node_rngs)
+    best = None
+    for r, (rs, _obj_aug) in enumerate(results):
+        obj = pb.minmax_objective(rs, instance)
+        if best is None or obj < best.objective - 1e-12:
+            best = InferResult(rs, obj, r // n_per, perms[r % n_per])
     return best

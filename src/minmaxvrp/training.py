@@ -122,7 +122,7 @@ def aps_loss(instances, cfg, params, K, rng):
                                         mode="sample", rng=rng)
         objs = [obj for _rs, obj in results]
         b = aps_baseline(objs)
-        adv = np.array(objs, dtype=np.float64).reshape(-1, 1) - b
+        adv = np.array(objs, dtype=np.float64).reshape(logp.shape) - b
         term = dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
         total = term if total is None else dc.add(total, term)
         best.append(min(objs))
@@ -137,13 +137,14 @@ def frozen_surrogate(instance, perms, forced, advantages, cfg, seed=None):
     Replays the forced trajectories under the given advantages; a fixed
     seed reproduces the random start-context node of multi-depot states.
     """
-    adv = np.array(advantages, dtype=np.float64).reshape(-1, 1)
+    adv = np.array(advantages, dtype=np.float64)
 
     def f(params):
         rng = None if seed is None else np.random.default_rng(seed)
         _, logp = ro.decode_batch(instance, perms, cfg, params,
                                   forced=forced, rng=rng)
-        term = dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
+        term = dc.sum_all(dc.mul(logp, dc.constant(adv.reshape(logp.shape),
+                                                   dtype=logp.data.dtype)))
         return dc.scale(term, 1.0 / len(perms))
 
     return f
@@ -169,7 +170,9 @@ def train(tc, params=None, opt=None, on_epoch=None):
     Fresh instances are generated every epoch. The whole run is driven by
     one rng seeded with tc.seed, so metrics are reproducible per config.
     on_epoch, if given, is called as on_epoch(epoch, metrics_row, params,
-    opt) after each epoch.
+    opt) after each epoch. A metrics row holds the epoch's mean best-of-K
+    objective and baseline, the mean pre-clip gradient norm of its batches
+    (grad_norm), the learning rate used and the wallclock so far.
     """
     master = np.random.default_rng(tc.seed)
     if params is None:
@@ -183,6 +186,7 @@ def train(tc, params=None, opt=None, on_epoch=None):
         lr_used = opt.lr
         epoch_best = []
         epoch_base = []
+        norms = []
         done = 0
         while done < tc.epoch_size:
             n = min(tc.batch_size, tc.epoch_size - done)
@@ -196,8 +200,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
             except FloatingPointError as exc:
                 raise RuntimeError(
                     f"training diverged in epoch {epoch}: {exc}") from exc
-            if tc.clip_norm > 0:
-                dc.clip_grad_norm(params, tc.clip_norm)
+            # the pre-clip global norm; clip_norm 0 only measures it
+            norms.append(dc.clip_grad_norm(params, tc.clip_norm))
             dc.adam_step(params, opt)
             epoch_best.extend(best)
             epoch_base.extend(baselines)
@@ -207,6 +211,7 @@ def train(tc, params=None, opt=None, on_epoch=None):
             "epoch": epoch,
             "mean_obj": float(np.mean(epoch_best)),
             "mean_baseline": float(np.mean(epoch_base)),
+            "grad_norm": float(np.mean(norms)),
             "lr": lr_used,
             "wallclock": time.perf_counter() - start,
         }

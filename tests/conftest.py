@@ -1,8 +1,16 @@
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 from minmaxvrp import diffcore as dc
 from minmaxvrp import encoder as en
 from minmaxvrp import problems as pb
+
+
+# every property test: decode times vary with machine load, so no
+# per-example deadline and no too_slow failure; print the reproduction blob
+settings.register_profile("minmaxvrp", deadline=None, print_blob=True,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("minmaxvrp")
 
 
 def tiny_cfg(kind, **kw):

@@ -15,10 +15,28 @@ def mtsp(N, M, seed=0):
     return pb.gen_uniform("MTSP", N=N, D=1, M=M, seed=seed)
 
 
+def one(ins, perm, rng=None):
+    """A one-row decode state."""
+    return ro.DecodeState(ins, [perm], rng=rng)
+
+
 def walk(state, actions):
     for a in actions:
-        ro.step(state, a)
+        ro.step(state, [a])
     return state
+
+
+def mask0(state):
+    return de.feasibility_mask(state)[0].tolist()
+
+
+def batch_inputs(embs, cfg, params):
+    """The per-batch tensors decode_batch builds from V embeddings."""
+    cand = dc.stack([de.candidate_rows(e) for e in embs])
+    return (dc.stack([e.H_a for e in embs]), cand,
+            dc.stack([de.pooled_graph(e, params) for e in embs]),
+            de.glimpse_kv(cand, cfg, params),
+            dc.matmul(cand, params["dec.logit"]))
 
 
 # ---------------------------------------------------------------------------
@@ -27,33 +45,30 @@ def walk(state, actions):
 
 def test_mask_walkthrough_four_customers_three_routes():
     ins = mtsp(4, 3)
-    s = ro.DecodeState(ins, (0, 1, 2))
+    s = one(ins, (0, 1, 2))
     M = 3
     # empty first route: depot masked, every customer open
-    assert de.feasibility_mask(s).tolist() == [False] * 3 + [True] * 4
+    assert mask0(s) == [False] * 3 + [True] * 4
     walk(s, [M + 0])
-    assert de.feasibility_mask(s).tolist() == [True, False, False,
-                                               False, True, True, True]
+    assert mask0(s) == [True, False, False, False, True, True, True]
     walk(s, [M + 1])
     # two unvisited left, two empty routes pending: depot is forced
-    assert de.feasibility_mask(s).tolist() == [True] + [False] * 6
+    assert mask0(s) == [True] + [False] * 6
     walk(s, [0, M + 2])
-    assert de.feasibility_mask(s).tolist() == [False, True, False,
-                                               False, False, False, False]
+    assert mask0(s) == [False, True, False, False, False, False, False]
     walk(s, [1, M + 3])
     # last route holds the last customer: only its depot return remains
-    assert de.feasibility_mask(s).tolist() == [False, False, True,
-                                               False, False, False, False]
+    assert mask0(s) == [False, False, True, False, False, False, False]
     walk(s, [2])
     assert s.terminal
 
 
 def test_mask_last_route_depot_blocked_while_customers_remain():
     ins = mtsp(3, 2)
-    s = ro.DecodeState(ins, (0, 1))
+    s = one(ins, (0, 1))
     walk(s, [2 + 0, 0, 2 + 1])
-    assert s.pos == 1 and s.current == [1]
-    mask = de.feasibility_mask(s)
+    assert s.pos.tolist() == [1] and s.node.tolist() == [2 + 1]
+    mask = mask0(s)
     assert not mask[1]  # one customer left, so no depot return yet
     assert mask[2 + 2]
 
@@ -63,27 +78,22 @@ def test_mask_mpdp_full_walkthrough():
     ins = pb.Instance(kind="MPDP", coords=coords,
                       depot_coords=np.array([[0.5, 0.5]]), M=2)
     M = 2
-    s = ro.DecodeState(ins, (0, 1))
-    assert de.feasibility_mask(s).tolist() == [False, False,
-                                               True, True, False, False]
+    s = one(ins, (0, 1))
+    assert mask0(s) == [False, False, True, True, False, False]
     walk(s, [M + 0])
     # pair 1 must go to route 2, so only this pair's delivery is open
-    assert de.feasibility_mask(s).tolist() == [False, False,
-                                               False, False, True, False]
+    assert mask0(s) == [False, False, False, False, True, False]
     walk(s, [M + 2])
-    assert de.feasibility_mask(s).tolist() == [True] + [False] * 5
+    assert mask0(s) == [True] + [False] * 5
     walk(s, [0])
-    assert de.feasibility_mask(s).tolist() == [False, False,
-                                               False, True, False, False]
+    assert mask0(s) == [False, False, False, True, False, False]
     walk(s, [M + 1])
-    assert de.feasibility_mask(s).tolist() == [False, False,
-                                               False, False, False, True]
+    assert mask0(s) == [False, False, False, False, False, True]
     walk(s, [M + 3])
-    assert de.feasibility_mask(s).tolist() == [False, True,
-                                               False, False, False, False]
+    assert mask0(s) == [False, True, False, False, False, False]
     walk(s, [1])
     assert s.terminal
-    assert pb.validate(ro.finish(s), ins) is None
+    assert pb.validate(ro.finish(s)[0], ins) is None
 
 
 def test_mask_multi_depot_phases():
@@ -92,36 +102,33 @@ def test_mask_multi_depot_phases():
     depots = rng_coords.uniform(0, 1, (2, 2))
     for kind in ("MDVRP", "FMDVRP"):
         ins = pb.Instance(kind=kind, coords=coords, depot_coords=depots, M=2)
-        s = ro.DecodeState(ins, (0, 1))
-        assert de.feasibility_mask(s).tolist() == [True, True, False, False, False]
-        ro.step(s, 1)  # start at depot 1
-        assert de.feasibility_mask(s).tolist() == [False, False, True, True, True]
-        ro.step(s, 2 + 0)
-        mask = de.feasibility_mask(s)
+        s = one(ins, (0, 1))
+        assert mask0(s) == [True, True, False, False, False]
+        walk(s, [1])  # start at depot 1
+        assert mask0(s) == [False, False, True, True, True]
+        walk(s, [2 + 0])
         if kind == "MDVRP":
-            assert mask.tolist()[:2] == [False, True]  # must close where it started
+            assert mask0(s)[:2] == [False, True]  # must close where it started
         else:
-            assert mask.tolist()[:2] == [True, True]
+            assert mask0(s)[:2] == [True, True]
 
 
 def test_masked_probability_is_exactly_zero():
     cfg, params = tiny_model("MTSP")
     ins = mtsp(5, 2)
-    emb = en.encode(ins, cfg, params)
-    cand = de.candidate_rows(emb)
-    kv = de.glimpse_kv(cand, cfg, params)
-    proj = dc.matmul(cand, params["dec.logit"])
-    s = ro.DecodeState(ins, (0, 1))
-    ctx = de.context([s], emb, cand, de.pooled_graph(emb, params), params)
+    H_a, cand, pooled, kv, proj = batch_inputs([en.encode(ins, cfg, params)],
+                                                 cfg, params)
+    s = one(ins, (0, 1))
+    ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
-    mask = de.feasibility_mask(s)[None, :]
-    logp = de.logits(q, proj, de.dist_exp_row(s)[None, :], mask,
+    mask = de.feasibility_mask(s)[None]
+    logp = de.logits(q, proj, de.dist_exp_row(s)[None], mask,
                      params, cfg.d_model)
-    probs = np.exp(logp.data.astype(np.float64))[0]
-    assert (probs[~mask[0]] == 0.0).all()
-    assert abs(probs[mask[0]].sum() - 1.0) < 1e-6
+    probs = np.exp(logp.data.astype(np.float64))[0, 0]
+    assert (probs[~mask[0, 0]] == 0.0).all()
+    assert abs(probs[mask[0, 0]].sum() - 1.0) < 1e-6
     # logit clipping bounds any two feasible log-probs within 2*50
-    finite = logp.data[0][mask[0]]
+    finite = logp.data[0, 0][mask[0, 0]]
     assert finite.max() - finite.min() <= 100.0 + 1e-3
 
 
@@ -140,30 +147,28 @@ def test_all_masked_row_raises():
 
 def test_dist_exp_row_range_and_fallback():
     ins = mtsp(5, 2)
-    s = ro.DecodeState(ins, (0, 1))
-    row = de.dist_exp_row(s)
+    s = one(ins, (0, 1))
+    row = de.dist_exp_row(s)[0]
     assert row.shape == (7,)
     assert (row >= 1.0 - 1e-12).all() and (row <= math.exp(30.0)).all()
     # farthest unvisited customer sits at ratio exactly 1
     cust = row[2:]
     assert abs(cust.max() - math.e) < 1e-9
     s.visited[:] = True
-    s.n_unvisited = 0
+    s.n_unvisited[:] = 0
     assert np.allclose(de.dist_exp_row(s), math.e)
 
 
 def test_alpha_d_only_shifts_logits_not_masks():
     cfg, params = tiny_model("MTSP", seed=3)
     ins = mtsp(6, 2)
-    emb = en.encode(ins, cfg, params)
-    cand = de.candidate_rows(emb)
-    kv = de.glimpse_kv(cand, cfg, params)
-    proj = dc.matmul(cand, params["dec.logit"])
-    s = ro.DecodeState(ins, (0, 1))
-    mask = de.feasibility_mask(s)[None, :]
-    ctx = de.context([s], emb, cand, de.pooled_graph(emb, params), params)
+    H_a, cand, pooled, kv, proj = batch_inputs([en.encode(ins, cfg, params)],
+                                                 cfg, params)
+    s = one(ins, (0, 1))
+    mask = de.feasibility_mask(s)[None]
+    ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
-    exp_rows = de.dist_exp_row(s)[None, :]
+    exp_rows = de.dist_exp_row(s)[None]
     with_bias = de.logits(q, proj, exp_rows, mask, params, cfg.d_model).data.copy()
     params["dec.alpha_dist"].data[:] = 0.0
     no_bias = de.logits(q, proj, exp_rows, mask, params, cfg.d_model).data
@@ -175,10 +180,16 @@ def test_alpha_d_only_shifts_logits_not_masks():
 # scalar features and context
 # ---------------------------------------------------------------------------
 
+def features0(state):
+    """(agents fraction, customers fraction, length features) of row 0."""
+    fracs, feats = de.scalar_features(state)
+    return fracs[0, 0], fracs[0, 1], feats[0].tolist()
+
+
 def test_first_route_fractions_are_one():
     ins = mtsp(6, 3)
-    s = ro.DecodeState(ins, (2, 0, 1))
-    frac_m, frac_n, feats = de.scalar_features(s)
+    s = one(ins, (2, 0, 1))
+    frac_m, frac_n, feats = features0(s)
     assert frac_m == 1.0 and frac_n == 1.0
     assert feats[0] == 0.0
     assert feats[1] == feats[2] > 0.0  # nothing visited: LD equals the span
@@ -186,12 +197,12 @@ def test_first_route_fractions_are_one():
 
 def test_mtsp_span_feature_is_constant_ld_shrinks():
     ins = mtsp(6, 2)
-    s = ro.DecodeState(ins, (0, 1))
-    span0 = de.scalar_features(s)[2][1]
+    s = one(ins, (0, 1))
+    span0 = features0(s)[2][1]
     depot_d = np.sqrt(((ins.coords - ins.depot_coords[0]) ** 2).sum(axis=1))
     far = int(np.argmax(depot_d))
-    ro.step(s, 2 + far)
-    frac_m, frac_n, feats = de.scalar_features(s)
+    walk(s, [2 + far])
+    frac_m, frac_n, feats = features0(s)
     assert feats[1] == span0
     assert feats[2] < span0
     assert frac_n == (ins.N - 1) / ins.N
@@ -201,10 +212,10 @@ def test_mpdp_sum_pd_halves_on_symmetric_pairs():
     coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     ins = pb.Instance(kind="MPDP", coords=coords,
                       depot_coords=np.array([[0.5, 0.5]]), M=2)
-    s = ro.DecodeState(ins, (0, 1))
-    assert de.scalar_features(s)[2][4] == 2.0  # both unit pairs pending
+    s = one(ins, (0, 1))
+    assert features0(s)[2][4] == 2.0  # both unit pairs pending
     walk(s, [2 + 0, 2 + 2])
-    frac_m, frac_n, feats = de.scalar_features(s)
+    frac_m, frac_n, feats = features0(s)
     assert feats[4] == 1.0
     assert feats[1] == 1.0  # pair 0 finished inside this route
     assert frac_n == 0.5
@@ -212,30 +223,34 @@ def test_mpdp_sum_pd_halves_on_symmetric_pairs():
 
 def test_mpdp_longest_p_and_d_track_unvisited():
     ins = pb.gen_uniform("MPDP", N=6, D=1, M=2, seed=9)
-    s = ro.DecodeState(ins, (0, 1))
+    s = one(ins, (0, 1))
     depot_d = np.sqrt(((ins.coords - ins.depot_coords[0]) ** 2).sum(axis=1))
-    _, _, feats = de.scalar_features(s)
+    _, _, feats = features0(s)
     assert abs(feats[2] - depot_d[:3].max()) < 1e-12
     assert abs(feats[3] - depot_d[3:].max()) < 1e-12
     assert feats[1] == 0.0  # no pair served yet
 
 
 def mpdp_loop_reference(s):
-    """The MPDP mask and served-pair feature as per-pair loops over the
-    current route's contents."""
-    ins = s.ins
+    """The MPDP mask and served-pair feature of a one-row state as per-pair
+    loops over the current route's contents."""
+    ins = s.variants[0]
     M, n = ins.M, ins.n_pairs
-    open_pairs = {j for j in s.current if j < n and j + n not in s.current}
-    served = [j - n for j in s.current if j >= n]
-    pairs_left = int((~s.visited[:n]).sum())
-    routes_after = M - s.pos - 1
+    current = []
+    for a in s.actions[0].tolist():
+        current = current + [a - M] if a >= M else []
+    visited, pos = s.visited[0], int(s.pos[0])
+    open_pairs = {j for j in current if j < n and j + n not in current}
+    served = [j - n for j in current if j >= n]
+    pairs_left = int((~visited[:n]).sum())
+    routes_after = M - pos - 1
     mask = np.zeros(M + ins.N, dtype=bool)
     for p in range(n):
-        mask[M + p] = not s.visited[p] and pairs_left - 1 >= routes_after
-        mask[M + n + p] = not s.visited[n + p] and p in open_pairs
-    if s.current and not open_pairs:
-        mask[s.o[s.pos]] = (pairs_left >= routes_after if routes_after
-                            else pairs_left == 0)
+        mask[M + p] = not visited[p] and pairs_left - 1 >= routes_after
+        mask[M + n + p] = not visited[n + p] and p in open_pairs
+    if current and not open_pairs:
+        mask[s.o[0, pos]] = (pairs_left >= routes_after if routes_after
+                             else pairs_left == 0)
     pair_d = np.sqrt(((ins.coords[:n] - ins.coords[n:]) ** 2).sum(axis=1))
     return mask, max((float(pair_d[p]) for p in served), default=0.0)
 
@@ -244,12 +259,12 @@ def mpdp_loop_reference(s):
 def test_mpdp_arrays_match_per_pair_loops(seed):
     ins = pb.gen_uniform("MPDP", N=10, D=1, M=2 + seed % 3, seed=seed)
     rng = np.random.default_rng(seed)
-    s = ro.DecodeState(ins, tuple(rng.permutation(ins.M)))
+    s = one(ins, tuple(rng.permutation(ins.M)))
     while not s.terminal:
         mask, longest_pd = mpdp_loop_reference(s)
-        assert de.feasibility_mask(s).tolist() == mask.tolist()
-        assert de.scalar_features(s)[2][1] == longest_pd
-        ro.step(s, int(rng.choice(np.flatnonzero(mask))))
+        assert mask0(s) == mask.tolist()
+        assert features0(s)[2][1] == longest_pd
+        walk(s, [int(rng.choice(np.flatnonzero(mask)))])
 
 
 def test_context_row_shape_and_multi_depot_pool():
@@ -257,50 +272,51 @@ def test_context_row_shape_and_multi_depot_pool():
         cfg, params = tiny_model(kind)
         ins = pb.gen_uniform(kind, N=5, D=2 if kind == "MDVRP" else 1,
                              M=2, seed=1)
-        emb = en.encode(ins, cfg, params)
-        s = ro.DecodeState(ins, (0, 1), rng=np.random.default_rng(0))
-        row = de.context([s], emb, de.candidate_rows(emb),
-                         de.pooled_graph(emb, params), params)
-        assert row.shape == (1, cfg.d_model)
+        H_a, cand, pooled, _, _ = batch_inputs([en.encode(ins, cfg, params)],
+                                               cfg, params)
+        s = one(ins, (0, 1), rng=np.random.default_rng(0))
+        row = de.context(s, H_a, cand, pooled, params)
+        assert row.shape == (1, 1, cfg.d_model)
         assert np.isfinite(row.data).all()
 
 
 @pytest.mark.parametrize("kind", ["MTSP", "MPDP", "MDVRP", "FMDVRP"])
 def test_context_rows_match_one_state_calls(kind):
+    """Along random walks, each row of a 2-variant x 3-permutation batch
+    gets the context a one-row state of its variant and permutation gets
+    (rtol 1e-6: BLAS may sum a many-row matmul in another order)."""
     cfg, params = tiny_model(kind, seed=4)
     multi = kind in ("MDVRP", "FMDVRP")
     ins = pb.gen_uniform(kind, N=6, D=2 if multi else 1, M=2, seed=6)
-    emb = en.encode(ins, cfg, params)
-    cand = de.candidate_rows(emb)
-    pooled = de.pooled_graph(emb, params)
+    variants = [ins, pb.augment8(ins)[0][5]]
+    perms = [(1, 0), (0, 1), (1, 0)]
+    embs = [en.encode(v, cfg, params) for v in variants]
+    H_a, cand, pooled, _, _ = batch_inputs(embs, cfg, params)
+    singles = [(one(v, o), batch_inputs([e], cfg, params))
+               for v, e in zip(variants, embs) for o in perms]
+    batch = ro.DecodeState(variants, perms)
     rng = np.random.default_rng(1)
-    # with D = M = 2, customers start at candidate 2, and agent 1 (first
-    # under the permutation (1, 0)) closes its route with action 1
-    if multi:  # pre-start, at a start depot, at a customer, after a close
-        walks = [[], [1], [1, 2 + 0], [1, 2 + 0, 1]]
-    elif kind == "MPDP":  # at the depot, at a pickup, after a close
-        walks = [[], [2 + 0], [2 + 0, 2 + 3, 1]]
-    else:
-        walks = [[], [2 + 0], [2 + 0, 1]]
-    states = [walk(ro.DecodeState(ins, (1, 0), rng=rng), w) for w in walks]
-    assert states[-1].pos == 1
-    if not multi:  # the depot reads as the current agent's slot
-        assert states[-1].node == states[-1].o[1]
-    rows = de.context(states, emb, cand, pooled, params).data
-    assert rows.shape == (len(states), cfg.d_model)
-    for k, s in enumerate(states):
-        one = de.context([s], emb, cand, pooled, params).data
-        np.testing.assert_allclose(rows[k:k + 1], one, rtol=1e-6, atol=1e-7)
+    while not batch.terminal:
+        rows = de.context(batch, H_a, cand, pooled, params).data
+        assert rows.shape == (2, 3, cfg.d_model)
+        for r, (s, (h_a, c, p, _, _)) in enumerate(singles):
+            np.testing.assert_allclose(rows[r // 3, r % 3],
+                                       de.context(s, h_a, c, p, params).data[0, 0],
+                                       rtol=1e-6, atol=1e-7)
+        masks = de.feasibility_mask(batch)
+        acts = [int(rng.choice(np.flatnonzero(m))) for m in masks]
+        ro.step(batch, acts, masks)
+        for (s, _), a in zip(singles, acts):
+            walk(s, [a])
 
 
 def test_glimpse_gradients_reach_encoder_params():
     cfg, params = tiny_model("MTSP", seed=2)
     ins = mtsp(5, 2)
-    emb = en.encode(ins, cfg, params)
-    cand = de.candidate_rows(emb)
-    kv = de.glimpse_kv(cand, cfg, params)
-    s = ro.DecodeState(ins, (0, 1))
-    ctx = de.context([s], emb, cand, de.pooled_graph(emb, params), params)
+    H_a, cand, pooled, kv, _ = batch_inputs([en.encode(ins, cfg, params)],
+                                            cfg, params)
+    s = one(ins, (0, 1))
+    ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
     dc.backward(dc.mean_all(q))
     assert params["embed.customer.W"].grad is not None

@@ -131,6 +131,100 @@ def test_gather_and_take_gradients():
         assert dc.grad_check(f, {"a": a}, eps=1e-5) < 1e-3
 
 
+BATCHED_OPS = [
+    ("matmul_shared", lambda p: dc.sum_all(dc.tanh(dc.matmul(p["x"], p["w"])))),
+    ("matmul_batched", lambda p: dc.sum_all(dc.tanh(dc.matmul(p["x"], p["y"])))),
+    ("transpose", lambda p: dc.sum_all(dc.tanh(dc.matmul(dc.transpose(p["x"]), p["c"])))),
+    ("add_row_broadcast", lambda p: dc.sum_all(dc.tanh(dc.add(p["x"], p["row"])))),
+    ("scale_tensor", lambda p: dc.sum_all(dc.tanh(dc.scale(p["x"], p["alpha"])))),
+    ("softmax_rows", lambda p: dc.sum_all(dc.tanh(dc.softmax_rows(p["x"])))),
+    ("log_softmax_rows", lambda p: dc.sum_all(dc.mul(p["c"], dc.log_softmax_rows(p["x"])))),
+    ("concat_cols", lambda p: dc.sum_all(dc.tanh(dc.concat_cols([p["x"], p["c"]])))),
+    ("stack", lambda p: dc.sum_all(dc.tanh(dc.matmul(dc.stack([p["a"], p["b"]]), p["w"])))),
+]
+
+
+def _batched_case(rng):
+    V, n, m, k = rng.integers(1, 4, size=4)
+    return {"x": t64(rng.standard_normal((V, n, m))),
+            "c": t64(rng.standard_normal((V, n, m))),
+            "y": t64(rng.standard_normal((V, m, k))),
+            "w": t64(rng.standard_normal((m, k))),
+            "row": t64(rng.standard_normal((V, 1, m))),
+            "a": t64(rng.standard_normal((n, m))),
+            "b": t64(rng.standard_normal((n, m))),
+            "alpha": t64([[0.7]])}
+
+
+@pytest.mark.parametrize("name,f", BATCHED_OPS, ids=[o[0] for o in BATCHED_OPS])
+def test_batched_op_gradients_match_finite_differences(name, f):
+    """V x rows x cols inputs; a 2-D w shared by the batch gets the sum of
+    its per-matrix gradients."""
+    worst = 0.0
+    for seed in range(30):
+        params = _batched_case(np.random.default_rng(seed))
+        worst = max(worst, dc.grad_check(f, params, eps=1e-5))
+    assert worst < 1e-3
+
+
+def test_batched_gather_and_take_gradients():
+    for seed in range(30):
+        rng = np.random.default_rng(2000 + seed)
+        a = t64(rng.standard_normal((3, 5, 4)))
+        idx = rng.integers(0, 5, size=(3, 2))
+        cols = rng.integers(0, 4, size=(3, 2))
+
+        def f(p):
+            picked = dc.gather_rows(p["a"], idx)
+            return dc.sum_all(dc.tanh(dc.take_per_row(picked, cols)))
+
+        assert dc.grad_check(f, {"a": a}, eps=1e-5) < 1e-3
+
+
+def test_batched_forward_matches_per_matrix_calls():
+    """Each matrix of a batched result equals the 2-D op on that matrix,
+    bit for bit (float32, as the decoder runs)."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 4, 6)).astype(np.float32)
+    y = rng.standard_normal((3, 6, 5)).astype(np.float32)
+    w = dc.constant(rng.standard_normal((6, 5)))
+    row = rng.standard_normal((3, 1, 6)).astype(np.float32)
+    idx = rng.integers(0, 4, size=(3, 2))
+    X, Y = dc.constant(x), dc.constant(y)
+    for v in range(3):
+        xv = dc.constant(x[v])
+        pairs = [
+            (dc.matmul(X, w), dc.matmul(xv, w)),
+            (dc.matmul(X, Y), dc.matmul(xv, dc.constant(y[v]))),
+            (dc.matmul(X, dc.transpose(X)), dc.matmul(xv, dc.transpose(xv))),
+            (dc.add(X, dc.constant(row)), dc.add(xv, dc.constant(row[v]))),
+            (dc.softmax_rows(X), dc.softmax_rows(xv)),
+            (dc.log_softmax_rows(X), dc.log_softmax_rows(xv)),
+            (dc.concat_cols([X, X]), dc.concat_cols([xv, xv])),
+            (dc.gather_rows(X, idx), dc.gather_rows(xv, idx[v])),
+            (dc.take_per_row(X, idx[:, :1].repeat(4, axis=1)),
+             dc.take_per_row(xv, idx[v, :1].repeat(4))),
+        ]
+        for batched, single in pairs:
+            assert np.array_equal(batched.data[v], single.data)
+
+
+def test_batched_shape_errors():
+    x = t64(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        dc.matmul(x, t64(np.zeros((3, 4, 2))))  # batch sizes differ
+    with pytest.raises(ValueError):
+        dc.matmul(t64(np.zeros((3, 4))), t64(np.zeros((2, 4, 2))))
+    with pytest.raises(ValueError):
+        dc.add(x, t64(np.zeros((1, 4))))  # one row per matrix, not one in all
+    with pytest.raises(ValueError):
+        dc.gather_rows(x, [0, 1])  # one index list per matrix
+    with pytest.raises(ValueError):
+        dc.stack([t64(np.zeros((2, 2))), t64(np.zeros((3, 2)))])
+    with pytest.raises(ValueError):
+        dc.Tensor(np.zeros((1, 1, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------

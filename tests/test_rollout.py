@@ -3,10 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import tiny_model
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxvrp import decoder as de
+from minmaxvrp import encoder as en
 from minmaxvrp import problems as pb
 from minmaxvrp import rollout as ro
 
@@ -19,10 +20,11 @@ def make(kind, N=6, M=2, D=2, seed=0):
 
 
 def model_free_walk(ins, perm, rng=None):
-    """Drive a state to terminal picking the first feasible action each step."""
-    s = ro.DecodeState(ins, perm, rng=rng)
+    """Drive a one-row state to terminal picking the first feasible action
+    each step."""
+    s = ro.DecodeState(ins, [perm], rng=rng)
     while not s.terminal:
-        ro.step(s, int(np.argmax(de.feasibility_mask(s))))
+        ro.step(s, de.feasibility_mask(s).argmax(axis=1))
     return s
 
 
@@ -34,19 +36,19 @@ def test_bad_permutation_rejected():
     ins = make("MTSP")
     for bad in [(0, 0), (0, 2), (0,), (0, 1, 2)]:
         with pytest.raises(ValueError):
-            ro.DecodeState(ins, bad)
+            ro.DecodeState(ins, [(0, 1), bad])
 
 
 def test_masked_action_and_terminal_step_raise():
     ins = make("MTSP", N=4, M=2)
-    s = ro.DecodeState(ins, (0, 1))
+    s = ro.DecodeState(ins, [(0, 1)])
     with pytest.raises(ValueError, match="masked"):
-        ro.step(s, 0)  # depot close on an empty route
+        ro.step(s, [0])  # depot close on an empty route
     s = model_free_walk(ins, (0, 1))
     with pytest.raises(RuntimeError):
-        ro.step(s, 2)
+        ro.step(s, [2])
     with pytest.raises(RuntimeError):
-        ro.finish(ro.DecodeState(ins, (0, 1)))
+        ro.finish(ro.DecodeState(ins, [(0, 1)]))
 
 
 def test_step_counts_match_problem_family():
@@ -59,29 +61,32 @@ def test_step_counts_match_problem_family():
                                 rng=np.random.default_rng(0))
             expect = N + 2 * M if kind in ("MDVRP", "FMDVRP") else N + M
             assert s.t == expect
-            assert len(s.actions) == expect
-            assert pb.validate(ro.finish(s), ins) is None
+            assert s.actions.shape == (1, expect)
+            assert pb.validate(ro.finish(s)[0], ins) is None
 
 
 def test_route_length_accumulates_from_depot():
     ins = make("MTSP", N=4, M=2)
-    s = ro.DecodeState(ins, (1, 0))
-    ro.step(s, 2 + 0)
-    ro.step(s, 2 + 3)
+    s = ro.DecodeState(ins, [(1, 0)])
+    ro.step(s, [2 + 0])
+    ro.step(s, [2 + 3])
     d = ins.depot_coords[0]
     manual = (np.hypot(*(d - ins.coords[0]))
               + np.hypot(*(ins.coords[0] - ins.coords[3])))
-    assert abs(s.route_len - manual) < 1e-12
-    ro.step(s, 1)  # close agent 1's route
-    assert s.routes == [[0, 3]]
-    assert s.route_len == 0.0
+    assert abs(s.route_len[0] - manual) < 1e-12
+    ro.step(s, [1])  # close agent 1's route
+    assert s.pos.tolist() == [1]
+    assert s.route_len.tolist() == [0.0]
+    for a in (2 + 1, 2 + 2, 0):
+        ro.step(s, [a])
+    assert ro.finish(s)[0].routes == [[0, 3], [1, 2]]
 
 
 def test_permutation_decides_depot_slots():
     ins = make("MTSP", N=4, M=3)
-    s = ro.DecodeState(ins, (2, 0, 1))
-    ro.step(s, 3 + 0)
-    mask = de.feasibility_mask(s)
+    s = ro.DecodeState(ins, [(2, 0, 1)])
+    ro.step(s, [3 + 0])
+    mask = de.feasibility_mask(s)[0]
     assert mask[2] and not mask[0] and not mask[1]
 
 
@@ -127,7 +132,7 @@ def test_forced_replay_reproduces_solution():
     assert rs2.start_depots == rs.start_depots
     assert rs2.end_depots == rs.end_depots
     assert abs(obj2 - obj) < 1e-12
-    assert abs(float(total.data[0, 0]) - logp) <= 1e-5
+    assert abs(float(total.data[0, 0, 0]) - logp) <= 1e-5
 
 
 def test_forced_replay_recovers_logp_all_kinds():
@@ -141,7 +146,7 @@ def test_forced_replay_recovers_logp_all_kinds():
         acts = ro.actions_from_solution(rs, perm, ins)
         _, total = ro.decode_batch(ins, [perm], cfg, params, forced=[acts],
                                    rng=np.random.default_rng(seed))
-        assert abs(float(total.data[0, 0]) - logp) <= 1e-5
+        assert abs(float(total.data[0, 0, 0]) - logp) <= 1e-5
 
 
 def test_decode_batch_matches_stacked_single_rollouts():
@@ -149,12 +154,12 @@ def test_decode_batch_matches_stacked_single_rollouts():
     ins = make("MTSP", N=6, M=3, seed=5)
     perms = [(0, 1, 2), (2, 1, 0), (1, 2, 0)]
     results, total = ro.decode_batch(ins, perms, cfg, params)
-    assert total.shape == (3, 1)
+    assert total.shape == (1, 3, 1)
     for k, perm in enumerate(perms):
         rs, obj, logp = ro.rollout(ins, perm, cfg, params)
         assert results[k][0].routes == rs.routes
         assert abs(results[k][1] - obj) < 1e-12
-        assert abs(float(total.data[k, 0]) - logp) <= 1e-5
+        assert abs(float(total.data[0, k, 0]) - logp) <= 1e-5
 
 
 def test_decode_batch_rejects_masked_forced_action():
@@ -170,7 +175,8 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
     calls = Counter()
 
     def counted(state):
-        calls[id(state)] += 1
+        calls["masks"] += 1
+        calls["rows"] += len(state.rows)
         return real(state)
 
     monkeypatch.setattr(de, "feasibility_mask", counted)
@@ -180,21 +186,21 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
         ins = make(kind, N=6, M=3, seed=5)
         ro.decode_batch(ins, [(0, 1, 2), (2, 1, 0), (1, 2, 0)], cfg, params)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
-        assert sorted(calls.values()) == [steps] * 3
+        assert calls == {"masks": steps, "rows": 3 * steps}
 
 
 def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
     real_consts, real_context = de.DecodeConstants, de.context
     calls = Counter()
 
-    def consts(ins):
+    def consts(variants):
         calls["consts"] += 1
-        return real_consts(ins)
+        return real_consts(variants)
 
-    def context(states, *args):
+    def context(state, *args):
         calls["context"] += 1
-        calls["rows"] += len(states)
-        return real_context(states, *args)
+        calls["rows"] += len(state.rows)
+        return real_context(state, *args)
 
     monkeypatch.setattr(de, "DecodeConstants", consts)
     monkeypatch.setattr(de, "context", context)
@@ -207,8 +213,7 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
         assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60)
 @given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3),
        seed=st.integers(0, 2 ** 16), data=st.data())
 def test_any_legal_walk_is_valid_and_replays(kind, M, seed, data):
@@ -219,20 +224,155 @@ def test_any_legal_walk_is_valid_and_replays(kind, M, seed, data):
     ins = pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
                       depot_coords=rng.uniform(0, 1, (D, 2)), M=M)
     perm = tuple(int(v) for v in rng.permutation(M))
-    s = ro.DecodeState(ins, perm, rng=rng)
+    s = ro.DecodeState(ins, [perm], rng=rng)
     while not s.terminal:
-        legal = np.flatnonzero(de.feasibility_mask(s)).tolist()
-        ro.step(s, data.draw(st.sampled_from(legal), label="action"))
-    rs = ro.finish(s)
+        legal = np.flatnonzero(de.feasibility_mask(s)[0]).tolist()
+        ro.step(s, [data.draw(st.sampled_from(legal), label="action")])
+    rs, = ro.finish(s)
     assert pb.validate(rs, ins) is None
     actions = ro.actions_from_solution(rs, perm, ins)
-    assert actions == s.actions
-    replay = ro.DecodeState(ins, perm)
+    assert actions == s.actions[0].tolist()
+    replay = ro.DecodeState(ins, [perm])
     for a in actions:
-        ro.step(replay, a)
-    again = ro.finish(replay)
+        ro.step(replay, [a])
+    again, = ro.finish(replay)
     assert (again.routes, again.start_depots, again.end_depots) == \
         (rs.routes, rs.start_depots, rs.end_depots)
+
+
+class ScriptedGenerator(np.random.Generator):
+    """A Generator whose choice() replays a script; its other draws come
+    from PCG64(seed), as np.random.default_rng(seed)'s do."""
+
+    def __init__(self, seed, script):
+        super().__init__(np.random.PCG64(seed))
+        self.script = list(script)
+
+    def choice(self, n, p=None):
+        return self.script.pop(0)
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_forced_replay_of_any_legal_walk_matches_free_decode(kind, M, seed, data):
+    units = data.draw(st.integers(M, 3 if kind == "MPDP" else 5), label="N")
+    N = 2 * units if kind == "MPDP" else units
+    D = data.draw(st.integers(1, 3), label="D") if kind in ("MDVRP", "FMDVRP") else 1
+    rng = np.random.default_rng(seed)
+    ins = pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                      depot_coords=rng.uniform(0, 1, (D, 2)), M=M)
+    perm = tuple(int(v) for v in rng.permutation(M))
+    walk = ro.DecodeState(ins, [perm], rng=np.random.default_rng(seed))
+    while not walk.terminal:
+        legal = np.flatnonzero(de.feasibility_mask(walk)[0]).tolist()
+        ro.step(walk, [data.draw(st.sampled_from(legal), label="action")])
+    actions = walk.actions[0].tolist()
+    cfg, params = tiny_model(kind, seed=seed % 7)
+    # sampled decoding whose draws follow the walk
+    [(rs, _)], free = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
+                                    rng=ScriptedGenerator(seed, actions))
+    assert ro.actions_from_solution(rs, perm, ins) == actions
+    _, forced = ro.decode_batch(ins, [perm], cfg, params, forced=[actions],
+                                rng=np.random.default_rng(seed))
+    assert abs(float(forced.data[0, 0, 0]) - float(free.data[0, 0, 0])) <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_rows_match_one_variant_decodes(kind):
+    """Row (a, k) of the 8-symmetry x 3-permutation batch that infer
+    decodes is the V=1 decode of symmetry a under permutation k, given the
+    same pre-start depot draws."""
+    cfg, params = tiny_model(kind, seed=2)
+    ins = make(kind, N=8 if kind == "MPDP" else 7, M=3, D=3, seed=21)
+    variants = pb.augment8(ins)[0]
+    perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
+    results, total = ro.decode_batch(
+        variants, perms, cfg, params,
+        rng=[np.random.default_rng((5, a)) for a in range(8)])
+    assert total.shape == (8, 3, 1)
+    if kind in ("MDVRP", "FMDVRP"):  # K scalar draws per variant, in order
+        state = ro.DecodeState(variants, perms,
+                               rng=[np.random.default_rng((5, a)) for a in range(8)])
+        expect = []
+        for a in range(8):
+            rng = np.random.default_rng((5, a))
+            expect += [int(rng.integers(ins.D)) for _ in perms]
+        assert state.node.tolist() == expect
+    for a, var in enumerate(variants):
+        for k, perm in enumerate(perms):
+            rng = np.random.default_rng((5, a))
+            if kind in ("MDVRP", "FMDVRP"):
+                for _ in range(k):  # the draws of rows (a, 0..k-1)
+                    rng.integers(ins.D)
+            [(rs1, obj1)], total1 = ro.decode_batch(var, [perm], cfg, params,
+                                                    rng=rng)
+            rs, obj = results[a * 3 + k]
+            assert (ro.actions_from_solution(rs, perm, var)
+                    == ro.actions_from_solution(rs1, perm, var))
+            assert obj == obj1
+            assert abs(float(total.data[a, k, 0])
+                       - float(total1.data[0, 0, 0])) <= 1e-5
+
+
+def test_infer_decodes_every_symmetry_in_one_loop(monkeypatch):
+    calls = Counter()
+    for mod, name in ((de, "logits"), (de, "feasibility_mask"), (en, "encode")):
+        real = getattr(mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    for kind in ALL_KINDS:
+        calls.clear()
+        cfg, params = tiny_model(kind)
+        ins = make(kind, N=6, M=3, seed=4)
+        ro.infer(ins, cfg, params, n_per=3, use_aug8=True)
+        steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
+        assert calls == {"logits": steps, "feasibility_mask": steps, "encode": 8}
+
+
+def _instance(kind, N, M, D=1, coincident=False, seed=0):
+    rng = np.random.default_rng(seed)
+    depots = rng.uniform(0, 1, (D, 2))
+    coords = (np.repeat(depots[:1], N, axis=0) if coincident
+              else rng.uniform(0, 1, (N, 2)))
+    if coincident:
+        depots[:] = depots[0]
+    return pb.Instance(kind=kind, coords=coords, depot_coords=depots, M=M)
+
+
+BOUNDARY_CASES = {
+    "MTSP M=1": ("MTSP", 5, 1, 1),
+    "FMDVRP M=1": ("FMDVRP", 5, 1, 2),
+    "MDVRP M=1": ("MDVRP", 5, 1, 2),
+    "MTSP N=M": ("MTSP", 3, 3, 1),
+    "MDVRP N=M": ("MDVRP", 3, 3, 2),
+    "FMDVRP N=M": ("FMDVRP", 3, 3, 2),
+    "MDVRP D>N": ("MDVRP", 3, 2, 5),
+    "MPDP N=2M": ("MPDP", 6, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_infer_boundary_instances(case):
+    kind, N, M, D = BOUNDARY_CASES[case]
+    cfg, params = tiny_model(kind)
+    ins = _instance(kind, N, M, D, seed=len(case))
+    res = ro.infer(ins, cfg, params, n_per=3, use_aug8=True)
+    assert pb.validate(res.solution, ins) is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_infer_every_point_on_the_depot(kind):
+    cfg, params = tiny_model(kind)
+    ins = _instance(kind, 6, 2, 3 if kind in ("MDVRP", "FMDVRP") else 1,
+                    coincident=True)
+    res = ro.infer(ins, cfg, params, n_per=3, use_aug8=True)
+    assert pb.validate(res.solution, ins) is None
+    assert res.objective == 0.0
 
 
 def test_decode_mode_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_train_smoke_and_reproducible_metrics():
         assert len(metrics) == 2
         for row in metrics:
             assert set(row) == {"epoch", "mean_obj", "mean_baseline",
-                                "lr", "wallclock"}
+                                "grad_norm", "lr", "wallclock"}
             assert np.isfinite(list(row.values())).all()
             assert row["mean_obj"] <= row["mean_baseline"] + 1e-12
             assert row["lr"] == 1e-3
@@ -164,6 +165,23 @@ def test_train_applies_lr_decay_and_callback():
     assert seen == [0, 1, 2]
     assert [row["lr"] for row in metrics] == [1e-3, 5e-4, 2.5e-4]
     assert opt.lr == 1.25e-4
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, 0.0])
+def test_metrics_rows_carry_the_pre_clip_grad_norm(clip_norm, monkeypatch):
+    norms = []
+    real = dc.clip_grad_norm
+
+    def recorded(params, max_norm):
+        norms.append(real(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(dc, "clip_grad_norm", recorded)
+    _, _, metrics = tr.train(tiny_tc(epochs=2, clip_norm=clip_norm))
+    # two batches of 4 per epoch
+    for epoch, row in enumerate(metrics):
+        assert math.isfinite(row["grad_norm"]) and row["grad_norm"] > 0.0
+        assert row["grad_norm"] == float(np.mean(norms[2 * epoch:2 * epoch + 2]))
 
 
 def test_train_divergence_guard():
