@@ -114,7 +114,7 @@ def cmd_train(args):
 
 
 def cmd_finetune(args):
-    cfg, _params, _opt = tr.load_checkpoint(args.checkpoint)
+    cfg, _params = tr.load_model(args.checkpoint)
     tc = _load_train_config(args, stored_model=cfg)
     return _run_training_loop(
         tc, args, lambda cb: tr.finetune(args.checkpoint, tc, on_epoch=cb))
@@ -132,7 +132,7 @@ def _solve_one(ins, cfg, params, args):
 
 
 def cmd_solve(args):
-    cfg, params, _opt = tr.load_checkpoint(args.checkpoint)
+    cfg, params = tr.load_model(args.checkpoint)
     instances = pb.read_instances(args.dataset)
     if not instances:
         raise ValueError(f"{args.dataset} holds no instances")

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from . import diffcore as dc
+from . import encoder as en
 
 LOGIT_CLIP = 50.0
 MASK_VALUE = -1e9
@@ -177,32 +178,25 @@ def candidate_rows(emb):
 
 
 def glimpse_kv(cand, cfg, params):
-    """Per-head (transposed key, value) projections of the fixed candidate
-    rows, V x d_head x C and V x C x d_head."""
-    return [(dc.transpose(dc.matmul(cand, params[f"dec.glimpse.k{i}"])),
-             dc.matmul(cand, params[f"dec.glimpse.v{i}"]))
-            for i in range(cfg.n_heads)]
+    """Head-split transposed keys and values of the fixed candidate rows,
+    (V*H) x d_head x C and (V*H) x C x d_head."""
+    return en.keys_values(cand, params, "dec.glimpse", cfg.n_heads)
 
 
 def glimpse(H_ctx, kv, cfg, params):
     """Scaled multi-head attention of the context rows over candidates."""
-    d_k = cfg.d_head
-    heads = []
-    for i, (k_t, v) in enumerate(kv):
-        q = dc.matmul(H_ctx, params[f"dec.glimpse.q{i}"])
-        soft = dc.softmax_rows(dc.scale(dc.matmul(q, k_t), 1.0 / math.sqrt(d_k)))
-        heads.append(dc.matmul(soft, v))
-    merged = heads[0] if len(heads) == 1 else dc.concat_cols(heads)
-    return dc.matmul(merged, params["dec.glimpse.proj"])
+    return en.attend(dc.matmul(H_ctx, params["dec.glimpse.q"]), *kv, cfg.n_heads,
+                     True, params["dec.glimpse.proj"])
 
 
-def logits(q, cand_proj, exp_rows, masks, params, d_model):
+def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     """Masked log-probabilities, V x K x C.
 
-    q: V x K x d glimpse output; cand_proj: candidates @ W_L, V x C x d;
-    exp_rows/masks: V x K x C numpy (distance factors and feasibility).
+    q: V x K x d glimpse output; cand_proj_t: (candidates @ W_L)
+    transposed, V x d x C; exp_rows/masks: V x K x C numpy (distance
+    factors and feasibility).
     """
-    scores = dc.scale(dc.matmul(q, dc.transpose(cand_proj)),
+    scores = dc.scale(dc.matmul(q, cand_proj_t),
                       1.0 / math.sqrt(d_model))
     bias = dc.scale(dc.constant(exp_rows), params["dec.alpha_dist"])
     u = dc.scale(dc.tanh(dc.add(scores, bias)), LOGIT_CLIP)

@@ -1,13 +1,13 @@
 """Reverse-mode autodiff over dense 2-D arrays, plus an Adam optimizer.
 
-Everything is a matrix: scalars are 1x1, vectors are 1xd. The decoder's ops
-also take a batch of matrices, V x rows x cols, and a 2-D parameter used with
-one broadcasts over the batch axis (its gradient sums over that axis). Ops
-record their backward closure on the output tensor; ``backward`` on a scalar
-loss walks the implicit graph in reverse topological order once. Parameters
-default to float32; float64 is available (gradient checks run there, on the
-same code paths). Reductions that feed route lengths and means accumulate in
-float64.
+Everything is a matrix: scalars are 1x1, vectors are 1xd. Most ops also take
+a batch of matrices, V x rows x cols (decoder variants, or attention heads via
+split_heads), and a 2-D parameter used with one broadcasts over the batch axis
+(its gradient sums over that axis). Ops record their backward closure on the
+output tensor; ``backward`` on a scalar loss walks the implicit graph in
+reverse topological order once. Parameters default to float32; float64 is
+available (gradient checks run there, on the same code paths). Reductions
+that feed route lengths and means accumulate in float64.
 """
 
 import base64
@@ -201,32 +201,25 @@ def mul(a, b):
     return _make(out_data, (a, b), backward)
 
 
-def concat_rows(tensors):
-    cols = {t.shape[1] for t in tensors}
-    if len(cols) != 1:
-        raise ValueError(f"concat_rows column mismatch: {[t.shape for t in tensors]}")
-    out_data = np.concatenate([t.data for t in tensors], axis=0)
-    offsets = list(itertools.accumulate((t.shape[0] for t in tensors), initial=0))
+def _concat(tensors, axis, name):
+    if len({t.shape[:axis] + t.shape[axis:][1:] for t in tensors}) != 1:
+        raise ValueError(f"{name} shape mismatch: {[t.shape for t in tensors]}")
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    edges = list(itertools.accumulate(t.shape[axis] for t in tensors))[:-1]
 
     def backward(g, out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[lo:hi])
+        for t, part in zip(tensors, np.split(g, edges, axis=axis)):
+            _accum(t, part)
 
     return _make(out_data, tuple(tensors), backward)
+
+
+def concat_rows(tensors):
+    return _concat(tensors, 0, "concat_rows")
 
 
 def concat_cols(tensors):
-    rows = {t.shape[:-1] for t in tensors}
-    if len(rows) != 1:
-        raise ValueError(f"concat_cols row mismatch: {[t.shape for t in tensors]}")
-    out_data = np.concatenate([t.data for t in tensors], axis=-1)
-    offsets = list(itertools.accumulate((t.shape[-1] for t in tensors), initial=0))
-
-    def backward(g, out):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[..., lo:hi])
-
-    return _make(out_data, tuple(tensors), backward)
+    return _concat(tensors, -1, "concat_cols")
 
 
 def stack(tensors):
@@ -241,6 +234,37 @@ def stack(tensors):
             _accum(t, g_t)
 
     return _make(out_data, tuple(tensors), backward)
+
+
+def _split(arr, n_heads):
+    rows, d = arr.shape[-2:]
+    heads = arr.reshape(-1, rows, n_heads, d // n_heads).swapaxes(1, 2)
+    return heads.reshape(-1, rows, d // n_heads)
+
+
+def _merge(arr, shape):
+    heads = arr.reshape(-1, shape[-1] // arr.shape[-1], *arr.shape[1:])
+    return heads.swapaxes(1, 2).reshape(shape)
+
+
+def split_heads(a, n_heads):
+    """rows x d, or V x rows x d, -> (V * n_heads) x rows x d/n_heads: head
+    h of matrix v is entry v * n_heads + h and holds columns h*d_k..(h+1)*d_k."""
+    if a.shape[-1] % n_heads:
+        raise ValueError(f"split_heads: {n_heads} heads do not divide {a.shape}")
+    shape = a.shape
+    return _make(_split(a.data, n_heads), (a,),
+                 lambda g, out: _accum(a, _merge(g, shape)))
+
+
+def merge_heads(a, shape):
+    """The inverse of split_heads: (V * H) x rows x d_k back to shape."""
+    if (a.data.ndim != 3 or shape[-2] != a.shape[1] or shape[-1] % a.shape[-1]
+            or a.data.size != math.prod(shape)):
+        raise ValueError(f"merge_heads cannot make {shape} from {a.shape}")
+    n_heads = shape[-1] // a.shape[-1]
+    return _make(_merge(a.data, shape), (a,),
+                 lambda g, out: _accum(a, _split(g, n_heads)))
 
 
 def mean_rows(a):
@@ -306,16 +330,6 @@ def sum_all(a):
     return _make(out_data, (a,), backward)
 
 
-def mean_all(a):
-    n = a.data.size
-    out_data = np.array([[np.sum(a.data, dtype=np.float64) / n]], dtype=a.dtype)
-
-    def backward(g, out):
-        _accum(a, np.full_like(a.data, g[0, 0] / n))
-
-    return _make(out_data, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -336,16 +350,6 @@ def tanh(a):
 
     def backward(g, out):
         _accum(a, g * (1.0 - out.data * out.data))
-
-    return _make(out_data, (a,), backward)
-
-
-def exp(a):
-    _finite(a.data, "exp input")
-    out_data = np.exp(a.data)
-
-    def backward(g, out):
-        _accum(a, g * out.data)
 
     return _make(out_data, (a,), backward)
 

@@ -7,7 +7,7 @@ here by init_params and live in one flat name -> Tensor dict.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -50,19 +50,12 @@ class ModelConfig:
     def multi_depot(self):
         return self.kind in MULTI_DEPOT_KINDS
 
-    @property
-    def d_head(self):
-        return self.d_model // self.n_heads
-
     def to_dict(self):
-        return {"kind": self.kind, "n_layers": self.n_layers,
-                "d_model": self.d_model, "n_heads": self.n_heads,
-                "d_ff": self.d_ff, "pe": self.pe, "use_nav": self.use_nav}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, rec):
-        known = {"kind", "n_layers", "d_model", "n_heads", "d_ff", "pe", "use_nav"}
-        extra = set(rec) - known
+        extra = set(rec) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown model config keys: {sorted(extra)}")
         return cls(**rec)
@@ -81,19 +74,10 @@ class ProbeStore:
     """Collects raw and softmaxed attention scores during a forward pass."""
 
     def __init__(self):
-        self._scores = {}
+        self.scores = {}  # (layer, relation, head) -> (raw, softmaxed)
 
     def record(self, layer, relation, head, raw, soft):
-        self._scores[(layer, relation, head)] = (raw.copy(), soft.copy())
-
-    def blocks(self, layer, head):
-        out = {}
-        for (l, r, h), mats in self._scores.items():
-            if l == layer and h == head:
-                out[r] = mats
-        if not out:
-            raise RuntimeError(f"no probe data for layer {layer}, head {head}")
-        return out
+        self.scores[(layer, relation, head)] = (raw.copy(), soft.copy())
 
 
 def attention_probe(probe, layer, head):
@@ -105,7 +89,10 @@ def attention_probe(probe, layer, head):
     """
     if probe is None:
         raise RuntimeError("probe not enabled: pass a ProbeStore to encode")
-    return probe.blocks(layer, head)
+    out = {r: mats for (l, r, h), mats in probe.scores.items() if (l, h) == (layer, head)}
+    if not out:
+        raise RuntimeError(f"no probe data for layer {layer}, head {head}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +149,14 @@ def rotation_pe(base, n_pos, w_pe):
 # ---------------------------------------------------------------------------
 
 def _attn_params(params, prefix, d, n_heads, rng, split_query=False):
-    d_k = d // n_heads
-    for i in range(n_heads):
-        if split_query:
-            params[f"{prefix}.qp{i}"] = dc.init_matrix(d, d_k, rng)
-            params[f"{prefix}.qd{i}"] = dc.init_matrix(d, d_k, rng)
-        else:
-            params[f"{prefix}.q{i}"] = dc.init_matrix(d, d_k, rng)
-        params[f"{prefix}.k{i}"] = dc.init_matrix(d, d_k, rng)
-        params[f"{prefix}.v{i}"] = dc.init_matrix(d, d_k, rng)
+    """One d x d matrix per role plus proj; the d x d_k head blocks are
+    drawn head by head and placed side by side, head h in columns
+    h*d_k..(h+1)*d_k."""
+    roles = ("qp", "qd", "k", "v") if split_query else ("q", "k", "v")
+    heads = [[dc.init_matrix(d, d // n_heads, rng).data for _ in roles]
+             for _ in range(n_heads)]
+    for role, blocks in zip(roles, zip(*heads)):
+        params[f"{prefix}.{role}"] = dc.Tensor(np.hstack(blocks), requires_grad=True)
     params[f"{prefix}.proj"] = dc.init_matrix(d, d, rng)
 
 
@@ -179,8 +165,19 @@ def _ff_params(params, prefix, d, d_ff, rng):
     params[f"{prefix}.w2"] = dc.init_matrix(d_ff, d, rng)
 
 
-_SINGLE_BLOCKS = ("nav", "agent", "cust")
-_MULTI_BLOCKS = ("nav", "dc", "cd", "ad", "da", "ac", "ca")
+# One layer's blocks in order: (name, stream, context, scaled, probe
+# relation) over the agent (a), customer (c) and depot (d) streams. A block
+# replaces its stream; block j uses the ReZero scalars a{2j+1} and a{2j+2}.
+_SINGLE_BLOCKS = (("nav", "c", "c", True, "customer_customer"),
+                  ("agent", "a", "c", True, "agent_customer"),
+                  ("cust", "c", "a", False, "customer_agent"))
+_MULTI_BLOCKS = (("nav", "c", "c", True, "customer_customer"),
+                 ("dc", "d", "c", True, "depot_customer"),
+                 ("cd", "c", "d", False, "customer_depot"),
+                 ("ad", "a", "d", False, "agent_depot"),
+                 ("da", "d", "a", True, "depot_agent"),
+                 ("ac", "a", "c", True, "agent_customer"),
+                 ("ca", "c", "a", False, "customer_agent"))
 
 
 def init_params(cfg, rng):
@@ -208,7 +205,7 @@ def init_params(cfg, rng):
 
     blocks = _MULTI_BLOCKS if cfg.multi_depot else _SINGLE_BLOCKS
     for l in range(cfg.n_layers):
-        for b in blocks:
+        for b, *_ in blocks:
             if b == "nav" and not cfg.use_nav:
                 continue
             split = b == "cust" and cfg.kind == "MPDP"
@@ -249,37 +246,47 @@ def check_params(cfg, params):
 # attention and feed-forward blocks
 # ---------------------------------------------------------------------------
 
+def keys_values(C, params, prefix, n_heads):
+    """Head-split keys, transposed, and values of context C:
+    (V*H) x d_k x C and (V*H) x C x d_k for a C or V x C context."""
+    k = dc.split_heads(dc.matmul(C, params[f"{prefix}.k"]), n_heads)
+    return dc.transpose(k), dc.split_heads(dc.matmul(C, params[f"{prefix}.v"]), n_heads)
+
+
+def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None):
+    """Multi-head attention of the projected queries q (rows x d or
+    V x rows x d) over keys_values' k_t and v, all heads at once.
+
+    scaled=True divides logits by sqrt(d_k); scaled=False is the sharp
+    variant. The merged heads go through proj.
+    """
+    raw = dc.matmul(dc.split_heads(q, n_heads), k_t)
+    logits = dc.scale(raw, 1.0 / math.sqrt(v.shape[-1])) if scaled else raw
+    soft = dc.softmax_rows(logits)
+    if probe is not None:
+        layer, relation = probe_at
+        for h in range(n_heads):
+            probe.record(layer, relation, h, logits.data[h], soft.data[h])
+    return dc.matmul(dc.merge_heads(dc.matmul(soft, v), q.shape), proj)
+
+
 def _mh_attention(X, C, params, prefix, n_heads, scaled,
                   pickup_rows=None, probe=None, probe_at=None):
     """Multi-head attention of X over context C.
 
-    scaled=True divides logits by sqrt(d_k); scaled=False is the sharp
-    variant. pickup_rows (bool per X row) switches per-row query weights
-    between the qp/qd projections.
+    pickup_rows (bool per X row) switches per-row query weights between
+    the qp/qd projections.
     """
-    d_k = params[f"{prefix}.k0"].shape[1]
-    if pickup_rows is not None:
+    if pickup_rows is None:
+        q = dc.matmul(X, params[f"{prefix}.q"])
+    else:
         pick = dc.constant(np.repeat(pickup_rows.astype(np.float64)[:, None],
-                                     d_k, axis=1))
-        notpick = dc.constant(1.0 - pick.data)
-    heads = []
-    for i in range(n_heads):
-        if pickup_rows is None:
-            q = dc.matmul(X, params[f"{prefix}.q{i}"])
-        else:
-            q = dc.add(dc.mul(dc.matmul(X, params[f"{prefix}.qp{i}"]), pick),
-                       dc.mul(dc.matmul(X, params[f"{prefix}.qd{i}"]), notpick))
-        k = dc.matmul(C, params[f"{prefix}.k{i}"])
-        v = dc.matmul(C, params[f"{prefix}.v{i}"])
-        raw = dc.matmul(q, dc.transpose(k))
-        logits = dc.scale(raw, 1.0 / math.sqrt(d_k)) if scaled else raw
-        soft = dc.softmax_rows(logits)
-        if probe is not None:
-            layer, relation = probe_at
-            probe.record(layer, relation, i, logits.data, soft.data)
-        heads.append(dc.matmul(soft, v))
-    merged = heads[0] if n_heads == 1 else dc.concat_cols(heads)
-    return dc.matmul(merged, params[f"{prefix}.proj"])
+                                     X.shape[1], axis=1))
+        q = dc.add(dc.mul(dc.matmul(X, params[f"{prefix}.qp"]), pick),
+                   dc.mul(dc.matmul(X, params[f"{prefix}.qd"]), dc.constant(1.0 - pick.data)))
+    k_t, v = keys_values(C, params, prefix, n_heads)
+    return attend(q, k_t, v, n_heads, scaled, params[f"{prefix}.proj"],
+                  probe=probe, probe_at=probe_at)
 
 
 def mha(X, C, params, prefix, n_heads):
@@ -313,40 +320,17 @@ def _attn_block(stream, context, params, layer, block, alpha_i, scaled, cfg,
     return _rezero(hat, delta, params[f"layer{layer}.a{alpha_i + 1}"])
 
 
-def _layer_single(emb, params, layer, cfg, pickup_rows, probe):
-    H_a, H_c = emb.H_a, emb.H_c
-    if cfg.use_nav:
-        X_c = _attn_block(H_c, H_c, params, layer, "nav", 1, True, cfg,
-                          "customer_customer", probe=probe)
-    else:
-        X_c = H_c
-    H_a2 = _attn_block(H_a, X_c, params, layer, "agent", 3, True, cfg,
-                       "agent_customer", probe=probe)
-    H_c2 = _attn_block(X_c, H_a2, params, layer, "cust", 5, False, cfg,
-                       "customer_agent", pickup_rows=pickup_rows, probe=probe)
-    return Embeddings(H_a=H_a2, H_c=H_c2)
-
-
-def _layer_multi(emb, params, layer, cfg, probe):
-    H_a, H_c, H_d = emb.H_a, emb.H_c, emb.H_d
-    if cfg.use_nav:
-        X_c = _attn_block(H_c, H_c, params, layer, "nav", 1, True, cfg,
-                          "customer_customer", probe=probe)
-    else:
-        X_c = H_c
-    X_d = _attn_block(H_d, X_c, params, layer, "dc", 3, True, cfg,
-                      "depot_customer", probe=probe)
-    O_c = _attn_block(X_c, X_d, params, layer, "cd", 5, False, cfg,
-                      "customer_depot", probe=probe)
-    X_a = _attn_block(H_a, X_d, params, layer, "ad", 7, False, cfg,
-                      "agent_depot", probe=probe)
-    H_d2 = _attn_block(X_d, X_a, params, layer, "da", 9, True, cfg,
-                       "depot_agent", probe=probe)
-    H_a2 = _attn_block(X_a, O_c, params, layer, "ac", 11, True, cfg,
-                       "agent_customer", probe=probe)
-    H_c2 = _attn_block(O_c, H_a2, params, layer, "ca", 13, False, cfg,
-                       "customer_agent", probe=probe)
-    return Embeddings(H_a=H_a2, H_c=H_c2, H_d=H_d2)
+def _layer(emb, params, layer, cfg, pickup_rows, probe):
+    streams = {"a": emb.H_a, "c": emb.H_c, "d": emb.H_d}
+    blocks = _MULTI_BLOCKS if cfg.multi_depot else _SINGLE_BLOCKS
+    for j, (block, x, ctx, scaled, relation) in enumerate(blocks):
+        if block == "nav" and not cfg.use_nav:
+            continue
+        streams[x] = _attn_block(
+            streams[x], streams[ctx], params, layer, block, 2 * j + 1, scaled,
+            cfg, relation, pickup_rows=pickup_rows if block == "cust" else None,
+            probe=probe)
+    return Embeddings(H_a=streams["a"], H_c=streams["c"], H_d=streams["d"])
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +384,5 @@ def encode(instance, cfg, params, probe=None):
     if cfg.kind == "MPDP":
         pickup_rows = np.arange(instance.N) < instance.n_pairs
     for l in range(cfg.n_layers):
-        if cfg.multi_depot:
-            emb = _layer_multi(emb, params, l, cfg, probe)
-        else:
-            emb = _layer_single(emb, params, l, cfg, pickup_rows, probe)
+        emb = _layer(emb, params, l, cfg, pickup_rows, probe)
     return emb

@@ -186,8 +186,8 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
 
     instances is one Instance, or V variants of one (such as its augment8
     symmetries); each is encoded once, and one decode step serves all
-    R = V x K rollouts. Returns (list of R (RouteSet, objective) in row
-    order a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
+    R = V x K rollouts. Returns (list of R RouteSets in row order
+    a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
     sampled actions, one row at a time in row order, and the multi-depot
     pre-start nodes (see DecodeState, which also takes one Generator per
     variant). forced, when given, is one action sequence per row and
@@ -205,14 +205,14 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     cand = dc.stack([de.candidate_rows(emb) for emb in embs])
     pooled = dc.stack([de.pooled_graph(emb, params) for emb in embs])
     kv = de.glimpse_kv(cand, cfg, params)
-    cand_proj = dc.matmul(cand, params["dec.logit"])
+    cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
     total = None
     while not state.terminal:
         ctx = de.context(state, H_a, cand, pooled, params)
         q = de.glimpse(ctx, kv, cfg, params)
         exp_rows = de.dist_exp_row(state)
         masks = de.feasibility_mask(state)
-        logp = de.logits(q, cand_proj, exp_rows.reshape(V, K, -1),
+        logp = de.logits(q, cand_proj_t, exp_rows.reshape(V, K, -1),
                          masks.reshape(V, K, -1), params, cfg.d_model)
         rows = logp.data.reshape(V * K, -1)
         if forced is not None:
@@ -227,16 +227,14 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
         picked = dc.take_per_row(logp, chosen)
         total = picked if total is None else dc.add(total, picked)
         step(state, chosen, masks)
-    return [(rs, pb.minmax_objective(rs, state.variants[r // K]))
-            for r, rs in enumerate(finish(state))], total
+    return finish(state), total
 
 
 def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
     """Single-permutation rollout -> (RouteSet, objective, log_prob_sum)."""
-    results, total = decode_batch(instance, [permutation], cfg, params,
-                                  mode=mode, rng=rng)
-    (rs, obj), = results
-    return rs, obj, float(total.data[0, 0, 0])
+    (rs,), total = decode_batch(instance, [permutation], cfg, params,
+                                mode=mode, rng=rng)
+    return rs, pb.minmax_objective(rs, instance), float(total.data[0, 0, 0])
 
 
 InferResult = namedtuple("InferResult", "solution objective aug_index permutation")
@@ -262,10 +260,10 @@ def infer(instance, cfg, params, n_per=1, use_aug8=False, seed=0):
     node_rngs = [np.random.default_rng((seed, instance.uid, 2, a))
                  for a in range(len(variants))]
     with dc.no_grad():
-        results, _ = decode_batch(variants, perms, cfg, params,
-                                  mode="greedy", rng=node_rngs)
+        solutions, _ = decode_batch(variants, perms, cfg, params,
+                                    mode="greedy", rng=node_rngs)
     best = None
-    for r, (rs, _obj_aug) in enumerate(results):
+    for r, rs in enumerate(solutions):
         obj = pb.minmax_objective(rs, instance)
         if best is None or obj < best.objective - 1e-12:
             best = InferResult(rs, obj, r // n_per, perms[r % n_per])

@@ -6,8 +6,9 @@ receive gradient. Also holds checkpoint save/load and fine-tuning.
 """
 
 import json
+import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import encoder as en
 from . import problems as pb
 from . import rollout as ro
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -77,11 +78,7 @@ class TrainConfig:
             raise ValueError("clip_norm must be >= 0 (0 disables)")
 
     def to_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.to_dict() if f.name == "model" else v
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, rec):
@@ -118,9 +115,9 @@ def aps_loss(instances, cfg, params, K, rng):
     baselines = []
     for ins in instances:
         perms = ro.sample_permutations(ins.M, K, rng)
-        results, logp = ro.decode_batch(ins, perms, cfg, params,
-                                        mode="sample", rng=rng)
-        objs = [obj for _rs, obj in results]
+        solutions, logp = ro.decode_batch(ins, perms, cfg, params,
+                                          mode="sample", rng=rng)
+        objs = [pb.minmax_objective(rs, ins) for rs in solutions]
         b = aps_baseline(objs)
         adv = np.array(objs, dtype=np.float64).reshape(logp.shape) - b
         term = dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
@@ -281,42 +278,61 @@ def save_checkpoint(path, cfg, params, opt):
     pb.atomic_write_text(path, json.dumps(payload))
 
 
-def _check_schema(what, arrays, shapes):
-    """Raise ValueError naming the first entry of arrays that is missing,
-    mis-shaped or unknown against shapes (name -> shape)."""
-    for name in list(shapes) + [n for n in arrays if n not in shapes]:
-        have = arrays[name].shape if name in arrays else "missing"
-        want = shapes.get(name, "no such entry")
-        if have != want:
-            raise ValueError(f"checkpoint {what} entry {name} is {have}; "
-                             f"the stored model config expects {want}")
+# format v1 held one d x d_k matrix per attention head: {prefix}.{role}{i}
+_V1_HEAD = re.compile(r"(.+\.(?:qp|qd|q|k|v))(\d+)")
 
 
-def load_checkpoint(path):
-    """Read a checkpoint back as (ModelConfig, params, AdamState).
+def _load(path):
+    """(ModelConfig, params, optimizer record, read) of a checkpoint file.
 
-    Every parameter and Adam moment must have the name and shape that
-    init_params gives the stored config.
+    read(what, records) decodes array records, fuses v1 heads side by side
+    in head order, and raises a one-line ValueError on the first entry
+    that is missing, mis-shaped or unknown against init_params' shapes.
     """
     with open(path) as f:
         payload = json.load(f)
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint format version {version} is not the "
-                         f"supported version {CHECKPOINT_VERSION}")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"checkpoint format version {version} is not a "
+                         f"supported version (1 or {CHECKPOINT_VERSION})")
     cfg = en.ModelConfig.from_dict(payload["model"])
     shapes = {name: p.shape for name, p in
               en.init_params(cfg, np.random.default_rng(0)).items()}
-    arrays = dc.records_to_arrays(payload["params"])
-    _check_schema("params", arrays, shapes)
+
+    def read(what, records):
+        arrays, heads = dc.records_to_arrays(records), {}
+        for name in list(arrays) if version == 1 else ():
+            if m := _V1_HEAD.fullmatch(name):
+                heads.setdefault(m[1], {})[int(m[2])] = arrays.pop(name)
+        arrays.update((name, np.hstack([h[i] for i in sorted(h)]))
+                      for name, h in heads.items())
+        for name in list(shapes) + [n for n in arrays if n not in shapes]:
+            have = arrays[name].shape if name in arrays else "missing"
+            want = shapes.get(name, "no such entry")
+            if have != want:
+                raise ValueError(f"checkpoint {what} entry {name} is {have}; "
+                                 f"the stored model config expects {want}")
+        return {name: arrays[name] for name in shapes}
+
     params = {name: dc.Tensor(arr, requires_grad=True, dtype=arr.dtype)
-              for name, arr in arrays.items()}
-    o = payload["optimizer"]
+              for name, arr in read("params", payload["params"]).items()}
+    return cfg, params, payload["optimizer"], read
+
+
+def load_model(path):
+    """Read a checkpoint's (ModelConfig, params) without the optimizer.
+
+    Every parameter must have the name and shape that init_params gives
+    the stored config; format v1 (per-head attention matrices) is fused.
+    """
+    return _load(path)[:2]
+
+
+def load_checkpoint(path):
+    """load_model plus the AdamState, whose moments are checked the same way."""
+    cfg, params, o, read = _load(path)
     opt = dc.AdamState(params, lr=o["lr"], lr_decay=o["lr_decay"],
                        beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"])
     opt.step_count = int(o["step_count"])
-    for part in ("m", "v"):
-        moments = dc.records_to_arrays(o[part])
-        _check_schema(f"optimizer.{part}", moments, shapes)
-        setattr(opt, part, moments)
+    opt.m, opt.v = read("optimizer.m", o["m"]), read("optimizer.v", o["v"])
     return cfg, params, opt

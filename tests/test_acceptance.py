@@ -45,15 +45,13 @@ def _t64(rng, shape, scale=0.3):
 
 
 def _attn_params64(rng, prefix, d, d_k, n_heads, split_query=False):
-    p = {}
-    for i in range(n_heads):
-        if split_query:
-            p[f"{prefix}.qp{i}"] = _t64(rng, (d, d_k))
-            p[f"{prefix}.qd{i}"] = _t64(rng, (d, d_k))
-        else:
-            p[f"{prefix}.q{i}"] = _t64(rng, (d, d_k))
-        p[f"{prefix}.k{i}"] = _t64(rng, (d, d_k))
-        p[f"{prefix}.v{i}"] = _t64(rng, (d, d_k))
+    """One d x d matrix per role, drawn head block by head block."""
+    roles = ("qp", "qd", "k", "v") if split_query else ("q", "k", "v")
+    heads = [[rng.normal(0.0, 0.3, (d, d_k)) for _ in roles]
+             for _ in range(n_heads)]
+    p = {f"{prefix}.{role}": dc.Tensor(np.hstack(blocks), requires_grad=True,
+                                       dtype=np.float64)
+         for role, blocks in zip(roles, zip(*heads))}
     p[f"{prefix}.proj"] = _t64(rng, (d, d))
     return p
 
@@ -68,12 +66,12 @@ def _surrogate_case(seed):
     params = params64(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     perms = ro.sample_permutations(ins.M, 2, rng)
-    results, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
-                                 rng=rng)
-    objs = [obj for _, obj in results]
+    solutions, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                   rng=rng)
+    objs = [pb.minmax_objective(rs, ins) for rs in solutions]
     base = tr.aps_baseline(objs)
     forced = [ro.actions_from_solution(rs, o, ins)
-              for (rs, _), o in zip(results, perms)]
+              for rs, o in zip(solutions, perms)]
     f = tr.frozen_surrogate(ins, perms, forced, [o - base for o in objs],
                             cfg, seed=seed + 1000)
     return f, params
@@ -140,7 +138,8 @@ def test_criterion_1_gradient_fidelity(capsys):
         # penalty constant, which would swamp the finite differences
         feas = dc.constant(masks.astype(np.float64))
         check("logits", lambda pp: dc.sum_all(dc.mul(de.logits(
-            qc, dc.matmul(cand, pp["dec.logit"]), exp_rows, masks, pp, d),
+            qc, dc.transpose(dc.matmul(cand, pp["dec.logit"])), exp_rows,
+            masks, pp, d),
             feas)), lp, 4, seed)
 
         f, params = _surrogate_case(seed)
@@ -306,10 +305,10 @@ def test_criterion_7_mhsa_mha_equivalence(capsys):
     worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(700 + seed)
-        p = {}
-        for i in range(n_heads):
-            for nm in ("q", "k", "v"):
-                p[f"blk.{nm}{i}"] = dc.Tensor(rng.normal(0.0, 0.3, (d, d_k)))
+        heads = [[rng.normal(0.0, 0.3, (d, d_k)) for _ in "qkv"]
+                 for _ in range(n_heads)]
+        p = {f"blk.{nm}": dc.Tensor(np.hstack(blocks))
+             for nm, blocks in zip("qkv", zip(*heads))}
         p["blk.proj"] = dc.Tensor(rng.normal(0.0, 0.3, (d, d)))
         X = rng.normal(0.0, 1.0, (5, d))
         C = dc.constant(rng.normal(0.0, 1.0, (7, d)))

@@ -36,7 +36,7 @@ def batch_inputs(embs, cfg, params):
     return (dc.stack([e.H_a for e in embs]), cand,
             dc.stack([de.pooled_graph(e, params) for e in embs]),
             de.glimpse_kv(cand, cfg, params),
-            dc.matmul(cand, params["dec.logit"]))
+            dc.transpose(dc.matmul(cand, params["dec.logit"])))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_masked_probability_is_exactly_zero():
 def test_all_masked_row_raises():
     cfg, params = tiny_model("MTSP")
     q = dc.constant(np.zeros((1, cfg.d_model)))
-    proj = dc.constant(np.zeros((7, cfg.d_model)))
+    proj = dc.constant(np.zeros((cfg.d_model, 7)))
     with pytest.raises(ValueError):
         de.logits(q, proj, np.ones((1, 7)), np.zeros((1, 7), dtype=bool),
                   params, cfg.d_model)
@@ -318,6 +318,6 @@ def test_glimpse_gradients_reach_encoder_params():
     s = one(ins, (0, 1))
     ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
-    dc.backward(dc.mean_all(q))
+    dc.backward(dc.sum_all(q))
     assert params["embed.customer.W"].grad is not None
     assert np.abs(params["embed.customer.W"].grad).sum() > 0

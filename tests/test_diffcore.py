@@ -73,6 +73,13 @@ def test_tanh_linear_chain_matches_fd():
 # per-op gradient property tests (100 seeds each, float64 central differences)
 # ---------------------------------------------------------------------------
 
+def _weighted(t):
+    """A scalar that tells the entries of t apart, so an op that moves
+    entries to the wrong place in backward fails the finite differences."""
+    w = np.linspace(-1.0, 1.0, t.data.size).reshape(t.shape)
+    return dc.sum_all(dc.tanh(dc.mul(t, dc.constant(w, dtype=F64))))
+
+
 def _op_cases(rng):
     n, m, k = rng.integers(1, 5, size=3)
     a = rng.standard_normal((n, m))
@@ -95,10 +102,11 @@ OPS = [
     ("mean_rows", lambda p: dc.sum_all(dc.tanh(dc.mean_rows(p["a"])))),
     ("relu", lambda p: dc.sum_all(dc.relu(p["a"]))),
     ("tanh", lambda p: dc.sum_all(dc.tanh(p["a"]))),
-    ("exp", lambda p: dc.sum_all(dc.exp(dc.scale(p["a"], 0.3)))),
     ("softmax_rows", lambda p: dc.sum_all(dc.tanh(dc.softmax_rows(p["a"])))),
     ("log_softmax_rows", lambda p: dc.sum_all(dc.mul(p["c"], dc.log_softmax_rows(p["a"])))),
-    ("mean_all", lambda p: dc.mean_all(dc.tanh(p["a"]))),
+    ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["a"], p["c"]]), 2))),
+    ("merge_heads", lambda p: _weighted(dc.merge_heads(dc.stack([p["a"], p["c"]]),
+                                                       (p["a"].shape[0], 2 * p["a"].shape[1])))),
 ]
 
 
@@ -141,6 +149,9 @@ BATCHED_OPS = [
     ("log_softmax_rows", lambda p: dc.sum_all(dc.mul(p["c"], dc.log_softmax_rows(p["x"])))),
     ("concat_cols", lambda p: dc.sum_all(dc.tanh(dc.concat_cols([p["x"], p["c"]])))),
     ("stack", lambda p: dc.sum_all(dc.tanh(dc.matmul(dc.stack([p["a"], p["b"]]), p["w"])))),
+    ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["x"], p["c"]]), 2))),
+    ("merge_heads", lambda p: _weighted(dc.merge_heads(
+        p["x"], (1, p["x"].shape[1], p["x"].shape[0] * p["x"].shape[2])))),
 ]
 
 
@@ -207,6 +218,24 @@ def test_batched_forward_matches_per_matrix_calls():
         ]
         for batched, single in pairs:
             assert np.array_equal(batched.data[v], single.data)
+
+
+def test_split_and_merge_heads_layout():
+    """Head h of matrix v is entry v * H + h and holds columns
+    h*d_k..(h+1)*d_k; merge_heads undoes split_heads exactly."""
+    x = np.arange(2 * 3 * 8, dtype=F64).reshape(2, 3, 8)
+    for a in (x, x[0]):
+        heads = dc.split_heads(dc.constant(a, dtype=F64), 4)
+        for v, mat in enumerate(a.reshape(-1, 3, 8)):
+            for h in range(4):
+                assert np.array_equal(heads.data[v * 4 + h], mat[:, 2 * h:2 * h + 2])
+        assert np.array_equal(dc.merge_heads(heads, a.shape).data, a)
+    with pytest.raises(ValueError):
+        dc.split_heads(dc.constant(x), 3)
+    with pytest.raises(ValueError):
+        dc.merge_heads(dc.constant(x), (3, 8))  # 2 x 3 x 8 holds 48 entries
+    with pytest.raises(ValueError):
+        dc.merge_heads(dc.constant(x), (2, 4, 6))  # rows must stay
 
 
 def test_batched_shape_errors():

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import params64
 
+from minmaxvrp import decoder as de
 from minmaxvrp import diffcore as dc
 from minmaxvrp import encoder as en
 from minmaxvrp import problems as pb
@@ -94,6 +96,100 @@ def attn_params(d, n_heads, seed, prefix="blk"):
     return params
 
 
+def attn_params64(d, n_heads, seed, split_query=False):
+    rng = np.random.default_rng(seed)
+    params = {}
+    en._attn_params(params, "blk", d, n_heads, rng, split_query=split_query)
+    return {name: dc.Tensor(t.data, requires_grad=True, dtype=np.float64)
+            for name, t in params.items()}
+
+
+def per_head_reference(X, C, params, prefix, n_heads, scaled, pickup_rows=None):
+    """Attention head by head over column slices of the fused matrices
+    (float64 numpy); X is rows x d or V x rows x d, C likewise."""
+    def cols(role, h):
+        w = params[f"{prefix}.{role}"].data
+        d_k = w.shape[1] // n_heads
+        return w[:, h * d_k:(h + 1) * d_k]
+
+    heads = []
+    for h in range(n_heads):
+        if pickup_rows is None:
+            q = X @ cols("q", h)
+        else:
+            q = np.where(pickup_rows[:, None], X @ cols("qp", h), X @ cols("qd", h))
+        k, v = C @ cols("k", h), C @ cols("v", h)
+        logits = q @ k.swapaxes(-1, -2)
+        if scaled:
+            logits = logits / math.sqrt(k.shape[-1])
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        heads.append(e / e.sum(axis=-1, keepdims=True) @ v)
+    return np.concatenate(heads, axis=-1) @ params[f"{prefix}.proj"].data
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_fused_attention_matches_per_head_reference(n_heads):
+    d = 16
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(5, d))
+        C = rng.normal(size=(7, d))
+        Xt, Ct = dc.constant(X, dtype=np.float64), dc.constant(C, dtype=np.float64)
+        params = attn_params64(d, n_heads, seed)
+        np.testing.assert_allclose(
+            en.mha(Xt, Ct, params, "blk", n_heads).data,
+            per_head_reference(X, C, params, "blk", n_heads, True), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            en.mhsa(Xt, Ct, params, "blk", n_heads).data,
+            per_head_reference(X, C, params, "blk", n_heads, False), rtol=0, atol=1e-12)
+        params = attn_params64(d, n_heads, seed, split_query=True)
+        rows = rng.random(5) < 0.5
+        np.testing.assert_allclose(
+            en.mhsa(Xt, Ct, params, "blk", n_heads, pickup_rows=rows).data,
+            per_head_reference(X, C, params, "blk", n_heads, False, pickup_rows=rows),
+            rtol=0, atol=1e-12)
+
+
+def test_fused_glimpse_matches_per_head_reference():
+    """The decoder glimpse over a V x C candidate batch, per variant and head."""
+    cfg = en.ModelConfig(kind="MTSP", n_layers=1, d_model=16, n_heads=4, d_ff=32)
+    params = params64(cfg, 3)
+    rng = np.random.default_rng(3)
+    ctx = rng.normal(size=(2, 3, 16))
+    cand = rng.normal(size=(2, 7, 16))
+    kv = de.glimpse_kv(dc.constant(cand, dtype=np.float64), cfg, params)
+    got = de.glimpse(dc.constant(ctx, dtype=np.float64), kv, cfg, params).data
+    want = per_head_reference(ctx, cand, params, "dec.glimpse", 4, True)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _v1_attn_params(params, prefix, d, n_heads, rng, split_query=False):
+    """The format-v1 draw: one d x d_k matrix per head and role, head by head."""
+    roles = ("qp", "qd", "k", "v") if split_query else ("q", "k", "v")
+    for i in range(n_heads):
+        for role in roles:
+            params[f"{prefix}.{role}{i}"] = dc.init_matrix(d, d // n_heads, rng)
+    params[f"{prefix}.proj"] = dc.init_matrix(d, d, rng)
+
+
+@pytest.mark.parametrize("kind", list(CFGS))
+def test_init_params_fuses_the_per_head_draws(kind, monkeypatch):
+    """A seed gives the weights the per-head layout drew, head h of a
+    role in columns h*d_k..(h+1)*d_k, bit for bit."""
+    cfg = en.ModelConfig(kind=kind)
+    fused = en.init_params(cfg, np.random.default_rng(5))
+    monkeypatch.setattr(en, "_attn_params", _v1_attn_params)
+    per_head = en.init_params(cfg, np.random.default_rng(5))
+    want = {}  # per-head entries in draw order, grouped under the fused name
+    for name, t in per_head.items():
+        head = re.fullmatch(r"(.+\.(?:qp|qd|q|k|v))\d+", name)
+        want.setdefault(head[1] if head else name, []).append(t.data)
+    assert list(fused) == list(want)
+    for name, blocks in want.items():
+        assert fused[name].data.dtype == blocks[0].dtype
+        assert np.array_equal(fused[name].data, np.hstack(blocks)), name
+
+
 def test_mhsa_equals_mha_with_prescaled_input():
     d, H = 16, 4
     rng = np.random.default_rng(7)
@@ -114,8 +210,7 @@ def test_attention_single_context_row_collapses():
     C = dc.constant(rng.normal(size=(1, d)))
     out = en.mhsa(X, C, params, "blk", H).data
     # softmax over one element is 1, so every row equals the projected value
-    vs = [dc.matmul(C, params[f"blk.v{i}"]) for i in range(H)]
-    want = dc.matmul(dc.concat_cols(vs), params["blk.proj"]).data
+    want = dc.matmul(dc.matmul(C, params["blk.v"]), params["blk.proj"]).data
     for r in range(4):
         assert np.allclose(out[r], want[0], atol=1e-6)
 
@@ -262,7 +357,7 @@ def test_probe_disabled_raises():
 
 def scalar_of(emb):
     parts = [emb.H_a, emb.H_c] + ([emb.H_d] if emb.H_d is not None else [])
-    return dc.mean_all(dc.concat_rows(parts))
+    return dc.sum_all(dc.concat_rows(parts))
 
 
 @pytest.mark.parametrize("kind", ["MTSP", "MDVRP"])

@@ -124,10 +124,10 @@ def test_forced_replay_reproduces_solution():
                                rng=np.random.default_rng(7))
     acts = ro.actions_from_solution(rs, (1, 0), ins)
     # replay under the same seed so the random start-context node matches
-    results, total = ro.decode_batch(ins, [(1, 0)], cfg, params,
-                                     forced=[acts],
-                                     rng=np.random.default_rng(7))
-    (rs2, obj2), = results
+    (rs2,), total = ro.decode_batch(ins, [(1, 0)], cfg, params,
+                                    forced=[acts],
+                                    rng=np.random.default_rng(7))
+    obj2 = pb.minmax_objective(rs2, ins)
     assert rs2.routes == rs.routes
     assert rs2.start_depots == rs.start_depots
     assert rs2.end_depots == rs.end_depots
@@ -157,8 +157,8 @@ def test_decode_batch_matches_stacked_single_rollouts():
     assert total.shape == (1, 3, 1)
     for k, perm in enumerate(perms):
         rs, obj, logp = ro.rollout(ins, perm, cfg, params)
-        assert results[k][0].routes == rs.routes
-        assert abs(results[k][1] - obj) < 1e-12
+        assert results[k].routes == rs.routes
+        assert abs(pb.minmax_objective(results[k], ins) - obj) < 1e-12
         assert abs(float(total.data[0, k, 0]) - logp) <= 1e-5
 
 
@@ -270,8 +270,8 @@ def test_forced_replay_of_any_legal_walk_matches_free_decode(kind, M, seed, data
     actions = walk.actions[0].tolist()
     cfg, params = tiny_model(kind, seed=seed % 7)
     # sampled decoding whose draws follow the walk
-    [(rs, _)], free = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
-                                    rng=ScriptedGenerator(seed, actions))
+    [rs], free = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
+                                 rng=ScriptedGenerator(seed, actions))
     assert ro.actions_from_solution(rs, perm, ins) == actions
     _, forced = ro.decode_batch(ins, [perm], cfg, params, forced=[actions],
                                 rng=np.random.default_rng(seed))
@@ -305,12 +305,11 @@ def test_batched_rows_match_one_variant_decodes(kind):
             if kind in ("MDVRP", "FMDVRP"):
                 for _ in range(k):  # the draws of rows (a, 0..k-1)
                     rng.integers(ins.D)
-            [(rs1, obj1)], total1 = ro.decode_batch(var, [perm], cfg, params,
-                                                    rng=rng)
-            rs, obj = results[a * 3 + k]
+            [rs1], total1 = ro.decode_batch(var, [perm], cfg, params, rng=rng)
+            rs = results[a * 3 + k]
             assert (ro.actions_from_solution(rs, perm, var)
                     == ro.actions_from_solution(rs1, perm, var))
-            assert obj == obj1
+            assert pb.minmax_objective(rs, var) == pb.minmax_objective(rs1, var)
             assert abs(float(total.data[a, k, 0])
                        - float(total1.data[0, 0, 0])) <= 1e-5
 

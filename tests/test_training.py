@@ -105,9 +105,9 @@ def test_loss_matches_manual_recomputation():
     manual = 0.0
     for ins in instances:
         perms = ro.sample_permutations(ins.M, K, rng)
-        results, logp = ro.decode_batch(ins, perms, cfg, params,
-                                        mode="sample", rng=rng)
-        objs = np.array([o for _r, o in results])
+        solutions, logp = ro.decode_batch(ins, perms, cfg, params,
+                                          mode="sample", rng=rng)
+        objs = np.array([pb.minmax_objective(rs, ins) for rs in solutions])
         manual += float(((objs - objs.mean())[:, None]
                          * logp.data.astype(np.float64)).sum())
         assert abs(baselines.pop(0) - objs.mean()) < 1e-12
@@ -122,11 +122,11 @@ def test_frozen_surrogate_gradient_matches_finite_differences():
     ins = pb.gen_uniform("MTSP", N=5, D=1, M=2, seed=7)
     rng = np.random.default_rng(9)
     perms = ro.sample_permutations(2, 3, rng)
-    results, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
-                                 rng=rng)
+    solutions, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                   rng=rng)
     forced = [ro.actions_from_solution(rs, o, ins)
-              for (rs, _obj), o in zip(results, perms)]
-    objs = [obj for _rs, obj in results]
+              for rs, o in zip(solutions, perms)]
+    objs = [pb.minmax_objective(rs, ins) for rs in solutions]
     adv = [o - tr.aps_baseline(objs) for o in objs]
     f = tr.frozen_surrogate(ins, perms, forced, adv, cfg)
     rel = dc.grad_check(f, params, samples_per_param=2,
@@ -257,10 +257,10 @@ def _one_line_error(path):
 
 def test_load_checkpoint_rejects_missing_param(tmp_path):
     path, payload = _saved_payload(tmp_path)
-    del payload["params"]["dec.glimpse.q0"]
+    del payload["params"]["dec.glimpse.q"]
     path.write_text(json.dumps(payload))
     msg = _one_line_error(path)
-    assert "params" in msg and "dec.glimpse.q0" in msg
+    assert "params" in msg and "dec.glimpse.q" in msg
 
 
 def test_load_checkpoint_rejects_misshaped_moment(tmp_path):
@@ -278,6 +278,73 @@ def test_load_checkpoint_rejects_unknown_moment(tmp_path):
     path.write_text(json.dumps(payload))
     msg = _one_line_error(path)
     assert "optimizer.v" in msg and "dec.extra" in msg
+
+
+def _as_v1(payload, n_heads):
+    """The payload in format v1: every fused attention matrix of the params
+    and of both Adam moment sets split into per-head {prefix}.{role}{i}."""
+    parts = (payload["params"], payload["optimizer"]["m"], payload["optimizer"]["v"])
+    for records in parts:
+        arrays = {}
+        for name, arr in dc.records_to_arrays(records).items():
+            if name.rsplit(".", 1)[1] in ("q", "qp", "qd", "k", "v"):
+                for i, block in enumerate(np.hsplit(arr, n_heads)):
+                    arrays[f"{name}{i}"] = np.ascontiguousarray(block)
+            else:
+                arrays[name] = arr
+        records.clear()
+        records.update(dc.params_to_records(
+            {k: dc.constant(a, dtype=a.dtype) for k, a in arrays.items()}))
+    payload["format_version"] = 1
+    return payload
+
+
+def _random_moments(params, opt, seed):
+    rng = np.random.default_rng(seed)
+    for name, p in params.items():
+        opt.m[name] = rng.normal(size=p.shape).astype(p.data.dtype)
+        opt.v[name] = rng.random(p.shape).astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("kind", ["MTSP", "MPDP"])
+def test_load_checkpoint_reads_format_v1(tmp_path, kind):
+    cfg, params = tiny_model(kind, seed=4)
+    opt = dc.AdamState(params, lr=1e-3)
+    _random_moments(params, opt, 4)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, cfg, params, opt)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 2 and "dec.glimpse.q" in payload["params"]
+    v1 = _as_v1(payload, cfg.n_heads)
+    assert "dec.glimpse.q1" in v1["params"] and "dec.glimpse.q1" in v1["optimizer"]["v"]
+    path.write_text(json.dumps(v1))
+    cfg2, params2, opt2 = tr.load_checkpoint(path)
+    assert cfg2 == cfg and list(params2) == list(params)
+    for name, p in params.items():
+        assert params2[name].data.dtype == p.data.dtype
+        assert np.array_equal(params2[name].data, p.data), name
+        assert np.array_equal(opt2.m[name], opt.m[name]), name
+        assert np.array_equal(opt2.v[name], opt.v[name]), name
+    _, params3 = tr.load_model(path)
+    assert all(np.array_equal(params3[n].data, p.data) for n, p in params.items())
+
+
+def test_load_checkpoint_v1_missing_head_names_the_fused_entry(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    v1 = _as_v1(payload, 2)
+    del v1["params"]["layer0.agent_attn.k1"]
+    path.write_text(json.dumps(v1))
+    msg = _one_line_error(path)
+    assert "params" in msg and "layer0.agent_attn.k " in msg and "(16, 8)" in msg
+
+
+def test_load_model_skips_the_optimizer(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    payload["optimizer"]["m"] = {}
+    path.write_text(json.dumps(payload))
+    cfg, params = tr.load_model(path)
+    assert cfg == tiny_cfg("MTSP") and "dec.glimpse.q" in params
+    assert "optimizer.m" in _one_line_error(path)
 
 
 def test_finetune_rejects_mismatched_width(tmp_path):
