@@ -65,13 +65,9 @@ def cmd_gen(args):
 
 
 def _load_train_config(args, stored_model=None):
-    with open(args.config) as f:
-        rec = json.load(f)
-    if not isinstance(rec, dict):
-        raise ValueError(f"{args.config} does not hold a config object")
-    if stored_model is not None and "model" not in rec:
-        rec["model"] = stored_model.to_dict()
-    tc = tr.TrainConfig.from_dict(rec)
+    default = {} if stored_model is None else {"model": stored_model.to_dict()}
+    tc = pb.read_json_file(args.config, "config",
+                           lambda rec: tr.TrainConfig.from_dict({**default, **rec}))
     overrides = {}
     if getattr(args, "pe", None):
         overrides["pe"] = args.pe
@@ -238,9 +234,10 @@ def parse_tsplib(path, m):
                          f"only EUC_2D is handled")
     if not coords:
         raise ValueError(f"no NODE_COORD_SECTION in {path}")
-    if "DIMENSION" in headers and int(headers["DIMENSION"]) != len(coords):
+    dim = headers.get("DIMENSION", str(len(coords)))
+    if not dim.isdigit() or int(dim) != len(coords):
         raise ValueError(f"{path} lists {len(coords)} nodes but declares "
-                         f"DIMENSION {headers['DIMENSION']}")
+                         f"DIMENSION {dim!r}")
     arr = np.array(coords)
     return pb.Instance(kind="MTSP", coords=arr[1:], depot_coords=arr[:1], M=m)
 

@@ -141,7 +141,7 @@ def scalar_features(state):
 
 
 def pooled_graph(emb, params):
-    """The 1 x d pooled-graph term of the context, constant per instance."""
+    """The V x 1 x d pooled-graph term of the context, one row per variant."""
     parts = [emb.H_a, emb.H_c]
     if emb.H_d is not None:
         parts.append(emb.H_d)
@@ -172,7 +172,7 @@ def context(state, H_a, cand, pooled, params):
 # ---------------------------------------------------------------------------
 
 def candidate_rows(emb):
-    """Embedding rows aligned with the candidate indexing."""
+    """Embedding rows aligned with the candidate indexing, V x C x d."""
     first = emb.H_d if emb.H_d is not None else emb.H_a
     return dc.concat_rows([first, emb.H_c])
 

@@ -1,13 +1,14 @@
 """Reverse-mode autodiff over dense 2-D arrays, plus an Adam optimizer.
 
 Everything is a matrix: scalars are 1x1, vectors are 1xd. Most ops also take
-a batch of matrices, V x rows x cols (decoder variants, or attention heads via
-split_heads), and a 2-D parameter used with one broadcasts over the batch axis
-(its gradient sums over that axis). Ops record their backward closure on the
-output tensor; ``backward`` on a scalar loss walks the implicit graph in
-reverse topological order once. Parameters default to float32; float64 is
-available (gradient checks run there, on the same code paths). Reductions
-that feed route lengths and means accumulate in float64.
+a batch of matrices, V x rows x cols (the variants of an instance that the
+encoder and decoder run together, or attention heads via split_heads; rows
+are the second-to-last axis), and a 2-D parameter used with one broadcasts
+over the batch axis (its gradient sums over that axis). Ops record their
+backward closure on the output tensor; ``backward`` on a scalar loss walks
+the implicit graph in reverse topological order once. Parameters default to
+float32; float64 is available (gradient checks run there, on the same code
+paths). Reductions that feed route lengths and means accumulate in float64.
 """
 
 import base64
@@ -215,25 +216,11 @@ def _concat(tensors, axis, name):
 
 
 def concat_rows(tensors):
-    return _concat(tensors, 0, "concat_rows")
+    return _concat(tensors, -2, "concat_rows")
 
 
 def concat_cols(tensors):
     return _concat(tensors, -1, "concat_cols")
-
-
-def stack(tensors):
-    """V same-shape 2-D tensors -> one V x rows x cols batch."""
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1 or tensors[0].data.ndim != 2:
-        raise ValueError(f"stack needs same-shape 2-D tensors: {[t.shape for t in tensors]}")
-    out_data = np.stack([t.data for t in tensors])
-
-    def backward(g, out):
-        for t, g_t in zip(tensors, g):
-            _accum(t, g_t)
-
-    return _make(out_data, tuple(tensors), backward)
 
 
 def _split(arr, n_heads):
@@ -268,30 +255,27 @@ def merge_heads(a, shape):
 
 
 def mean_rows(a):
-    """Column means -> 1xd. mean_rows([[2,4],[6,8]]) = [[4,6]]."""
-    n = a.shape[0]
-    out_data = a.data.mean(axis=0, dtype=np.float64).reshape(1, -1).astype(a.dtype)
+    """Column means of each matrix -> 1 x d, or V x 1 x d.
+    mean_rows([[2,4],[6,8]]) = [[4,6]]."""
+    n = a.shape[-2]
+    out_data = a.data.mean(axis=-2, keepdims=True, dtype=np.float64).astype(a.dtype)
 
     def backward(g, out):
-        _accum(a, np.repeat(g / n, n, axis=0))
+        _accum(a, np.repeat(g / n, n, axis=-2))
 
     return _make(out_data, (a,), backward)
 
 
 def gather_rows(a, indexes):
-    """Select rows by index (with repeats allowed); backward scatters.
-
-    A 2-D a takes a flat index list; a V x rows x d a takes V x K indexes,
-    row v of them into a[v], and gives V x K x d.
-    """
+    """Rows of a V x rows x d a by index (repeats allowed): row v of the
+    V x K indexes picks from a[v], giving V x K x d; backward scatters."""
     idx = np.asarray(indexes, dtype=np.intp)
-    if idx.ndim != a.data.ndim - 1 or (idx.ndim == 2 and len(idx) != a.shape[0]):
+    if a.data.ndim != 3 or idx.ndim != 2 or len(idx) != a.shape[0]:
         raise ValueError(f"gather_rows needs one index list per matrix, got "
                          f"{idx.shape} for {a.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2]):
         raise IndexError(f"gather_rows index out of range for {a.shape[-2]} rows")
-    if idx.ndim == 2:
-        idx = (np.arange(len(idx))[:, None], idx)
+    idx = (np.arange(len(idx))[:, None], idx)
     out_data = a.data[idx]
 
     def backward(g, out):

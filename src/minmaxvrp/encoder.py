@@ -7,15 +7,26 @@ here by init_params and live in one flat name -> Tensor dict.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from . import diffcore as dc
-from .problems import KINDS, MULTI_DEPOT_KINDS, Instance
+from .problems import KINDS, MULTI_DEPOT_KINDS
 
 PE_KINDS = ("rotation", "sinusoidal")
+
+
+def check_field_types(config, what):
+    """Raise a ValueError naming the first int, float, str or bool field of
+    a config dataclass that holds another type (an int passes for a float)."""
+    for f in fields(config):
+        want = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool}.get(f.type)
+        value = getattr(config, f.name)
+        if want and (not isinstance(value, want) or isinstance(value, bool) != (f.type is bool)):
+            raise ValueError(f"{what} field {f.name} must be {f.type.__name__}, got {value!r}")
 
 
 @dataclass
@@ -31,6 +42,7 @@ class ModelConfig:
     use_nav: bool = True
 
     def __post_init__(self):
+        check_field_types(self, "model")
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.pe not in PE_KINDS:
@@ -55,6 +67,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, rec):
+        if not isinstance(rec, dict):
+            raise ValueError(f"model must be a JSON object, got {rec!r}")
         extra = set(rec) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown model config keys: {sorted(extra)}")
@@ -63,7 +77,7 @@ class ModelConfig:
 
 @dataclass
 class Embeddings:
-    """Encoder output streams: agents M x d, customers N x d, depots D x d."""
+    """Encoder output streams, V variants x rows x d: agents, customers, depots."""
 
     H_a: dc.Tensor
     H_c: dc.Tensor
@@ -126,21 +140,26 @@ def _rotation_tables(n_pos, d):
     return cos_t, sin_t, swap
 
 
+def _tile(row, n_rows, V=None):
+    """n_rows copies of a 1 x d row by a ones-matmul, per matrix of a V x 1 x d row or V times."""
+    lead = row.shape[:-2] if V is None else (V,)
+    return dc.matmul(dc.constant(np.ones(lead + (n_rows, 1))), row)
+
+
 def rotation_pe(base, n_pos, w_pe):
-    """Rotate the 1 x d base by position-dependent pair angles, project by w_pe.
+    """Rotate the (V x) 1 x d base by position-dependent pair angles, project by w_pe.
 
     Row m rotates each (2p, 2p+1) pair of base by m * theta_{p+1}; row 0 is
     therefore exactly base @ w_pe. Differentiable in base and w_pe.
     """
-    d = base.shape[1]
+    d = base.shape[-1]
     if d % 2 != 0:
         raise ValueError("rotation_pe needs an even dimension")
     cos_t, sin_t, swap = _rotation_tables(n_pos, d)
-    ones = dc.constant(np.ones((n_pos, 1)))
-    tiled = dc.matmul(ones, base)                       # n_pos x d
+    tiled = _tile(base, n_pos)                          # (V x) n_pos x d
     swapped = dc.matmul(tiled, dc.constant(swap))
-    rotated = dc.add(dc.mul(tiled, dc.constant(cos_t)),
-                     dc.mul(swapped, dc.constant(sin_t)))
+    rotated = dc.add(dc.mul(tiled, dc.constant(np.broadcast_to(cos_t, tiled.shape))),
+                     dc.mul(swapped, dc.constant(np.broadcast_to(sin_t, tiled.shape))))
     return dc.matmul(rotated, w_pe)
 
 
@@ -280,8 +299,7 @@ def _mh_attention(X, C, params, prefix, n_heads, scaled,
     if pickup_rows is None:
         q = dc.matmul(X, params[f"{prefix}.q"])
     else:
-        pick = dc.constant(np.repeat(pickup_rows.astype(np.float64)[:, None],
-                                     X.shape[1], axis=1))
+        pick = dc.constant(np.broadcast_to(pickup_rows[:, None], X.shape))
         q = dc.add(dc.mul(dc.matmul(X, params[f"{prefix}.qp"]), pick),
                    dc.mul(dc.matmul(X, params[f"{prefix}.qd"]), dc.constant(1.0 - pick.data)))
     k_t, v = keys_values(C, params, prefix, n_heads)
@@ -337,52 +355,42 @@ def _layer(emb, params, layer, cfg, pickup_rows, probe):
 # forward pass
 # ---------------------------------------------------------------------------
 
-def initial_embeddings(instance, cfg, params):
-    """Project coordinates and add agent positional encodings."""
-    d = cfg.d_model
-    M = instance.M
-    coords = dc.constant(instance.coords)
+def initial_embeddings(variants, cfg, params):
+    """Project the coordinates of V same-size variants of an instance and
+    add agent positional encodings; every stream is V x rows x d."""
+    ins, sizes = variants[0], [(v.kind, v.N, v.D, v.M) for v in variants]
+    if set(sizes) != {(cfg.kind, ins.N, ins.D, ins.M)}:
+        raise ValueError(f"encode needs {cfg.kind} variants of one size, got {sizes}")
+    d, M, V = cfg.d_model, ins.M, len(variants)
+    coords = dc.constant(np.stack([v.coords for v in variants]))
     H_c = dc.add(dc.matmul(coords, params["embed.customer.W"]),
-                 params["embed.customer.b"])
-    if cfg.kind == "MPDP":
-        half = np.ones((instance.n_pairs, 1))
-        types = dc.concat_rows([
-            dc.matmul(dc.constant(half), params["embed.pickup.b"]),
-            dc.matmul(dc.constant(half), params["embed.delivery.b"]),
-        ])
-        H_c = dc.add(H_c, types)
+                 _tile(params["embed.customer.b"], 1, V))
+    if cfg.kind == "MPDP":  # pickup and delivery type biases
+        H_c = dc.add(H_c, dc.concat_rows([_tile(params["embed.pickup.b"], ins.n_pairs, V),
+                                          _tile(params["embed.delivery.b"], ins.n_pairs, V)]))
 
-    ones_m = dc.constant(np.ones((M, 1)))
-    depot_proj = dc.add(dc.matmul(dc.constant(instance.depot_coords),
-                                  params["embed.depot.W"]),
-                        params["embed.depot.b"])
-    if cfg.multi_depot:
-        seed = params["embed.agent_seed"]
-        if cfg.pe == "rotation":
-            H_a = rotation_pe(seed, M, params["pe.proj"])
-        else:
-            H_a = dc.add(dc.matmul(ones_m, seed),
-                         dc.constant(sinusoidal_pe(M, d)))
-        return Embeddings(H_a=H_a, H_c=H_c, H_d=depot_proj)
-
-    # single depot: the agent base is the projected depot coordinate
+    depots = dc.constant(np.stack([v.depot_coords for v in variants]))
+    depot_proj = dc.add(dc.matmul(depots, params["embed.depot.W"]),
+                        _tile(params["embed.depot.b"], 1, V))
+    # the agent base: a learned seed, or a single depot's projection
+    base = _tile(params["embed.agent_seed"], 1, V) if cfg.multi_depot else depot_proj
     if cfg.pe == "rotation":
-        pe_rows = rotation_pe(depot_proj, M, params["pe.proj"])
+        pe_rows = rotation_pe(base, M, params["pe.proj"])
     else:
-        pe_rows = dc.constant(sinusoidal_pe(M, d))
-    H_a = dc.add(dc.matmul(ones_m, depot_proj), pe_rows)
-    return Embeddings(H_a=H_a, H_c=H_c)
+        pe_rows = dc.constant(np.broadcast_to(sinusoidal_pe(M, d), (V, M, d)))
+    # a multi-depot agent row is the rotated seed itself
+    H_a = (pe_rows if cfg.multi_depot and cfg.pe == "rotation"
+           else dc.add(_tile(base, M), pe_rows))
+    return Embeddings(H_a=H_a, H_c=H_c, H_d=depot_proj if cfg.multi_depot else None)
 
 
-def encode(instance, cfg, params, probe=None):
-    """Run the full encoder: initial embeddings plus n_layers layers."""
-    if instance.kind != cfg.kind:
-        raise ValueError(f"instance kind {instance.kind} != config {cfg.kind}")
+def encode(variants, cfg, params, probe=None):
+    """Initial embeddings plus n_layers layers, in one pass over a list of V
+    same-size variants of an instance. A probe records the first variant's scores."""
     check_params(cfg, params)
-    emb = initial_embeddings(instance, cfg, params)
-    pickup_rows = None
-    if cfg.kind == "MPDP":
-        pickup_rows = np.arange(instance.N) < instance.n_pairs
+    emb = initial_embeddings(variants, cfg, params)
+    ins = variants[0]
+    pickup_rows = np.arange(ins.N) < ins.n_pairs if cfg.kind == "MPDP" else None
     for l in range(cfg.n_layers):
         emb = _layer(emb, params, l, cfg, pickup_rows, probe)
     return emb

@@ -17,8 +17,7 @@ KINDS = ("MTSP", "MPDP", "MDVRP", "FMDVRP")
 SINGLE_DEPOT_KINDS = ("MTSP", "MPDP")
 MULTI_DEPOT_KINDS = ("MDVRP", "FMDVRP")
 
-# The 8 symmetries of the unit square as (x, y) -> (x', y') maps. Each is its
-# own inverse except the two rotations, which invert each other.
+# The 8 symmetries of the unit square as (x, y) -> (x', y') maps.
 AUG8_MAPS = (
     lambda x, y: (x, y),
     lambda x, y: (y, x),
@@ -29,7 +28,6 @@ AUG8_MAPS = (
     lambda x, y: (1.0 - y, x),
     lambda x, y: (1.0 - y, 1.0 - x),
 )
-AUG8_INVERSE_INDEX = (0, 1, 2, 3, 4, 6, 5, 7)
 
 
 @dataclass
@@ -187,18 +185,11 @@ def validate(solution, instance):
 
 
 def augment8(instance):
-    """The 8 dihedral symmetries of the unit square.
-
-    Returns (instances, inverse_indexes): element 0 is the original;
-    AUG8_MAPS[inverse_indexes[a]] maps instance a's coordinates back.
-    """
-    out = []
-    for amap in AUG8_MAPS:
-        coords = np.column_stack(amap(instance.coords[:, 0], instance.coords[:, 1]))
-        depots = np.column_stack(amap(instance.depot_coords[:, 0], instance.depot_coords[:, 1]))
-        out.append(Instance(kind=instance.kind, coords=coords, depot_coords=depots,
-                            M=instance.M, uid=instance.uid))
-    return out, list(AUG8_INVERSE_INDEX)
+    """The 8 dihedral symmetries of the unit square as 8 instances, one per
+    AUG8_MAPS entry; element 0 is the original."""
+    return [Instance(kind=instance.kind, coords=np.column_stack(amap(*instance.coords.T)),
+                     depot_coords=np.column_stack(amap(*instance.depot_coords.T)),
+                     M=instance.M, uid=instance.uid) for amap in AUG8_MAPS]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +229,24 @@ def atomic_write_text(path, text):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_json_file(path, what, parse):
+    """parse(the JSON object in a file). A file that is not JSON or not an
+    object, or whose object parse rejects, fails as one ValueError line
+    that names the file."""
+    try:
+        with open(path) as f:
+            rec = json.load(f)
+        if not isinstance(rec, dict):
+            raise ValueError(f"the file holds a {type(rec).__name__}, not a JSON object")
+        return parse(rec)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{what} {path} has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
 
 
 def write_instances(path, instances):

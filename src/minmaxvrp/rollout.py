@@ -185,8 +185,8 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     """Roll out K permutations of each of V same-size instances in lockstep.
 
     instances is one Instance, or V variants of one (such as its augment8
-    symmetries); each is encoded once, and one decode step serves all
-    R = V x K rollouts. Returns (list of R RouteSets in row order
+    symmetries); one encoder pass covers them all, and one decode step
+    serves all R = V x K rollouts. Returns (list of R RouteSets in row order
     a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
     sampled actions, one row at a time in row order, and the multi-depot
     pre-start nodes (see DecodeState, which also takes one Generator per
@@ -200,15 +200,14 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
         raise ValueError("sampled decoding needs an rng")
     state = DecodeState(instances, perms, rng)
     V, K = len(state.variants), len(perms)
-    embs = [en.encode(var, cfg, params) for var in state.variants]
-    H_a = dc.stack([emb.H_a for emb in embs])
-    cand = dc.stack([de.candidate_rows(emb) for emb in embs])
-    pooled = dc.stack([de.pooled_graph(emb, params) for emb in embs])
+    emb = en.encode(state.variants, cfg, params)
+    cand = de.candidate_rows(emb)
+    pooled = de.pooled_graph(emb, params)
     kv = de.glimpse_kv(cand, cfg, params)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
     total = None
     while not state.terminal:
-        ctx = de.context(state, H_a, cand, pooled, params)
+        ctx = de.context(state, emb.H_a, cand, pooled, params)
         q = de.glimpse(ctx, kv, cfg, params)
         exp_rows = de.dist_exp_row(state)
         masks = de.feasibility_mask(state)
@@ -256,7 +255,7 @@ def infer(instance, cfg, params, n_per=1, use_aug8=False, seed=0):
     for _ in range(n_per - 1):
         perms.append(tuple(int(v) for v in perm_rng.permutation(M)))
 
-    variants = pb.augment8(instance)[0] if use_aug8 else [instance]
+    variants = pb.augment8(instance) if use_aug8 else [instance]
     node_rngs = [np.random.default_rng((seed, instance.uid, 2, a))
                  for a in range(len(variants))]
     with dc.no_grad():

@@ -45,6 +45,7 @@ class TrainConfig:
     model: en.ModelConfig = None
 
     def __post_init__(self):
+        en.check_field_types(self, "train config")
         if self.kind not in pb.KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.model is None:
@@ -282,19 +283,14 @@ def save_checkpoint(path, cfg, params, opt):
 _V1_HEAD = re.compile(r"(.+\.(?:qp|qd|q|k|v))(\d+)")
 
 
-def _load(path):
-    """(ModelConfig, params, optimizer record, read) of a checkpoint file.
-
-    read(what, records) decodes array records, fuses v1 heads side by side
-    in head order, and raises a one-line ValueError on the first entry
-    that is missing, mis-shaped or unknown against init_params' shapes.
-    """
-    with open(path) as f:
-        payload = json.load(f)
+def _from_payload(payload, optimizer):
+    """(ModelConfig, params, AdamState or None) of a checkpoint's JSON
+    object; v1 heads are fused side by side in head order, and the first
+    missing, mis-shaped or unknown entry raises a ValueError."""
     version = payload.get("format_version")
     if version not in (1, CHECKPOINT_VERSION):
-        raise ValueError(f"checkpoint format version {version} is not a "
-                         f"supported version (1 or {CHECKPOINT_VERSION})")
+        raise ValueError(f"format version {version} is not a supported "
+                         f"version (1 or {CHECKPOINT_VERSION})")
     cfg = en.ModelConfig.from_dict(payload["model"])
     shapes = {name: p.shape for name, p in
               en.init_params(cfg, np.random.default_rng(0)).items()}
@@ -310,13 +306,20 @@ def _load(path):
             have = arrays[name].shape if name in arrays else "missing"
             want = shapes.get(name, "no such entry")
             if have != want:
-                raise ValueError(f"checkpoint {what} entry {name} is {have}; "
-                                 f"the stored model config expects {want}")
+                raise ValueError(f"{what} entry {name} is {have}; the stored "
+                                 f"model config expects {want}")
         return {name: arrays[name] for name in shapes}
 
     params = {name: dc.Tensor(arr, requires_grad=True, dtype=arr.dtype)
               for name, arr in read("params", payload["params"]).items()}
-    return cfg, params, payload["optimizer"], read
+    if not optimizer:
+        return cfg, params, None
+    o = payload["optimizer"]
+    opt = dc.AdamState(params, lr=o["lr"], lr_decay=o["lr_decay"],
+                       beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"])
+    opt.step_count = int(o["step_count"])
+    opt.m, opt.v = read("optimizer.m", o["m"]), read("optimizer.v", o["v"])
+    return cfg, params, opt
 
 
 def load_model(path):
@@ -324,15 +327,13 @@ def load_model(path):
 
     Every parameter must have the name and shape that init_params gives
     the stored config; format v1 (per-head attention matrices) is fused.
+    Any fault of the file fails as one line naming it.
     """
-    return _load(path)[:2]
+    return pb.read_json_file(path, "checkpoint",
+                             lambda payload: _from_payload(payload, False)[:2])
 
 
 def load_checkpoint(path):
     """load_model plus the AdamState, whose moments are checked the same way."""
-    cfg, params, o, read = _load(path)
-    opt = dc.AdamState(params, lr=o["lr"], lr_decay=o["lr_decay"],
-                       beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"])
-    opt.step_count = int(o["step_count"])
-    opt.m, opt.v = read("optimizer.m", o["m"]), read("optimizer.v", o["v"])
-    return cfg, params, opt
+    return pb.read_json_file(path, "checkpoint",
+                             lambda payload: _from_payload(payload, True))

@@ -262,8 +262,8 @@ def test_criterion_5_rezero_identity(capsys):
         D = 2 if cfg.multi_depot else 1
         ins = pb.gen_uniform(kind, 7 if kind != "MPDP" else 6, D, 3,
                              seed=50 + seed)
-        out = en.encode(ins, cfg, params)
-        base = en.initial_embeddings(ins, cfg, params)
+        out = en.encode([ins], cfg, params)
+        base = en.initial_embeddings([ins], cfg, params)
         same = (np.array_equal(out.H_a.data, base.H_a.data)
                 and np.array_equal(out.H_c.data, base.H_c.data))
         if cfg.multi_depot:
@@ -288,7 +288,7 @@ def test_criterion_6_augmentation_isometry(capsys):
         ins = pb.gen_uniform(kind, 8, D, 2, seed=6000 + i)
         sol = random_feasible(ins, rng)
         base = pb.minmax_objective(sol, ins)
-        variants, _ = pb.augment8(ins)
+        variants = pb.augment8(ins)
         for var in variants:
             worst = max(worst, abs(pb.minmax_objective(sol, var) - base))
     ok = worst <= 1e-9

@@ -131,6 +131,59 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert code == 1 and "optimizer" in err
 
 
+def _set(rec, path, value):
+    *head, last = path
+    for key in head:
+        rec = rec[key]
+    rec[last] = value
+
+
+@pytest.mark.parametrize("field,value", [
+    (("N",), "8"), (("K",), 2.5), (("epochs",), True),
+    (("model", "d_model"), "32"), (("model", "use_nav"), "no"),
+    (("model",), "default")])
+def test_train_config_type_errors_name_the_file_and_field(tmp_path, capsys,
+                                                          field, value):
+    cfg_path = tmp_path / "train.json"
+    rec = write_config(cfg_path).to_dict()
+    _set(rec, field, value)
+    cfg_path.write_text(json.dumps(rec))
+    code, _out, err = run(["train", "--config", cfg_path,
+                           "--out-dir", tmp_path / "r"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert str(cfg_path) in err and field[-1] in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_train_config_that_is_not_json_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text('{"kind": "MTSP" "N": 4}')
+    code, _out, err = run(["train", "--config", cfg_path,
+                           "--out-dir", tmp_path / "r"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert f"{cfg_path} is not JSON" in err
+
+
+@pytest.mark.parametrize("text,what", [
+    ("not a checkpoint{", "is not JSON"),
+    ("[1, 2]", "holds a list"),
+    ('{"format_version": 2, "model": {"kind": "MTSP"}, "optimizer": {}}',
+     "no 'params' entry"),
+    ('{"format_version": 2, "model": {"kind": "MTSP", "d_model": "32"}, '
+     '"params": {}, "optimizer": {}}', "field d_model"),
+])
+def test_solve_bad_checkpoint_names_the_file(tmp_path, capsys, text, what):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text(text)
+    data = tmp_path / "data.jsonl"
+    assert run(["gen", "--kind", "MTSP", "--n", 5, "--count", 1,
+                "--out", data]) == 0
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                           "--out", tmp_path / "sol.jsonl"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert str(ckpt) in err and what in err
+
+
 def test_finetune_adopts_checkpoint_model(tmp_path):
     cfg_path = tmp_path / "train.json"
     write_config(cfg_path)
@@ -298,6 +351,12 @@ def test_parse_tsplib_errors(tmp_path, capsys):
     code, _out, err = run(["parse-tsplib", "--in", wrong_dim, "--m", 2,
                            "--out", tmp_path / "o"], capsys)
     assert code == 1 and "DIMENSION" in err
+
+    wrong_dim.write_text("DIMENSION : three\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+                         "NODE_COORD_SECTION\n1 0 0\n2 1 1\n3 2 2\nEOF\n")
+    code, _out, err = run(["parse-tsplib", "--in", wrong_dim, "--m", 2,
+                           "--out", tmp_path / "o"], capsys)
+    assert code == 1 and str(wrong_dim) in err and "DIMENSION 'three'" in err
 
 
 def test_normalized_for_model():

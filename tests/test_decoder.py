@@ -30,11 +30,11 @@ def mask0(state):
     return de.feasibility_mask(state)[0].tolist()
 
 
-def batch_inputs(embs, cfg, params):
-    """The per-batch tensors decode_batch builds from V embeddings."""
-    cand = dc.stack([de.candidate_rows(e) for e in embs])
-    return (dc.stack([e.H_a for e in embs]), cand,
-            dc.stack([de.pooled_graph(e, params) for e in embs]),
+def batch_inputs(emb, cfg, params):
+    """The per-batch tensors decode_batch builds from the V-variant
+    embeddings."""
+    cand = de.candidate_rows(emb)
+    return (emb.H_a, cand, de.pooled_graph(emb, params),
             de.glimpse_kv(cand, cfg, params),
             dc.transpose(dc.matmul(cand, params["dec.logit"])))
 
@@ -116,7 +116,7 @@ def test_mask_multi_depot_phases():
 def test_masked_probability_is_exactly_zero():
     cfg, params = tiny_model("MTSP")
     ins = mtsp(5, 2)
-    H_a, cand, pooled, kv, proj = batch_inputs([en.encode(ins, cfg, params)],
+    H_a, cand, pooled, kv, proj = batch_inputs(en.encode([ins], cfg, params),
                                                  cfg, params)
     s = one(ins, (0, 1))
     ctx = de.context(s, H_a, cand, pooled, params)
@@ -162,7 +162,7 @@ def test_dist_exp_row_range_and_fallback():
 def test_alpha_d_only_shifts_logits_not_masks():
     cfg, params = tiny_model("MTSP", seed=3)
     ins = mtsp(6, 2)
-    H_a, cand, pooled, kv, proj = batch_inputs([en.encode(ins, cfg, params)],
+    H_a, cand, pooled, kv, proj = batch_inputs(en.encode([ins], cfg, params),
                                                  cfg, params)
     s = one(ins, (0, 1))
     mask = de.feasibility_mask(s)[None]
@@ -272,7 +272,7 @@ def test_context_row_shape_and_multi_depot_pool():
         cfg, params = tiny_model(kind)
         ins = pb.gen_uniform(kind, N=5, D=2 if kind == "MDVRP" else 1,
                              M=2, seed=1)
-        H_a, cand, pooled, _, _ = batch_inputs([en.encode(ins, cfg, params)],
+        H_a, cand, pooled, _, _ = batch_inputs(en.encode([ins], cfg, params),
                                                cfg, params)
         s = one(ins, (0, 1), rng=np.random.default_rng(0))
         row = de.context(s, H_a, cand, pooled, params)
@@ -288,12 +288,12 @@ def test_context_rows_match_one_state_calls(kind):
     cfg, params = tiny_model(kind, seed=4)
     multi = kind in ("MDVRP", "FMDVRP")
     ins = pb.gen_uniform(kind, N=6, D=2 if multi else 1, M=2, seed=6)
-    variants = [ins, pb.augment8(ins)[0][5]]
+    variants = [ins, pb.augment8(ins)[5]]
     perms = [(1, 0), (0, 1), (1, 0)]
-    embs = [en.encode(v, cfg, params) for v in variants]
-    H_a, cand, pooled, _, _ = batch_inputs(embs, cfg, params)
-    singles = [(one(v, o), batch_inputs([e], cfg, params))
-               for v, e in zip(variants, embs) for o in perms]
+    H_a, cand, pooled, _, _ = batch_inputs(en.encode(variants, cfg, params),
+                                           cfg, params)
+    singles = [(one(v, o), batch_inputs(en.encode([v], cfg, params), cfg, params))
+               for v in variants for o in perms]
     batch = ro.DecodeState(variants, perms)
     rng = np.random.default_rng(1)
     while not batch.terminal:
@@ -313,7 +313,7 @@ def test_context_rows_match_one_state_calls(kind):
 def test_glimpse_gradients_reach_encoder_params():
     cfg, params = tiny_model("MTSP", seed=2)
     ins = mtsp(5, 2)
-    H_a, cand, pooled, kv, _ = batch_inputs([en.encode(ins, cfg, params)],
+    H_a, cand, pooled, kv, _ = batch_inputs(en.encode([ins], cfg, params),
                                             cfg, params)
     s = one(ins, (0, 1))
     ctx = de.context(s, H_a, cand, pooled, params)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,8 +225,8 @@ def test_rezero_identity_at_init(kind):
     cfg = CFGS[kind]
     params = en.init_params(cfg, np.random.default_rng(0))
     ins = INS[kind]
-    first = en.initial_embeddings(ins, cfg, params)
-    out = en.encode(ins, cfg, params)
+    first = en.initial_embeddings([ins], cfg, params)
+    out = en.encode([ins], cfg, params)
     assert np.array_equal(out.H_a.data, first.H_a.data)
     assert np.array_equal(out.H_c.data, first.H_c.data)
     if cfg.multi_depot:
@@ -238,8 +239,8 @@ def test_identical_customers_identical_rows():
     coords = np.array([[0.3, 0.4], [0.3, 0.4], [0.9, 0.1]])
     ins = pb.Instance(kind="MTSP", coords=coords,
                       depot_coords=np.array([[0.5, 0.5]]), M=2)
-    emb = en.initial_embeddings(ins, cfg, params)
-    assert np.array_equal(emb.H_c.data[0], emb.H_c.data[1])
+    emb = en.initial_embeddings([ins], cfg, params)
+    assert np.array_equal(emb.H_c.data[0, 0], emb.H_c.data[0, 1])
 
 
 def test_agent_rows_pairwise_distinct():
@@ -247,10 +248,10 @@ def test_agent_rows_pairwise_distinct():
         cfg = en.ModelConfig(kind="MTSP", n_layers=1, d_model=16, n_heads=2, pe=pe)
         params = en.init_params(cfg, np.random.default_rng(2))
         ins = pb.gen_uniform("MTSP", N=6, D=1, M=4, seed=3)
-        emb = en.initial_embeddings(ins, cfg, params)
+        emb = en.initial_embeddings([ins], cfg, params)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert np.abs(emb.H_a.data[i] - emb.H_a.data[j]).max() > 1e-6
+                assert np.abs(emb.H_a.data[0, i] - emb.H_a.data[0, j]).max() > 1e-6
 
 
 def test_customer_permutation_equivariance():
@@ -260,9 +261,9 @@ def test_customer_permutation_equivariance():
     perm = np.random.default_rng(6).permutation(ins.N)
     shuffled = pb.Instance(kind="MTSP", coords=ins.coords[perm],
                            depot_coords=ins.depot_coords, M=ins.M, uid=ins.uid)
-    a = en.encode(ins, cfg, params)
-    b = en.encode(shuffled, cfg, params)
-    assert np.allclose(a.H_c.data[perm], b.H_c.data, atol=1e-8)
+    a = en.encode([ins], cfg, params)
+    b = en.encode([shuffled], cfg, params)
+    assert np.allclose(a.H_c.data[:, perm], b.H_c.data, atol=1e-8)
     assert np.allclose(a.H_a.data, b.H_a.data, atol=1e-8)
 
 
@@ -270,8 +271,8 @@ def test_layer_zero_config_returns_initial_embeddings():
     cfg = en.ModelConfig(kind="MTSP", n_layers=0, d_model=16, n_heads=2)
     params = en.init_params(cfg, np.random.default_rng(4))
     ins = INS["MTSP"]
-    out = en.encode(ins, cfg, params)
-    first = en.initial_embeddings(ins, cfg, params)
+    out = en.encode([ins], cfg, params)
+    first = en.initial_embeddings([ins], cfg, params)
     assert np.array_equal(out.H_c.data, first.H_c.data)
 
 
@@ -280,7 +281,7 @@ def test_nav_toggle_drops_nav_blocks():
                          use_nav=False)
     params = en.init_params(cfg, np.random.default_rng(0))
     assert not any("nav" in k for k in params)
-    out = en.encode(INS["MTSP"], cfg, params)
+    out = en.encode([INS["MTSP"]], cfg, params)
     assert np.isfinite(out.H_c.data).all()
 
 
@@ -288,7 +289,7 @@ def test_encode_kind_mismatch_and_param_mismatch():
     cfg = CFGS["MTSP"]
     params = en.init_params(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        en.encode(INS["MDVRP"], cfg, params)
+        en.encode([INS["MDVRP"]], cfg, params)
     small = en.ModelConfig(kind="MTSP", n_layers=2, d_model=8, n_heads=2)
     with pytest.raises(ValueError, match="d_model"):
         en.check_params(small, params)
@@ -310,9 +311,41 @@ def test_model_config_validation():
 def test_forward_finite_random_params(kind):
     cfg = CFGS[kind]
     params = params64(cfg, 31)
-    out = en.encode(INS[kind], cfg, params)
+    out = en.encode([INS[kind]], cfg, params)
     assert np.isfinite(out.H_a.data).all()
     assert np.isfinite(out.H_c.data).all()
+
+
+BATCH_CASES = [pytest.param(kind, {}, id=kind) for kind in CFGS] + [
+    pytest.param(kind, {name: value}, id=f"{kind}-{name}={value}")
+    for kind in ("MTSP", "MDVRP")
+    for name, value in (("n_layers", 0), ("pe", "sinusoidal"))]
+
+
+@pytest.mark.parametrize("kind,change", BATCH_CASES)
+def test_batched_encode_matches_one_variant_encodes(kind, change):
+    """Slice a of one encode over the 8 symmetries is bit-equal to the
+    encode of symmetry a alone, in the model's float32."""
+    cfg = replace(CFGS[kind], **change)
+    params = {name: dc.Tensor(t.data, requires_grad=True)
+              for name, t in params64(cfg, 41).items()}
+    variants = pb.augment8(INS[kind])
+    batched = en.encode(variants, cfg, params)
+    assert batched.H_c.shape == (8, INS[kind].N, cfg.d_model)
+    for a, var in enumerate(variants):
+        one = en.encode([var], cfg, params)
+        for stream in ("H_a", "H_c", "H_d"):
+            got, want = getattr(batched, stream), getattr(one, stream)
+            if want is not None:
+                assert np.array_equal(got.data[a], want.data[0]), (a, stream)
+
+
+def test_encode_rejects_mixed_variants():
+    cfg = CFGS["MTSP"]
+    params = en.init_params(cfg, np.random.default_rng(0))
+    other = pb.gen_uniform("MTSP", N=7, D=1, M=2, seed=1)
+    with pytest.raises(ValueError, match="variants of one size"):
+        en.encode([INS["MTSP"], other], cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +357,7 @@ def test_probe_exports_three_single_depot_relations():
     ins = INS["MTSP"]
     params = params64(cfg, 8)
     probe = en.ProbeStore()
-    en.encode(ins, cfg, params, probe=probe)
+    en.encode([ins], cfg, params, probe=probe)
     blocks = en.attention_probe(probe, 0, 0)
     assert sorted(blocks) == ["agent_customer", "customer_agent",
                               "customer_customer"]
@@ -339,7 +372,7 @@ def test_probe_exports_seven_multi_depot_relations():
     ins = INS["MDVRP"]
     params = params64(cfg, 9)
     probe = en.ProbeStore()
-    en.encode(ins, cfg, params, probe=probe)
+    en.encode([ins], cfg, params, probe=probe)
     blocks = en.attention_probe(probe, 1, 1)
     assert len(blocks) == 7
     assert blocks["depot_customer"][0].shape == (ins.D, ins.N)
@@ -365,7 +398,7 @@ def test_full_encoder_grad_check(kind):
     cfg = en.ModelConfig(kind=kind, n_layers=1, d_model=8, n_heads=2, d_ff=16)
     ins = pb.gen_uniform(kind, N=5, D=2 if kind == "MDVRP" else 1, M=2, seed=3)
     params = params64(cfg, 19)
-    worst = dc.grad_check(lambda _p: scalar_of(en.encode(ins, cfg, params)),
+    worst = dc.grad_check(lambda _p: scalar_of(en.encode([ins], cfg, params)),
                           params, samples_per_param=2,
                           rng=np.random.default_rng(0))
     assert worst < 5e-3
@@ -375,7 +408,7 @@ def test_mpdp_split_query_grad_check():
     cfg = en.ModelConfig(kind="MPDP", n_layers=1, d_model=8, n_heads=2, d_ff=16)
     ins = pb.gen_uniform("MPDP", N=6, D=1, M=2, seed=4)
     params = params64(cfg, 23)
-    worst = dc.grad_check(lambda _p: scalar_of(en.encode(ins, cfg, params)),
+    worst = dc.grad_check(lambda _p: scalar_of(en.encode([ins], cfg, params)),
                           params, samples_per_param=2,
                           rng=np.random.default_rng(1))
     assert worst < 5e-3

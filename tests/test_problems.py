@@ -172,7 +172,7 @@ def test_validate_mdvrp_depot_rule():
 
 def test_augment_identity_element():
     ins = pb.gen_uniform("MTSP", N=8, D=1, M=2, seed=3)
-    augs, _ = pb.augment8(ins)
+    augs = pb.augment8(ins)
     assert np.array_equal(augs[0].coords, ins.coords)
     assert np.array_equal(augs[0].depot_coords, ins.depot_coords)
 
@@ -184,25 +184,16 @@ def test_augment_objectives_match():
         perm = rng.permutation(8)
         sol = pb.RouteSet(routes=[list(perm[:4]), list(perm[4:])])
         ref = pb.minmax_objective(sol, ins)
-        augs, _ = pb.augment8(ins)
+        augs = pb.augment8(ins)
         for aug in augs:
             assert abs(pb.minmax_objective(sol, aug) - ref) < 1e-9
 
 
 def test_augment_involution():
     ins = pb.gen_uniform("MTSP", N=6, D=1, M=2, seed=9)
-    augs, _ = pb.augment8(ins)
-    twice, _ = pb.augment8(augs[4])  # (1-x, 1-y) applied twice
+    augs = pb.augment8(ins)
+    twice = pb.augment8(augs[4])  # (1-x, 1-y) applied twice
     assert np.allclose(twice[4].coords, ins.coords)
-
-
-def test_augment_inverse_index_table():
-    ins = pb.gen_uniform("MDVRP", N=6, D=2, M=2, seed=9)
-    augs, inverse = pb.augment8(ins)
-    for a, inv in zip(augs, inverse):
-        x, y = a.coords[:, 0], a.coords[:, 1]
-        bx, by = pb.AUG8_MAPS[inv](x, y)
-        assert np.allclose(np.column_stack([bx, by]), ins.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_batched_rows_match_one_variant_decodes(kind):
     same pre-start depot draws."""
     cfg, params = tiny_model(kind, seed=2)
     ins = make(kind, N=8 if kind == "MPDP" else 7, M=3, D=3, seed=21)
-    variants = pb.augment8(ins)[0]
+    variants = pb.augment8(ins)
     perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
     results, total = ro.decode_batch(
         variants, perms, cfg, params,
@@ -330,7 +330,7 @@ def test_infer_decodes_every_symmetry_in_one_loop(monkeypatch):
         ins = make(kind, N=6, M=3, seed=4)
         ro.infer(ins, cfg, params, n_per=3, use_aug8=True)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
-        assert calls == {"logits": steps, "feasibility_mask": steps, "encode": 8}
+        assert calls == {"logits": steps, "feasibility_mask": steps, "encode": 1}
 
 
 def _instance(kind, N, M, D=1, coincident=False, seed=0):
@@ -430,6 +430,33 @@ def test_infer_monotone_in_sampling_budget():
     assert objs[0] >= objs[1] >= objs[2]
     aug = ro.infer(ins, cfg, params, n_per=4, use_aug8=True, seed=0).objective
     assert aug <= objs[1] + 1e-12
+
+
+MODELS = {kind: tiny_model(kind, seed=3) for kind in ALL_KINDS}
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_infer_never_worse_with_more_permutations_or_symmetries(kind, M, seed, data):
+    """The best objective does not rise as n_per grows, and the 8
+    symmetries never do worse than the original alone (up to infer's
+    1e-12 tie tolerance: of two near-equal solutions it keeps the first)."""
+    units = data.draw(st.integers(M, 3 if kind == "MPDP" else 6), label="N")
+    N = 2 * units if kind == "MPDP" else units
+    D = data.draw(st.integers(1, 3), label="D") if kind in ("MDVRP", "FMDVRP") else 1
+    rng = np.random.default_rng(seed)
+    ins = pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                      depot_coords=rng.uniform(0, 1, (D, 2)), M=M, uid=seed)
+    cfg, params = MODELS[kind]
+    obj = {(n, aug): ro.infer(ins, cfg, params, n_per=n, use_aug8=aug,
+                              seed=seed % 3).objective
+           for n in (1, 2, 5) for aug in (False, True)}
+    for aug in (False, True):
+        assert obj[1, aug] + 1e-12 >= obj[2, aug]
+        assert obj[2, aug] + 1e-12 >= obj[5, aug]
+    for n in (1, 2, 5):
+        assert obj[n, True] <= obj[n, False] + 1e-12
 
 
 def test_infer_rejects_bad_budget():

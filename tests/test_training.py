@@ -45,6 +45,20 @@ def test_config_rejects_bad_values():
         tiny_tc(epochs=-1)
 
 
+def test_config_rejects_wrong_types():
+    for bad, field in (({"N": "8"}, "N"), ({"K": 2.5}, "K"),
+                       ({"epochs": True}, "epochs"), ({"lr": "fast"}, "lr")):
+        with pytest.raises(ValueError, match=f"config field {field} must be"):
+            tiny_tc(**bad)
+    for bad, field in (({"d_model": "32"}, "d_model"), ({"n_layers": 1.0}, "n_layers"),
+                       ({"use_nav": "no"}, "use_nav"), ({"use_nav": 1}, "use_nav")):
+        with pytest.raises(ValueError, match=f"model field {field} must be"):
+            tiny_cfg("MTSP", **bad)
+    with pytest.raises(ValueError, match="JSON object"):
+        tr.TrainConfig.from_dict({"kind": "MTSP", "N": 4, "model": "default"})
+    assert tiny_tc(lr=1).lr == 1  # an int passes for a float
+
+
 def test_config_roundtrip_and_unknown_keys():
     tc = tiny_tc(kind="MDVRP", d_min=2, d_max=3, N=6,
                  model=tiny_cfg("MDVRP"))
