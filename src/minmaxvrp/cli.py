@@ -78,7 +78,14 @@ def _load_train_config(args, stored_model=None):
     return tc
 
 
-def _run_training_loop(tc, args, start_fn):
+def cmd_train(args):
+    """train, train --resume, and finetune: a resume at the config's lr."""
+    if args.resume is None:
+        tc, params, opt = _load_train_config(args), None, None
+    else:
+        tc, params, opt = tr.resume(
+            args.resume, lambda stored: _load_train_config(args, stored),
+            config_lr=args.config_lr)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.ckpt")
     metrics_path = os.path.join(args.out_dir, "metrics.jsonl")
@@ -90,30 +97,11 @@ def _run_training_loop(tc, args, start_fn):
         pb.atomic_write_text(metrics_path, tr.metrics_to_text(rows))
         print(tr.metrics_to_text([row]), end="")
 
-    params, opt, metrics = start_fn(on_epoch)
+    params, opt, metrics = tr.train(tc, params=params, opt=opt, on_epoch=on_epoch)
     tr.save_checkpoint(ckpt_path, tc.model, params, opt)
     pb.atomic_write_text(metrics_path, tr.metrics_to_text(metrics))
     print(f"finished {len(metrics)} epochs; checkpoint at {ckpt_path}")
     return 0
-
-
-def cmd_train(args):
-    if args.resume:
-        cfg, params, opt = tr.load_checkpoint(args.resume)
-        tc = _load_train_config(args, stored_model=cfg)
-        tr.check_model_matches(cfg, tc.model)
-        return _run_training_loop(
-            tc, args,
-            lambda cb: tr.train(tc, params=params, opt=opt, on_epoch=cb))
-    tc = _load_train_config(args)
-    return _run_training_loop(tc, args, lambda cb: tr.train(tc, on_epoch=cb))
-
-
-def cmd_finetune(args):
-    cfg, _params = tr.load_model(args.checkpoint)
-    tc = _load_train_config(args, stored_model=cfg)
-    return _run_training_loop(
-        tc, args, lambda cb: tr.finetune(args.checkpoint, tc, on_epoch=cb))
 
 
 def _solve_one(ins, cfg, params, args):
@@ -147,18 +135,8 @@ def cmd_solve(args):
     return 0
 
 
-def _read_solutions(path):
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(pb.solution_from_record(json.loads(line)))
-    return out
-
-
 def cmd_eval(args):
-    solutions = _read_solutions(args.solutions)
+    solutions = pb.read_jsonl(args.solutions, pb.solution_from_record)
     instances = pb.read_instances(args.dataset)
     if len(solutions) != len(instances):
         raise ValueError(f"{len(solutions)} solutions vs "
@@ -166,7 +144,7 @@ def cmd_eval(args):
     if args.ref == "oracle":
         refs = [oc.brute_force(ins).objective for ins in instances]
     else:
-        ref_solutions = _read_solutions(args.ref)
+        ref_solutions = pb.read_jsonl(args.ref, pb.solution_from_record)
         if len(ref_solutions) != len(instances):
             raise ValueError(f"{len(ref_solutions)} reference solutions vs "
                              f"{len(instances)} instances")
@@ -263,12 +241,11 @@ def cmd_plot_data(args):
     lines = []
     labels = _series_labels(args.metrics)
     for path, label in zip(args.metrics, labels):
-        with open(path) as f:
-            rows = tr.metrics_from_text(f.read())
+        rows = pb.read_jsonl(
+            path, lambda row: f"{label}\t{row['epoch']}\t{row['mean_obj']}\n")
         if not rows:
             raise ValueError(f"{path} holds no metrics rows")
-        for row in rows:
-            lines.append(f"{label}\t{row['epoch']}\t{row['mean_obj']}\n")
+        lines.extend(rows)
     pb.atomic_write_text(args.out, "".join(lines))
     print(f"wrote {len(lines)} points from {len(args.metrics)} runs "
           f"to {args.out}")
@@ -307,14 +284,15 @@ def build_parser():
                    help="override the positional-encoding family")
     t.add_argument("--no-navigation-part", action="store_true",
                    help="drop the within-route self-attention blocks")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, config_lr=False)
 
     ft = sub.add_parser("finetune",
-                        help="continue from a checkpoint at a new lr")
-    ft.add_argument("--checkpoint", required=True)
+                        help="resume a checkpoint at the config's lr")
+    ft.add_argument("--checkpoint", dest="resume", metavar="CHECKPOINT",
+                    required=True)
     ft.add_argument("--config", required=True)
     ft.add_argument("--out-dir", required=True)
-    ft.set_defaults(func=cmd_finetune)
+    ft.set_defaults(func=cmd_train, config_lr=True)
 
     s = sub.add_parser("solve", help="solve a dataset with a checkpoint")
     s.add_argument("--checkpoint", required=True)

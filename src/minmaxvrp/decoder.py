@@ -26,33 +26,31 @@ class DecodeConstants:
     """Per-variant arrays that every decode step reads, stacked over the V
     variants of one decode_batch.
 
-    cand_coords: V x C x 2 coordinates per candidate row (a single-depot
-    agent slot sits at the depot); cand_dist: V x C x C distances between
-    candidate rows. MPDP: pair_d V x P (pickup to delivery) and depot_d
-    V x N (depot to each customer). Other kinds: nearest V x N (each
-    customer to its nearest depot) and span V, the largest of those.
+    cand_dist: V x C x C distances between candidate rows (a single-depot
+    agent slot sits at the depot). The rest are read from it. MPDP: pair_d
+    V x P (pickup to delivery) and depot_d V x N (depot to each customer).
+    Other kinds: nearest V x N (each customer to its nearest depot) and
+    span V, the largest of those.
     """
 
     def __init__(self, variants):
         ins = variants[0]
         xy = np.stack([v.coords for v in variants])
         depots = np.stack([v.depot_coords for v in variants])
-        n_pairs = ins.n_pairs
         multi = ins.kind in ("MDVRP", "FMDVRP")
+        n_slots = ins.D if multi else ins.M
         slot_coords = depots if multi else np.repeat(depots, ins.M, axis=1)
-        cand = self.cand_coords = np.concatenate([slot_coords, xy], axis=1)
+        cand = np.concatenate([slot_coords, xy], axis=1)
         self.cand_dist = np.empty(cand.shape[:2] + cand.shape[1:2])
         for dist, c in zip(self.cand_dist, cand):  # one variant at a time: less memory
             np.sqrt(((c - c[:, None]) ** 2).sum(axis=2), out=dist)
+        slot_to_cust = self.cand_dist[:, :n_slots, n_slots:]
         if ins.kind == "MPDP":
-            self.pair_d = np.sqrt(((xy[:, :n_pairs] - xy[:, n_pairs:]) ** 2).sum(axis=2))
-            self.depot_d = np.sqrt(((xy - depots) ** 2).sum(axis=2))
+            pickup = n_slots + np.arange(ins.n_pairs)
+            self.pair_d = self.cand_dist[:, pickup, pickup + ins.n_pairs]
+            self.depot_d = slot_to_cust[:, 0]
             return
-        if multi:
-            d2 = ((xy[:, :, None, :] - depots[:, None, :, :]) ** 2).sum(axis=3)
-            self.nearest = np.sqrt(d2.min(axis=2))
-        else:
-            self.nearest = np.sqrt(((xy - depots) ** 2).sum(axis=2))
+        self.nearest = slot_to_cust.min(axis=1)
         self.span = self.nearest.max(axis=1)
 
 
@@ -199,7 +197,12 @@ def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     scores = dc.scale(dc.matmul(q, cand_proj_t),
                       1.0 / math.sqrt(d_model))
     bias = dc.scale(dc.constant(exp_rows), params["dec.alpha_dist"])
-    u = dc.scale(dc.tanh(dc.add(scores, bias)), LOGIT_CLIP)
+    pre = dc.add(scores, bias)
+    # every encoder and decoder value reaches this sum, so one check per
+    # step catches a NaN or inf from anywhere in the model
+    if not np.isfinite(pre.data).all():
+        raise FloatingPointError("non-finite values in the decoder logits")
+    u = dc.scale(dc.tanh(pre), LOGIT_CLIP)
     if not masks.any(axis=-1).all():
         raise ValueError("a decode state has no feasible action")
     penal = np.where(masks, 0.0, MASK_VALUE)

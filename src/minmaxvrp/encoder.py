@@ -246,19 +246,19 @@ def init_params(cfg, rng):
     return params
 
 
-def check_params(cfg, params):
-    """Raise if the parameter dict does not match the config's shapes."""
-    w = params.get("embed.customer.W")
-    if w is None:
-        raise ValueError("params missing embed.customer.W")
-    if w.shape[1] != cfg.d_model:
-        raise ValueError(f"config d_model={cfg.d_model} but params have "
-                         f"d_model={w.shape[1]}")
-    last = f"layer{cfg.n_layers - 1}.ca_ff.w1" if cfg.multi_depot \
-        else f"layer{cfg.n_layers - 1}.cust_ff.w1"
-    if cfg.n_layers > 0 and last not in params:
-        raise ValueError(f"params missing {last}: config expects "
-                         f"{cfg.n_layers} {cfg.kind} layers")
+def check_params(cfg, params, what="params"):
+    """Raise a ValueError naming the first entry of params (name -> Tensor
+    or array) that init_params(cfg) does not give the same name and shape:
+    a missing, mis-shaped or unknown one. Returns params in init order."""
+    shapes = {name: p.shape for name, p in
+              init_params(cfg, np.random.default_rng(0)).items()}
+    for name in list(shapes) + [n for n in params if n not in shapes]:
+        have = params[name].shape if name in params else "missing"
+        want = shapes.get(name, "no such entry")
+        if have != want:
+            raise ValueError(f"{what} entry {name} is {have}; the model "
+                             f"config expects {want}")
+    return {name: params[name] for name in shapes}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,6 @@ def initial_embeddings(variants, cfg, params):
 def encode(variants, cfg, params, probe=None):
     """Initial embeddings plus n_layers layers, in one pass over a list of V
     same-size variants of an instance. A probe records the first variant's scores."""
-    check_params(cfg, params)
     emb = initial_embeddings(variants, cfg, params)
     ins = variants[0]
     pickup_rows = np.arange(ins.N) < ins.n_pairs if cfg.kind == "MPDP" else None

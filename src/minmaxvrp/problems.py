@@ -209,8 +209,7 @@ def instance_to_line(instance):
                _fmt_pairs(instance.depot_coords), _fmt_pairs(instance.coords)))
 
 
-def instance_from_line(line):
-    rec = json.loads(line)
+def instance_from_record(rec):
     return Instance(kind=rec["kind"], coords=np.array(rec["customers"]),
                     depot_coords=np.array(rec["depots"]), M=int(rec["M"]),
                     uid=int(rec.get("uid", 0)))
@@ -254,17 +253,28 @@ def write_instances(path, instances):
                                     for ins in instances))
 
 
-def read_instances(path):
+def read_jsonl(path, parse):
+    """parse(record) of the JSON object on every non-blank line of a file.
+    Any fault of a line fails as one ValueError line `<path>:<line>: ...`."""
     out = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
+            if line.strip():
                 try:
-                    out.append(instance_from_line(line))
-                except (KeyError, TypeError, ValueError) as exc:
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError(f"the line holds a {type(rec).__name__}, "
+                                         f"not a JSON object")
+                    out.append(parse(rec))
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{lineno}: no {exc} entry") from None
+                except (TypeError, ValueError) as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
+
+
+def read_instances(path):
+    return read_jsonl(path, instance_from_record)
 
 
 def solution_to_record(solution, objective, permutation, aug_index):

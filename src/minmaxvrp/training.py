@@ -175,7 +175,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
     master = np.random.default_rng(tc.seed)
     if params is None:
         params = en.init_params(tc.model, master)
-    en.check_params(tc.model, params)
+    else:
+        en.check_params(tc.model, params)
     if opt is None:
         opt = dc.AdamState(params, lr=tc.lr, lr_decay=tc.lr_decay)
     metrics = []
@@ -229,16 +230,25 @@ def check_model_matches(stored, wanted):
                          f"config: {diffs}")
 
 
-def finetune(checkpoint_path, tc, on_epoch=None):
-    """Resume training from a checkpoint at tc's (usually smaller) lr.
+def resume(checkpoint_path, make_config, config_lr=False):
+    """(TrainConfig, params, AdamState) that continue a checkpoint's run.
 
-    tc.model must match the stored model configuration exactly; optimizer
-    moments are kept, the learning rate is replaced.
+    The checkpoint is read once; make_config(stored ModelConfig) gives the
+    TrainConfig, whose model must match the stored one exactly. Params,
+    Adam moments and step count carry over, and so does the stored
+    (decayed) lr unless config_lr takes lr and lr_decay from the config.
     """
     cfg, params, opt = load_checkpoint(checkpoint_path)
+    tc = make_config(cfg)
     check_model_matches(cfg, tc.model)
-    opt.lr = tc.lr
-    opt.lr_decay = tc.lr_decay
+    if config_lr:
+        opt.lr, opt.lr_decay = tc.lr, tc.lr_decay
+    return tc, params, opt
+
+
+def finetune(checkpoint_path, tc, on_epoch=None):
+    """Resume training from a checkpoint at tc's (usually smaller) lr."""
+    tc, params, opt = resume(checkpoint_path, lambda _stored: tc, config_lr=True)
     return train(tc, params=params, opt=opt, on_epoch=on_epoch)
 
 
@@ -249,10 +259,6 @@ def finetune(checkpoint_path, tc, on_epoch=None):
 def metrics_to_text(metrics):
     """One JSON object per line, fixed key order."""
     return "".join(json.dumps(row) + "\n" for row in metrics)
-
-
-def metrics_from_text(text):
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def save_checkpoint(path, cfg, params, opt):
@@ -286,14 +292,12 @@ _V1_HEAD = re.compile(r"(.+\.(?:qp|qd|q|k|v))(\d+)")
 def _from_payload(payload, optimizer):
     """(ModelConfig, params, AdamState or None) of a checkpoint's JSON
     object; v1 heads are fused side by side in head order, and the first
-    missing, mis-shaped or unknown entry raises a ValueError."""
+    missing, mis-shaped, unknown or non-finite entry raises a ValueError."""
     version = payload.get("format_version")
     if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"format version {version} is not a supported "
                          f"version (1 or {CHECKPOINT_VERSION})")
     cfg = en.ModelConfig.from_dict(payload["model"])
-    shapes = {name: p.shape for name, p in
-              en.init_params(cfg, np.random.default_rng(0)).items()}
 
     def read(what, records):
         arrays, heads = dc.records_to_arrays(records), {}
@@ -302,13 +306,11 @@ def _from_payload(payload, optimizer):
                 heads.setdefault(m[1], {})[int(m[2])] = arrays.pop(name)
         arrays.update((name, np.hstack([h[i] for i in sorted(h)]))
                       for name, h in heads.items())
-        for name in list(shapes) + [n for n in arrays if n not in shapes]:
-            have = arrays[name].shape if name in arrays else "missing"
-            want = shapes.get(name, "no such entry")
-            if have != want:
-                raise ValueError(f"{what} entry {name} is {have}; the stored "
-                                 f"model config expects {want}")
-        return {name: arrays[name] for name in shapes}
+        arrays = en.check_params(cfg, arrays, what)
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{what} entry {name} holds NaN or inf")
+        return arrays
 
     params = {name: dc.Tensor(arr, requires_grad=True, dtype=arr.dtype)
               for name, arr in read("params", payload["params"]).items()}
@@ -326,8 +328,9 @@ def load_model(path):
     """Read a checkpoint's (ModelConfig, params) without the optimizer.
 
     Every parameter must have the name and shape that init_params gives
-    the stored config; format v1 (per-head attention matrices) is fused.
-    Any fault of the file fails as one line naming it.
+    the stored config (encoder.check_params) and hold finite values;
+    format v1 (per-head attention matrices) is fused. Any fault of the
+    file fails as one line naming it.
     """
     return pb.read_json_file(path, "checkpoint",
                              lambda payload: _from_payload(payload, False)[:2])

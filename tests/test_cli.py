@@ -6,6 +6,7 @@ import pytest
 from conftest import tiny_cfg
 
 from minmaxvrp import cli
+from minmaxvrp import diffcore as dc
 from minmaxvrp import problems as pb
 from minmaxvrp import rollout as ro
 from minmaxvrp import training as tr
@@ -84,7 +85,7 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     code, out, _err = run(["train", "--config", cfg_path,
                            "--out-dir", out_dir], capsys)
     assert code == 0
-    rows = tr.metrics_from_text((out_dir / "metrics.jsonl").read_text())
+    rows = pb.read_jsonl(out_dir / "metrics.jsonl", dict)
     assert [r["epoch"] for r in rows] == [0, 1]
     cfg, params, opt = tr.load_checkpoint(out_dir / "checkpoint.ckpt")
     assert cfg.to_dict() == tc.model.to_dict()
@@ -205,6 +206,69 @@ def test_finetune_adopts_checkpoint_model(tmp_path):
         assert np.array_equal(before[k].data, params[k].data)
 
 
+@pytest.mark.parametrize("command", ["finetune", "resume"])
+def test_finetune_and_resume_read_the_checkpoint_once(tmp_path, monkeypatch,
+                                                       command):
+    cfg_path = tmp_path / "train.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "run"
+    assert run(["train", "--config", cfg_path, "--out-dir", out_dir]) == 0
+    ckpt = out_dir / "checkpoint.ckpt"
+    reads = []
+    read_json_file = pb.read_json_file
+
+    def counted(path, what, parse):
+        reads.append(what)
+        return read_json_file(path, what, parse)
+
+    monkeypatch.setattr(pb, "read_json_file", counted)
+    argv = (["finetune", "--checkpoint", ckpt] if command == "finetune"
+            else ["train", "--resume", ckpt])
+    assert run(argv + ["--config", cfg_path,
+                       "--out-dir", tmp_path / command]) == 0
+    assert reads.count("checkpoint") == 1
+
+
+def _poison_checkpoint(path, section, name, value):
+    """Set the first entry of one stored array (section "params",
+    "m" or "v") to value."""
+    payload = json.loads(path.read_text())
+    records = (payload["params"] if section == "params"
+               else payload["optimizer"][section])
+    arr = dc.records_to_arrays({name: records[name]})[name]
+    arr.flat[0] = value
+    records.update(dc.params_to_records({name: dc.constant(arr, dtype=arr.dtype)}))
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solve_rejects_a_non_finite_parameter_naming_the_entry(
+        trained, tmp_path, capsys, value):
+    ckpt, data = trained
+    _poison_checkpoint(ckpt, "params", "layer0.cust_attn.v", value)
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                           "--out", tmp_path / "x.jsonl"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert str(ckpt) in err
+    assert "params entry layer0.cust_attn.v holds NaN or inf" in err
+
+
+def test_resume_rejects_a_non_finite_adam_moment_naming_the_entry(
+        tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    write_config(cfg_path)
+    out_dir = tmp_path / "run"
+    assert run(["train", "--config", cfg_path, "--out-dir", out_dir]) == 0
+    ckpt = out_dir / "checkpoint.ckpt"
+    _poison_checkpoint(ckpt, "m", "dec.logit", float("nan"))
+    code, _out, err = run(["train", "--config", cfg_path, "--resume", ckpt,
+                           "--out-dir", tmp_path / "again"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert str(ckpt) in err
+    assert "optimizer.m entry dec.logit holds NaN or inf" in err
+    assert not (tmp_path / "again").exists()
+
+
 # ---------------------------------------------------------------------------
 # solve / eval
 # ---------------------------------------------------------------------------
@@ -265,6 +329,35 @@ def test_eval_count_mismatch(trained, tmp_path, capsys):
     code, _out, err = run(["eval", "--solutions", short, "--dataset", data],
                           capsys)
     assert code == 1 and "1 solutions vs 3 instances" in err
+
+
+@pytest.mark.parametrize("flag", ["--solutions", "--ref"])
+@pytest.mark.parametrize("fault,what", [
+    ("truncate", "Expecting"), ("no_start_depots", "no 'start_depots' entry"),
+    ("list", "holds a list")])
+def test_eval_bad_solutions_line_names_the_file_and_line(
+        trained, tmp_path, capsys, flag, fault, what):
+    ckpt, data = trained
+    sols = tmp_path / "sols.jsonl"
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                "--out", sols]) == 0
+    lines = sols.read_text().splitlines()
+    if fault == "truncate":
+        lines[2] = lines[2][:34]
+    elif fault == "no_start_depots":
+        rec = json.loads(lines[2])
+        del rec["start_depots"]
+        lines[2] = json.dumps(rec)
+    else:
+        lines[2] = "[1, 2]"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    good = {"--solutions": sols, "--ref": sols}
+    good[flag] = bad
+    code, _out, err = run(["eval", "--dataset", data, "--solutions",
+                           good["--solutions"], "--ref", good["--ref"]], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}:3: ") and what in err
 
 
 def test_solve_gates_on_validate(trained, tmp_path, capsys, monkeypatch):
@@ -419,3 +512,13 @@ def test_plot_data_empty_metrics_is_an_error(tmp_path, capsys):
     code, _out, err = run(["plot-data", "--metrics", m,
                            "--out", tmp_path / "o"], capsys)
     assert code == 1 and "no metrics" in err
+
+
+def test_plot_data_bad_metrics_line_names_the_file_and_line(tmp_path, capsys):
+    m = tmp_path / "metrics.jsonl"
+    m.write_text(tr.metrics_to_text([{"epoch": 0, "mean_obj": 1.5},
+                                     {"epoch": 1}]))
+    code, _out, err = run(["plot-data", "--metrics", m,
+                           "--out", tmp_path / "o"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {m}:2: no 'mean_obj' entry")

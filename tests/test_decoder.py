@@ -141,6 +141,25 @@ def test_all_masked_row_raises():
                   params, cfg.d_model)
 
 
+def test_nonfinite_logit_input_raises():
+    """A NaN or inf in the glimpse output, the distance factors or any
+    parameter fails the decode step's one finiteness check."""
+    cfg, params = tiny_model("MTSP")
+    proj = dc.constant(np.ones((cfg.d_model, 7)))
+    mask = np.ones((1, 7), dtype=bool)
+    for bad in (np.nan, np.inf):
+        q, exp_rows = np.zeros((1, cfg.d_model)), np.ones((1, 7))
+        q[0, 3] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            de.logits(dc.constant(q), proj, exp_rows, mask, params, cfg.d_model)
+        q[0, 3], exp_rows[0, 5] = 0.0, bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            de.logits(dc.constant(q), proj, exp_rows, mask, params, cfg.d_model)
+    params["embed.customer.W"].data[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="decoder logits"):
+        ro.rollout(mtsp(5, 2), (0, 1), cfg, params)
+
+
 # ---------------------------------------------------------------------------
 # distance bias
 # ---------------------------------------------------------------------------

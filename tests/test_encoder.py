@@ -291,8 +291,32 @@ def test_encode_kind_mismatch_and_param_mismatch():
     with pytest.raises(ValueError):
         en.encode([INS["MDVRP"]], cfg, params)
     small = en.ModelConfig(kind="MTSP", n_layers=2, d_model=8, n_heads=2)
-    with pytest.raises(ValueError, match="d_model"):
+    with pytest.raises(ValueError, match=r"embed\.customer\.W is \(2, 16\)"):
         en.check_params(small, params)
+
+
+def test_check_params_names_every_kind_of_mismatch():
+    cfg = CFGS["MPDP"]
+    params = en.init_params(cfg, np.random.default_rng(0))
+    arrays = {name: p.data for name, p in reversed(params.items())}
+    assert list(en.check_params(cfg, arrays, "optimizer.m")) == list(params)
+    cases = [(lambda a: a.pop("dec.logit"), "dec.logit is missing"),
+             (lambda a: a.update(extra=a["dec.emb"]),
+              r"extra is \(16, 16\); the model config expects no such entry"),
+             (lambda a: a.update({"layer0.a1": np.zeros((1, 2))}),
+              r"layer0.a1 is \(1, 2\); the model config expects \(1, 1\)")]
+    for edit, what in cases:
+        bad = dict(arrays)
+        edit(bad)
+        with pytest.raises(ValueError, match=f"optimizer.m entry {what}"):
+            en.check_params(cfg, bad, "optimizer.m")
+
+
+def test_encode_runs_no_parameter_check(monkeypatch):
+    cfg = CFGS["MTSP"]
+    params = en.init_params(cfg, np.random.default_rng(0))
+    monkeypatch.setattr(en, "check_params", None)
+    assert en.encode([INS["MTSP"]], cfg, params).H_c.shape[-1] == cfg.d_model
 
 
 def test_model_config_validation():

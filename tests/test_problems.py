@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -216,4 +217,4 @@ def test_instance_line_roundtrip_bitwise(tmp_path):
 def test_instance_line_rewrites_identically(tmp_path):
     ins = pb.gen_uniform("MPDP", N=8, D=1, M=2, seed=13)
     line = pb.instance_to_line(ins)
-    assert pb.instance_to_line(pb.instance_from_line(line)) == line
+    assert pb.instance_to_line(pb.instance_from_record(json.loads(line))) == line

@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxvrp import decoder as de
+from minmaxvrp import diffcore as dc
 from minmaxvrp import encoder as en
 from minmaxvrp import problems as pb
 from minmaxvrp import rollout as ro
@@ -240,16 +242,32 @@ def test_any_legal_walk_is_valid_and_replays(kind, M, seed, data):
         (rs.routes, rs.start_depots, rs.end_depots)
 
 
-class ScriptedGenerator(np.random.Generator):
-    """A Generator whose choice() replays a script; its other draws come
-    from PCG64(seed), as np.random.default_rng(seed)'s do."""
+def scripted_draws(script):
+    """A stand-in for rollout.sample_rows that replays a script of actions,
+    one per row per step."""
+    script = list(script)
+    return lambda rng, rows: np.array([script.pop(0) for _ in rows])
 
-    def __init__(self, seed, script):
-        super().__init__(np.random.PCG64(seed))
-        self.script = list(script)
 
-    def choice(self, n, p=None):
-        return self.script.pop(0)
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2 ** 32 - 1), R=st.integers(1, 12),
+       C=st.integers(1, 9), dtype=st.sampled_from([np.float32, np.float64]))
+def test_sample_rows_matches_per_row_choice(seed, R, C, dtype):
+    """One inverse-CDF draw over all rows takes the actions that
+    rng.choice takes row by row, and leaves the generator in its state."""
+    gen = np.random.default_rng(seed)
+    legal = gen.random((R, C)) < 0.5
+    legal[np.arange(R), gen.integers(C, size=R)] = True
+    legal[0] = np.arange(C) == gen.integers(C)  # one legal action only
+    z = np.where(legal, gen.normal(scale=3.0, size=(R, C)), de.MASK_VALUE)
+    rows = dc.log_softmax_rows(dc.constant(z, dtype=dtype)).data
+    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = ro.sample_rows(a, rows)
+    probs = np.exp(rows.astype(np.float64))
+    probs /= probs.sum(axis=1, keepdims=True)
+    assert got.tolist() == [b.choice(C, p=p) for p in probs]
+    assert a.bit_generator.state == b.bit_generator.state
+    assert legal[np.arange(R), got].all()
 
 
 @settings(max_examples=40)
@@ -270,8 +288,9 @@ def test_forced_replay_of_any_legal_walk_matches_free_decode(kind, M, seed, data
     actions = walk.actions[0].tolist()
     cfg, params = tiny_model(kind, seed=seed % 7)
     # sampled decoding whose draws follow the walk
-    [rs], free = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
-                                 rng=ScriptedGenerator(seed, actions))
+    with mock.patch.object(ro, "sample_rows", scripted_draws(actions)):
+        [rs], free = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
+                                     rng=np.random.default_rng(seed))
     assert ro.actions_from_solution(rs, perm, ins) == actions
     _, forced = ro.decode_batch(ins, [perm], cfg, params, forced=[actions],
                                 rng=np.random.default_rng(seed))

@@ -399,10 +399,13 @@ def test_finetune_runs_at_new_lr(tmp_path):
 # metrics text form
 # ---------------------------------------------------------------------------
 
-def test_metrics_text_roundtrip():
+def test_metrics_text_roundtrip(tmp_path):
     rows = [{"epoch": 0, "mean_obj": 1.5, "mean_baseline": 1.75,
              "lr": 1e-3, "wallclock": 2.0}]
     text = tr.metrics_to_text(rows)
     assert text.count("\n") == 1
-    assert tr.metrics_from_text(text) == rows
-    assert tr.metrics_from_text("") == []
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(text)
+    assert pb.read_jsonl(path, dict) == rows
+    path.write_text(tr.metrics_to_text([]))
+    assert pb.read_jsonl(path, dict) == []
