@@ -11,7 +11,6 @@ float32; float64 is available (gradient checks run there, on the same code
 paths). Reductions that feed route lengths and means accumulate in float64.
 """
 
-import base64
 import contextlib
 import itertools
 import math
@@ -503,7 +502,7 @@ def clip_grad_norm(params, max_norm):
 
 
 # ---------------------------------------------------------------------------
-# parameter construction and raw serialization
+# parameter construction
 # ---------------------------------------------------------------------------
 
 def init_matrix(rows, cols, rng, dtype=None):
@@ -521,27 +520,3 @@ def zeros(rows, cols, dtype=None):
 def constant(data, dtype=None):
     """Non-trainable tensor (coordinates, masks, precomputed features)."""
     return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def params_to_records(params):
-    """name -> {shape, dtype, data_b64} with raw little-endian bytes."""
-    records = {}
-    for name, p in params.items():
-        arr = np.ascontiguousarray(p.data)
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        records[name] = {
-            "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
-            "data_b64": base64.b64encode(arr.tobytes()).decode("ascii"),
-        }
-    return records
-
-
-def records_to_arrays(records):
-    arrays = {}
-    for name, rec in records.items():
-        raw = base64.b64decode(rec["data_b64"])
-        arr = np.frombuffer(raw, dtype=np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
-        arrays[name] = arr
-    return arrays

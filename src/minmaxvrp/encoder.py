@@ -246,12 +246,16 @@ def init_params(cfg, rng):
     return params
 
 
-def check_params(cfg, params, what="params"):
+def param_shapes(cfg):
+    """name -> shape of every tensor init_params(cfg) builds, in init order."""
+    return {name: p.shape for name, p in
+            init_params(cfg, np.random.default_rng(0)).items()}
+
+
+def check_params(shapes, params, what="params"):
     """Raise a ValueError naming the first entry of params (name -> Tensor
-    or array) that init_params(cfg) does not give the same name and shape:
-    a missing, mis-shaped or unknown one. Returns params in init order."""
-    shapes = {name: p.shape for name, p in
-              init_params(cfg, np.random.default_rng(0)).items()}
+    or array) that shapes (param_shapes) does not give the same name and
+    shape: a missing, mis-shaped or unknown one. Returns params in init order."""
     for name in list(shapes) + [n for n in params if n not in shapes]:
         have = params[name].shape if name in params else "missing"
         want = shapes.get(name, "no such entry")

@@ -209,10 +209,20 @@ def instance_to_line(instance):
                _fmt_pairs(instance.depot_coords), _fmt_pairs(instance.coords)))
 
 
+def _json_int(value, field, low=None):
+    """value if it is a JSON integer (not a bool) and, given low, >= low;
+    any other value raises a ValueError that names field."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{field} must be an integer{at_least}, got {json.dumps(value)}")
+    return value
+
+
 def instance_from_record(rec):
     return Instance(kind=rec["kind"], coords=np.array(rec["customers"]),
-                    depot_coords=np.array(rec["depots"]), M=int(rec["M"]),
-                    uid=int(rec.get("uid", 0)))
+                    depot_coords=np.array(rec["depots"]), M=_json_int(rec["M"], "M"),
+                    uid=_json_int(rec.get("uid", 0), "uid", low=0))
 
 
 def atomic_write_text(path, text):
@@ -289,7 +299,11 @@ def solution_to_record(solution, objective, permutation, aug_index):
 
 
 def solution_from_record(rec):
-    sol = RouteSet(routes=[list(r) for r in rec["routes"]],
-                   start_depots=list(rec["start_depots"]),
-                   end_depots=list(rec["end_depots"]))
-    return sol, float(rec["objective"]), list(rec["permutation"]), int(rec["aug_index"])
+    def ints(values, field):
+        return [_json_int(v, f"{field}[{i}]") for i, v in enumerate(values)]
+
+    sol = RouteSet(routes=[ints(r, f"routes[{i}]") for i, r in enumerate(rec["routes"])],
+                   start_depots=ints(rec["start_depots"], "start_depots"),
+                   end_depots=ints(rec["end_depots"], "end_depots"))
+    return (sol, float(rec["objective"]), ints(rec["permutation"], "permutation"),
+            _json_int(rec["aug_index"], "aug_index"))

@@ -2,9 +2,10 @@
 
 Each instance is decoded K times under K sampled agent permutations; the
 mean of the K objectives is the baseline, and only the log-probabilities
-receive gradient. Also holds checkpoint save/load and fine-tuning.
+receive gradient. Also holds fine-tuning and the checkpoint file format.
 """
 
+import base64
 import json
 import re
 import time
@@ -104,6 +105,12 @@ def aps_baseline(objectives):
     return float(sum(objectives)) / len(objectives)
 
 
+def surrogate_term(logp, advantages):
+    """sum(logp * advantages), the advantages a constant of logp's shape and dtype."""
+    adv = np.asarray(advantages, dtype=np.float64).reshape(logp.shape)
+    return dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
+
+
 def aps_loss(instances, cfg, params, K, rng):
     """Surrogate loss over a batch: mean of (f - baseline) * log-prob.
 
@@ -120,8 +127,7 @@ def aps_loss(instances, cfg, params, K, rng):
                                           mode="sample", rng=rng)
         objs = [pb.minmax_objective(rs, ins) for rs in solutions]
         b = aps_baseline(objs)
-        adv = np.array(objs, dtype=np.float64).reshape(logp.shape) - b
-        term = dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
+        term = surrogate_term(logp, np.array(objs, dtype=np.float64) - b)
         total = term if total is None else dc.add(total, term)
         best.append(min(objs))
         baselines.append(b)
@@ -135,15 +141,11 @@ def frozen_surrogate(instance, perms, forced, advantages, cfg, seed=None):
     Replays the forced trajectories under the given advantages; a fixed
     seed reproduces the random start-context node of multi-depot states.
     """
-    adv = np.array(advantages, dtype=np.float64)
-
     def f(params):
         rng = None if seed is None else np.random.default_rng(seed)
         _, logp = ro.decode_batch(instance, perms, cfg, params,
                                   forced=forced, rng=rng)
-        term = dc.sum_all(dc.mul(logp, dc.constant(adv.reshape(logp.shape),
-                                                   dtype=logp.data.dtype)))
-        return dc.scale(term, 1.0 / len(perms))
+        return dc.scale(surrogate_term(logp, advantages), 1.0 / len(perms))
 
     return f
 
@@ -176,7 +178,7 @@ def train(tc, params=None, opt=None, on_epoch=None):
     if params is None:
         params = en.init_params(tc.model, master)
     else:
-        en.check_params(tc.model, params)
+        en.check_params(en.param_shapes(tc.model), params)
     if opt is None:
         opt = dc.AdamState(params, lr=tc.lr, lr_decay=tc.lr_decay)
     metrics = []
@@ -261,16 +263,34 @@ def metrics_to_text(metrics):
     return "".join(json.dumps(row) + "\n" for row in metrics)
 
 
+def arrays_to_records(arrays):
+    """name -> {shape, dtype, data_b64} of name -> ndarray, raw little-endian bytes."""
+    records = {}
+    for name, arr in arrays.items():
+        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        records[name] = {
+            "shape": list(arr.shape),
+            "dtype": str(arr.dtype),
+            "data_b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+        }
+    return records
+
+
+def records_to_arrays(records):
+    """The name -> ndarray that arrays_to_records encoded, bit for bit."""
+    arrays = {}
+    for name, rec in records.items():
+        raw = base64.b64decode(rec["data_b64"])
+        arrays[name] = np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"]).copy()
+    return arrays
+
+
 def save_checkpoint(path, cfg, params, opt):
     """Write model config + parameters + optimizer state, bitwise exact."""
-    def raw(arrays):
-        return dc.params_to_records(
-            {k: dc.constant(v, dtype=v.dtype) for k, v in arrays.items()})
-
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "model": cfg.to_dict(),
-        "params": dc.params_to_records(params),
+        "params": arrays_to_records({name: p.data for name, p in params.items()}),
         "optimizer": {
             "lr": opt.lr,
             "lr_decay": opt.lr_decay,
@@ -278,8 +298,8 @@ def save_checkpoint(path, cfg, params, opt):
             "beta2": opt.beta2,
             "eps": opt.eps,
             "step_count": opt.step_count,
-            "m": raw(opt.m),
-            "v": raw(opt.v),
+            "m": arrays_to_records(opt.m),
+            "v": arrays_to_records(opt.v),
         },
     }
     pb.atomic_write_text(path, json.dumps(payload))
@@ -298,15 +318,16 @@ def _from_payload(payload, optimizer):
         raise ValueError(f"format version {version} is not a supported "
                          f"version (1 or {CHECKPOINT_VERSION})")
     cfg = en.ModelConfig.from_dict(payload["model"])
+    shapes = en.param_shapes(cfg)
 
     def read(what, records):
-        arrays, heads = dc.records_to_arrays(records), {}
+        arrays, heads = records_to_arrays(records), {}
         for name in list(arrays) if version == 1 else ():
             if m := _V1_HEAD.fullmatch(name):
                 heads.setdefault(m[1], {})[int(m[2])] = arrays.pop(name)
         arrays.update((name, np.hstack([h[i] for i in sorted(h)]))
                       for name, h in heads.items())
-        arrays = en.check_params(cfg, arrays, what)
+        arrays = en.check_params(shapes, arrays, what)
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{what} entry {name} holds NaN or inf")

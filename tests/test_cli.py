@@ -6,7 +6,6 @@ import pytest
 from conftest import tiny_cfg
 
 from minmaxvrp import cli
-from minmaxvrp import diffcore as dc
 from minmaxvrp import problems as pb
 from minmaxvrp import rollout as ro
 from minmaxvrp import training as tr
@@ -235,9 +234,9 @@ def _poison_checkpoint(path, section, name, value):
     payload = json.loads(path.read_text())
     records = (payload["params"] if section == "params"
                else payload["optimizer"][section])
-    arr = dc.records_to_arrays({name: records[name]})[name]
+    arr = tr.records_to_arrays({name: records[name]})[name]
     arr.flat[0] = value
-    records.update(dc.params_to_records({name: dc.constant(arr, dtype=arr.dtype)}))
+    records.update(tr.arrays_to_records({name: arr}))
     path.write_text(json.dumps(payload))
 
 
@@ -334,7 +333,9 @@ def test_eval_count_mismatch(trained, tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--solutions", "--ref"])
 @pytest.mark.parametrize("fault,what", [
     ("truncate", "Expecting"), ("no_start_depots", "no 'start_depots' entry"),
-    ("list", "holds a list")])
+    ("list", "holds a list"),
+    pytest.param(0.5, "routes[0][0] must be an integer, got 0.5", id="float"),
+    pytest.param(True, "routes[0][0] must be an integer, got true", id="bool")])
 def test_eval_bad_solutions_line_names_the_file_and_line(
         trained, tmp_path, capsys, flag, fault, what):
     ckpt, data = trained
@@ -348,8 +349,12 @@ def test_eval_bad_solutions_line_names_the_file_and_line(
         rec = json.loads(lines[2])
         del rec["start_depots"]
         lines[2] = json.dumps(rec)
-    else:
+    elif fault == "list":
         lines[2] = "[1, 2]"
+    else:
+        rec = json.loads(lines[2])
+        rec["routes"][0][0] = fault
+        lines[2] = json.dumps(rec)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     good = {"--solutions": sols, "--ref": sols}
@@ -388,6 +393,25 @@ def test_solve_rejects_nan_coordinates_naming_the_line(trained, tmp_path,
     assert err.count("\n") == 1
     assert f"{bad}:2:" in err
     assert "softmax" not in err
+
+
+@pytest.mark.parametrize("field,value,what", [
+    pytest.param("M", 2.7, "M must be an integer, got 2.7", id="M-float"),
+    pytest.param("M", True, "M must be an integer, got true", id="M-bool"),
+    pytest.param("M", "2", 'M must be an integer, got "2"', id="M-string"),
+    pytest.param("uid", -5, "uid must be an integer >= 0, got -5", id="uid-negative")])
+def test_solve_rejects_a_non_integer_field_naming_the_line(
+        trained, tmp_path, capsys, field, value, what):
+    ckpt, data = trained
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", bad,
+                           "--out", tmp_path / "x.jsonl"], capsys)
+    assert code == 1 and err == f"error: {bad}:2: {what}\n"
 
 
 def test_solve_kind_mismatch(trained, tmp_path, capsys):

@@ -354,22 +354,6 @@ def test_clip_grad_norm():
     assert math.isclose(float(np.linalg.norm(w.grad)), 1.0, rel_tol=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# raw parameter serialization
-# ---------------------------------------------------------------------------
-
-def test_param_records_roundtrip_bitwise():
-    rng = np.random.default_rng(11)
-    params = {
-        "w1": dc.Tensor(rng.standard_normal((3, 5)), requires_grad=True),
-        "alpha": dc.Tensor([[0.0]], requires_grad=True),
-    }
-    back = dc.records_to_arrays(dc.params_to_records(params))
-    for name, p in params.items():
-        assert back[name].dtype == p.data.dtype
-        assert np.array_equal(back[name], p.data)
-
-
 def test_grad_check_constant_function_is_zero():
     params = {"w": t64([[1.0, 2.0]])}
 

@@ -292,14 +292,15 @@ def test_encode_kind_mismatch_and_param_mismatch():
         en.encode([INS["MDVRP"]], cfg, params)
     small = en.ModelConfig(kind="MTSP", n_layers=2, d_model=8, n_heads=2)
     with pytest.raises(ValueError, match=r"embed\.customer\.W is \(2, 16\)"):
-        en.check_params(small, params)
+        en.check_params(en.param_shapes(small), params)
 
 
 def test_check_params_names_every_kind_of_mismatch():
     cfg = CFGS["MPDP"]
     params = en.init_params(cfg, np.random.default_rng(0))
     arrays = {name: p.data for name, p in reversed(params.items())}
-    assert list(en.check_params(cfg, arrays, "optimizer.m")) == list(params)
+    shapes = en.param_shapes(cfg)
+    assert list(en.check_params(shapes, arrays, "optimizer.m")) == list(params)
     cases = [(lambda a: a.pop("dec.logit"), "dec.logit is missing"),
              (lambda a: a.update(extra=a["dec.emb"]),
               r"extra is \(16, 16\); the model config expects no such entry"),
@@ -309,7 +310,7 @@ def test_check_params_names_every_kind_of_mismatch():
         bad = dict(arrays)
         edit(bad)
         with pytest.raises(ValueError, match=f"optimizer.m entry {what}"):
-            en.check_params(cfg, bad, "optimizer.m")
+            en.check_params(shapes, bad, "optimizer.m")
 
 
 def test_encode_runs_no_parameter_check(monkeypatch):

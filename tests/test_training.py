@@ -130,6 +130,22 @@ def test_loss_matches_manual_recomputation():
     assert abs(float(loss.data[0, 0]) - manual) < 1e-5
 
 
+def test_frozen_surrogate_replays_the_training_loss():
+    cfg, params = tiny_model("MTSP", seed=1)
+    ins = pb.gen_uniform("MTSP", N=5, D=1, M=2, seed=0)
+    loss, _, (b,) = tr.aps_loss([ins], cfg, params, 3,
+                                rng=np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    perms = ro.sample_permutations(ins.M, 3, rng)
+    solutions, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                   rng=rng)
+    forced = [ro.actions_from_solution(rs, o, ins)
+              for rs, o in zip(solutions, perms)]
+    adv = [pb.minmax_objective(rs, ins) - b for rs in solutions]
+    f = tr.frozen_surrogate(ins, perms, forced, adv, cfg)
+    assert np.array_equal(f(params).data, loss.data)
+
+
 def test_frozen_surrogate_gradient_matches_finite_differences():
     cfg = tiny_cfg("MTSP")
     params = params64(cfg, seed=5)
@@ -217,6 +233,24 @@ def test_train_multi_depot_smoke():
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def test_param_records_roundtrip_bitwise():
+    rng = np.random.default_rng(11)
+    arrays = {
+        "w1": rng.standard_normal((3, 5)),
+        "alpha": np.zeros((1, 1), dtype=np.float32),
+        "strided": rng.standard_normal((4, 6)).astype(np.float32)[::2, 1::2],
+        "big_endian": rng.standard_normal((2, 3)).astype(">f4"),
+    }
+    records = tr.arrays_to_records(arrays)
+    assert records["big_endian"]["dtype"] == "float32"
+    back = tr.records_to_arrays(records)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype.newbyteorder("<")
+        assert back[name].shape == arr.shape
+        assert np.array_equal(back[name], arr)
+        assert back[name].flags.writeable
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     tc = tiny_tc(epochs=1, epoch_size=4)
     params, opt, _ = tr.train(tc)
@@ -237,6 +271,19 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     r2 = ro.infer(ins, cfg2, params2, n_per=2)
     assert r1.solution.routes == r2.solution.routes
     assert r1.objective == r2.objective
+
+
+def test_a_checkpoint_load_builds_the_parameter_table_once(tmp_path, monkeypatch):
+    cfg, params = tiny_model("MDVRP")
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, cfg, params, dc.AdamState(params, lr=1e-3))
+    calls, init_params = [], en.init_params
+    monkeypatch.setattr(en, "init_params",
+                        lambda *args: calls.append(args) or init_params(*args))
+    tr.load_checkpoint(path)
+    assert len(calls) == 1
+    tr.load_model(path)
+    assert len(calls) == 2
 
 
 def test_checkpoint_version_and_corruption_errors(tmp_path):
@@ -300,15 +347,14 @@ def _as_v1(payload, n_heads):
     parts = (payload["params"], payload["optimizer"]["m"], payload["optimizer"]["v"])
     for records in parts:
         arrays = {}
-        for name, arr in dc.records_to_arrays(records).items():
+        for name, arr in tr.records_to_arrays(records).items():
             if name.rsplit(".", 1)[1] in ("q", "qp", "qd", "k", "v"):
                 for i, block in enumerate(np.hsplit(arr, n_heads)):
                     arrays[f"{name}{i}"] = np.ascontiguousarray(block)
             else:
                 arrays[name] = arr
         records.clear()
-        records.update(dc.params_to_records(
-            {k: dc.constant(a, dtype=a.dtype) for k, a in arrays.items()}))
+        records.update(tr.arrays_to_records(arrays))
     payload["format_version"] = 1
     return payload
 
