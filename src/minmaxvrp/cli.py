@@ -104,15 +104,11 @@ def cmd_train(args):
     return 0
 
 
-def _solve_one(ins, cfg, params, args):
-    res = ro.infer(normalized_for_model(ins), cfg, params, n_per=args.per,
-                   use_aug8=args.aug8, seed=args.seed)
-    err = pb.validate(res.solution, ins)
-    if err is not None:
-        raise RuntimeError(f"solver produced an infeasible solution: {err}")
-    obj = pb.minmax_objective(res.solution, ins)
-    return pb.solution_to_record(res.solution, obj, res.permutation,
-                                 res.aug_index)
+# Rows (instances x symmetries x permutations) of one decode_batch in solve.
+# On 2 cores, MPDP N=40 greedy and MDVRP N=50 --per 8 --aug8 gain little
+# beyond 256 rows per call, while peak memory keeps growing with the rows
+# (measurements in CHANGES.md).
+SOLVE_ROWS = 256
 
 
 def cmd_solve(args):
@@ -124,8 +120,24 @@ def cmd_solve(args):
         if ins.kind != cfg.kind:
             raise ValueError(f"dataset kind {ins.kind} does not match "
                              f"checkpoint kind {cfg.kind}")
+    if args.per < 1:
+        raise ValueError("--per must be >= 1")
     start = time.perf_counter()
-    records = [_solve_one(ins, cfg, params, args) for ins in instances]
+    per_call = max(1, SOLVE_ROWS // (args.per * (8 if args.aug8 else 1)))
+    records = [None] * len(instances)
+    for group in ro.size_groups(instances):
+        for s in range(0, len(group), per_call):
+            part = group[s:s + per_call]
+            results = ro.infer([normalized_for_model(instances[i]) for i in part],
+                               cfg, params, n_per=args.per, use_aug8=args.aug8,
+                               seed=args.seed)
+            for i, res in zip(part, results):
+                err = pb.validate(res.solution, instances[i])
+                if err is not None:
+                    raise RuntimeError(f"solver produced an infeasible solution: {err}")
+                obj = pb.minmax_objective(res.solution, instances[i])
+                records[i] = pb.solution_to_record(res.solution, obj, res.permutation,
+                                                   res.aug_index)
     wall = time.perf_counter() - start
     pb.atomic_write_text(args.out, "".join(json.dumps(r) + "\n"
                                            for r in records))

@@ -49,6 +49,8 @@ class Instance:
         self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 2)
         self.depot_coords = np.asarray(self.depot_coords, dtype=np.float64).reshape(-1, 2)
         check_instance_shape(self.kind, self.N, self.D, self.M)
+        if isinstance(self.uid, bool) or not isinstance(self.uid, (int, np.integer)) or self.uid < 0:
+            raise ValueError(f"uid must be an integer >= 0, got {self.uid!r}")
         if not (np.isfinite(self.coords).all()
                 and np.isfinite(self.depot_coords).all()):
             raise ValueError("coordinates must be finite, got NaN or inf")
@@ -209,20 +211,38 @@ def instance_to_line(instance):
                _fmt_pairs(instance.depot_coords), _fmt_pairs(instance.coords)))
 
 
-def _json_int(value, field, low=None):
-    """value if it is a JSON integer (not a bool) and, given low, >= low;
-    any other value raises a ValueError that names field."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (low is not None and value < low)):
-        at_least = "" if low is None else f" >= {low}"
-        raise ValueError(f"{field} must be an integer{at_least}, got {json.dumps(value)}")
+def _json_int(value, field):
+    """value if it is a JSON integer (not a bool); any other value raises a
+    ValueError that names field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
     return value
 
 
+def _json_number(value, field):
+    """value as a float if it is a JSON number (not a bool); any other value
+    raises a ValueError that names field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_points(value, field):
+    """The float array of a JSON list of [x, y] number pairs; any other value
+    raises a ValueError that names field and the entry."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of [x, y] pairs, got {json.dumps(value)}")
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{field}[{i}] must be an [x, y] pair, got {json.dumps(pair)}")
+    return np.array([[_json_number(v, f"{field}[{i}][{j}]") for j, v in enumerate(pair)]
+                     for i, pair in enumerate(value)])
+
+
 def instance_from_record(rec):
-    return Instance(kind=rec["kind"], coords=np.array(rec["customers"]),
-                    depot_coords=np.array(rec["depots"]), M=_json_int(rec["M"], "M"),
-                    uid=_json_int(rec.get("uid", 0), "uid", low=0))
+    return Instance(kind=rec["kind"], coords=_json_points(rec["customers"], "customers"),
+                    depot_coords=_json_points(rec["depots"], "depots"),
+                    M=_json_int(rec["M"], "M"), uid=_json_int(rec.get("uid", 0), "uid"))
 
 
 def atomic_write_text(path, text):
@@ -305,5 +325,6 @@ def solution_from_record(rec):
     sol = RouteSet(routes=[ints(r, f"routes[{i}]") for i, r in enumerate(rec["routes"])],
                    start_depots=ints(rec["start_depots"], "start_depots"),
                    end_depots=ints(rec["end_depots"], "end_depots"))
-    return (sol, float(rec["objective"]), ints(rec["permutation"], "permutation"),
+    return (sol, _json_number(rec["objective"], "objective"),
+            ints(rec["permutation"], "permutation"),
             _json_int(rec["aug_index"], "aug_index"))

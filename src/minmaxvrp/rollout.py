@@ -5,8 +5,11 @@ One rollout builds all M routes in the order given by an agent permutation
 o; a depot action closes the current route and hands over to the next
 agent. Single-depot episodes take exactly N+M steps, multi-depot episodes
 N+2M (each route also opens with a depot choice), so the rollouts of a
-batch (every permutation of every symmetry of an instance) decode in
-lockstep.
+batch decode in lockstep. A batch is V variants of one size (the
+symmetries of an instance, or many instances, or the symmetries of many
+instances) with K permutations each, every variant its own; one encoder
+pass and one decode loop serve them all, and each row decodes exactly as it
+would in a batch of its variant alone.
 """
 
 from collections import namedtuple
@@ -21,10 +24,13 @@ from . import problems as pb
 
 class DecodeState:
     """Trajectory state of R = V x K rollouts as R-row arrays: row a * K + k
-    decodes variant a of an instance under permutation k.
+    decodes variant a under its permutation k.
 
-    variants (one Instance, or V of the same kind and sizes) and perms (K
-    permutations) fix the rows; every row takes the same number of steps.
+    variants (one Instance, or V of the same kind and sizes, such as the
+    symmetries of an instance or different instances) and perms fix the
+    rows: perms is either K permutations shared by every variant or a V x K
+    table, row a the K permutations of variant a. Every row takes the same
+    number of steps.
     agent is each row's current agent, and node its candidate row of the
     current node (see decoder); at a single-depot kind's depot that is the
     current agent's slot, so a row's route holds a customer exactly when
@@ -37,11 +43,20 @@ class DecodeState:
     def __init__(self, variants, perms, rng=None):
         variants = [variants] if isinstance(variants, pb.Instance) else list(variants)
         ins = variants[0]
-        perms = [tuple(int(v) for v in o) for o in perms]
-        for o in perms:
+        sizes = {(v.kind, v.N, v.D, v.M) for v in variants}
+        if len(sizes) > 1:
+            raise ValueError(f"a decode batch needs variants of one kind and size, "
+                             f"got {sorted(sizes)}")
+        V = len(variants)
+        table = [perms] * V if np.ndim(perms[0][0]) == 0 else list(perms)
+        table = [[tuple(int(v) for v in o) for o in row] for row in table]
+        K = len(table[0])
+        if len(table) != V or any(len(row) != K for row in table):
+            raise ValueError(f"need K permutations for each of the {V} variants, "
+                             f"got {[len(row) for row in table]}")
+        for o in (o for row in table for o in row):
             if sorted(o) != list(range(ins.M)):
                 raise ValueError(f"permutation {o} is not a bijection on 0..{ins.M - 1}")
-        V, K = len(variants), len(perms)
         self.variants = variants
         self.kind, self.N, self.M, self.n_pairs = ins.kind, ins.N, ins.M, ins.n_pairs
         self.multi = ins.kind in pb.MULTI_DEPOT_KINDS
@@ -52,7 +67,7 @@ class DecodeState:
         self.rows = np.arange(R)
         self.variant = self.rows // K
         # the agent order, with the last agent repeated for a finished row
-        self.o = np.array([o + o[-1:] for o in perms] * V, dtype=np.intp)
+        self.o = np.array([o + o[-1:] for row in table for o in row], dtype=np.intp)
         self.pos = np.zeros(R, dtype=np.intp)
         self.agent = self.o[:, 0].copy()
         self.route_len = np.zeros(R)
@@ -195,10 +210,13 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
                  forced=None):
     """Roll out K permutations of each of V same-size instances in lockstep.
 
-    instances is one Instance, or V variants of one (such as its augment8
-    symmetries); one encoder pass covers them all, and one decode step
-    serves all R = V x K rollouts. Returns (list of R RouteSets in row order
-    a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
+    instances is one Instance or V of one kind and size: the variants of an
+    instance (such as its augment8 symmetries), different instances, or
+    both. perms is K permutations shared by every variant or a V x K table
+    (see DecodeState). One encoder pass covers every variant, and one decode
+    step serves all R = V x K rollouts; each row's result is bitwise the one
+    a batch of its variant alone gives. Returns (list of R RouteSets in row
+    order a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
     sampled actions (sample_rows: one draw per row, in row order) and the
     multi-depot pre-start nodes (see DecodeState, which also takes one
     Generator per variant). forced, when given, is one action sequence per
@@ -210,7 +228,8 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     if sampling and not isinstance(rng, np.random.Generator):
         raise ValueError("sampled decoding needs an rng")
     state = DecodeState(instances, perms, rng)
-    V, K = len(state.variants), len(perms)
+    V = len(state.variants)
+    K = len(state.rows) // V
     emb = en.encode(state.variants, cfg, params)
     cand = de.candidate_rows(emb)
     pooled = de.pooled_graph(emb, params)
@@ -245,35 +264,58 @@ def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
     return rs, pb.minmax_objective(rs, instance), float(total.data[0, 0, 0])
 
 
+def size_groups(instances):
+    """The instances' indexes grouped by size (N, M, D), in ascending order
+    of size and, within a group, in input order: each group can share one
+    decode_batch."""
+    groups = {}
+    for i, ins in enumerate(instances):
+        groups.setdefault((ins.N, ins.M, ins.D), []).append(i)
+    return [groups[size] for size in sorted(groups)]
+
+
 InferResult = namedtuple("InferResult", "solution objective aug_index permutation")
 
 
-def infer(instance, cfg, params, n_per=1, use_aug8=False, seed=0):
+def infer(instances, cfg, params, n_per=1, use_aug8=False, seed=0):
     """Best greedy solution over n_per permutations x (8 symmetries if on).
 
-    The permutation list is prefix-stable in n_per and starts with the
-    identity. Ties within 1e-12 keep the first (aug, permutation) in
-    order, so enlarging n_per or enabling augmentation never makes the
-    objective worse by more than that tolerance. The objective is
-    evaluated on the original coordinates.
+    instances is one Instance (returns one InferResult) or a list of
+    same-size instances (returns a list, in order), all decoded in one
+    decode_batch. Each instance's result depends on that instance alone:
+    its permutation list comes from (seed, uid, 1), is prefix-stable in
+    n_per and starts with the identity, and its symmetry a draws its
+    multi-depot pre-start nodes from (seed, uid, 2, a). Ties within 1e-12
+    keep the first (aug, permutation) in order, so enlarging n_per or
+    enabling augmentation never makes the objective worse by more than that
+    tolerance. The objective is evaluated on the original coordinates.
     """
     if n_per < 1:
         raise ValueError("n_per must be >= 1")
-    M = instance.M
-    perm_rng = np.random.default_rng((seed, instance.uid, 1))
-    perms = [tuple(range(M))]
-    for _ in range(n_per - 1):
-        perms.append(tuple(int(v) for v in perm_rng.permutation(M)))
-
-    variants = pb.augment8(instance) if use_aug8 else [instance]
-    node_rngs = [np.random.default_rng((seed, instance.uid, 2, a))
-                 for a in range(len(variants))]
+    single = isinstance(instances, pb.Instance)
+    instances = [instances] if single else list(instances)
+    variants, table, node_rngs, perm_lists = [], [], [], []
+    for ins in instances:
+        perm_rng = np.random.default_rng((seed, ins.uid, 1))
+        perms = [tuple(range(ins.M))]
+        for _ in range(n_per - 1):
+            perms.append(tuple(int(v) for v in perm_rng.permutation(ins.M)))
+        group = pb.augment8(ins) if use_aug8 else [ins]
+        variants += group
+        table += [perms] * len(group)
+        node_rngs += [np.random.default_rng((seed, ins.uid, 2, a))
+                      for a in range(len(group))]
+        perm_lists.append(perms)
     with dc.no_grad():
-        solutions, _ = decode_batch(variants, perms, cfg, params,
+        solutions, _ = decode_batch(variants, table, cfg, params,
                                     mode="greedy", rng=node_rngs)
-    best = None
-    for r, rs in enumerate(solutions):
-        obj = pb.minmax_objective(rs, instance)
-        if best is None or obj < best.objective - 1e-12:
-            best = InferResult(rs, obj, r // n_per, perms[r % n_per])
-    return best
+    rows = len(solutions) // len(instances)  # symmetries x permutations
+    results = []
+    for i, (ins, perms) in enumerate(zip(instances, perm_lists)):
+        best = None
+        for r, rs in enumerate(solutions[i * rows:(i + 1) * rows]):
+            obj = pb.minmax_objective(rs, ins)
+            if best is None or obj < best.objective - 1e-12:
+                best = InferResult(rs, obj, r // n_per, perms[r % n_per])
+        results.append(best)
+    return results[0] if single else results

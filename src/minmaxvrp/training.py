@@ -114,23 +114,30 @@ def surrogate_term(logp, advantages):
 def aps_loss(instances, cfg, params, K, rng):
     """Surrogate loss over a batch: mean of (f - baseline) * log-prob.
 
-    Advantages are plain floats, so no gradient ever reaches the
-    objectives or the baseline. Returns (loss node, best-of-K objective
-    per instance, baseline per instance).
+    rng first draws the K permutations of every instance in batch order;
+    then each size group (rollout.size_groups: ascending (N, M, D), which in
+    training is (M, D)) is decoded in one sampled decode_batch from the same
+    rng and adds one surrogate term. Advantages are plain floats, so no
+    gradient ever reaches the objectives or the baseline. Returns (loss
+    node, best-of-K objective per instance, baseline per instance), both in
+    batch order.
     """
+    perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     total = None
-    best = []
-    baselines = []
-    for ins in instances:
-        perms = ro.sample_permutations(ins.M, K, rng)
-        solutions, logp = ro.decode_batch(ins, perms, cfg, params,
+    best = [None] * len(instances)
+    baselines = [None] * len(instances)
+    for group in ro.size_groups(instances):
+        solutions, logp = ro.decode_batch([instances[i] for i in group],
+                                          [perms[i] for i in group], cfg, params,
                                           mode="sample", rng=rng)
-        objs = [pb.minmax_objective(rs, ins) for rs in solutions]
-        b = aps_baseline(objs)
-        term = surrogate_term(logp, np.array(objs, dtype=np.float64) - b)
+        advantages = []
+        for g, i in enumerate(group):
+            objs = [pb.minmax_objective(rs, instances[i])
+                    for rs in solutions[g * K:(g + 1) * K]]
+            best[i], baselines[i] = min(objs), aps_baseline(objs)
+            advantages.append(np.array(objs) - baselines[i])
+        term = surrogate_term(logp, advantages)
         total = term if total is None else dc.add(total, term)
-        best.append(min(objs))
-        baselines.append(b)
     loss = dc.scale(total, 1.0 / (len(instances) * K))
     return loss, best, baselines
 

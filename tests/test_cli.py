@@ -318,6 +318,35 @@ def test_solve_and_eval_against_oracle(trained, tmp_path, capsys):
     assert "mean gap 0.0000%" in out
 
 
+@pytest.mark.parametrize("rows", [None, 40, 1])
+def test_solve_interleaved_sizes_matches_one_instance_infers(trained, tmp_path,
+                                                             monkeypatch, rows):
+    """solve groups the dataset by size and decodes slices of at most
+    SOLVE_ROWS rows (16 per instance here); the file is what one infer per
+    instance gives, in input order, for every slicing."""
+    ckpt, _data = trained
+    a, b, data = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "mixed.jsonl"
+    assert run(["gen", "--kind", "MTSP", "--n", 5, "--m-min", 2, "--count", 4,
+                "--seed", 1, "--out", a]) == 0
+    assert run(["gen", "--kind", "MTSP", "--n", 6, "--m-min", 3, "--count", 3,
+                "--seed", 2, "--out", b]) == 0
+    la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+    data.write_text("\n".join([la[0], lb[0], lb[1], la[1], la[2], lb[2], la[3]]) + "\n")
+    if rows is not None:
+        monkeypatch.setattr(cli, "SOLVE_ROWS", rows)
+    sols = tmp_path / "sols.jsonl"
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data, "--out", sols,
+                "--per", 2, "--aug8", "--seed", 3]) == 0
+
+    cfg, params = tr.load_model(ckpt)
+    expect = []
+    for ins in pb.read_instances(data):
+        res = ro.infer(ins, cfg, params, n_per=2, use_aug8=True, seed=3)
+        expect.append(json.dumps(pb.solution_to_record(
+            res.solution, res.objective, res.permutation, res.aug_index)) + "\n")
+    assert sols.read_text() == "".join(expect)
+
+
 def test_eval_count_mismatch(trained, tmp_path, capsys):
     ckpt, data = trained
     sols = tmp_path / "sols.jsonl"
@@ -335,7 +364,11 @@ def test_eval_count_mismatch(trained, tmp_path, capsys):
     ("truncate", "Expecting"), ("no_start_depots", "no 'start_depots' entry"),
     ("list", "holds a list"),
     pytest.param(0.5, "routes[0][0] must be an integer, got 0.5", id="float"),
-    pytest.param(True, "routes[0][0] must be an integer, got true", id="bool")])
+    pytest.param(True, "routes[0][0] must be an integer, got true", id="bool"),
+    pytest.param(("objective", "1.5"), 'objective must be a number, got "1.5"',
+                 id="objective-string"),
+    pytest.param(("objective", True), "objective must be a number, got true",
+                 id="objective-bool")])
 def test_eval_bad_solutions_line_names_the_file_and_line(
         trained, tmp_path, capsys, flag, fault, what):
     ckpt, data = trained
@@ -351,6 +384,10 @@ def test_eval_bad_solutions_line_names_the_file_and_line(
         lines[2] = json.dumps(rec)
     elif fault == "list":
         lines[2] = "[1, 2]"
+    elif isinstance(fault, tuple):
+        rec = json.loads(lines[2])
+        rec[fault[0]] = fault[1]
+        lines[2] = json.dumps(rec)
     else:
         rec = json.loads(lines[2])
         rec["routes"][0][0] = fault
@@ -369,8 +406,8 @@ def test_solve_gates_on_validate(trained, tmp_path, capsys, monkeypatch):
     ckpt, data = trained
     broken = pb.RouteSet(routes=[[0], [0]])  # duplicate customer
 
-    def fake_infer(ins, cfg, params, n_per=1, use_aug8=False, seed=0):
-        return ro.InferResult(broken, 1.0, 0, (0, 1))
+    def fake_infer(instances, cfg, params, n_per=1, use_aug8=False, seed=0):
+        return [ro.InferResult(broken, 1.0, 0, (0, 1)) for _ in instances]
 
     monkeypatch.setattr(cli.ro, "infer", fake_infer)
     code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
@@ -406,6 +443,32 @@ def test_solve_rejects_a_non_integer_field_naming_the_line(
     lines = data.read_text().splitlines()
     rec = json.loads(lines[1])
     rec[field] = value
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", bad,
+                           "--out", tmp_path / "x.jsonl"], capsys)
+    assert code == 1 and err == f"error: {bad}:2: {what}\n"
+
+
+@pytest.mark.parametrize("field,at,value,what", [
+    pytest.param("customers", (0, 1), "0.25", 'customers[0][1] must be a number, got "0.25"',
+                 id="customer-string"),
+    pytest.param("customers", (2, 0), True, "customers[2][0] must be a number, got true",
+                 id="customer-bool"),
+    pytest.param("depots", (0, 0), "0", 'depots[0][0] must be a number, got "0"',
+                 id="depot-string"),
+    pytest.param("customers", (1,), [0.5], "customers[1] must be an [x, y] pair, got [0.5]",
+                 id="customer-not-a-pair")])
+def test_solve_rejects_a_non_number_coordinate_naming_the_line(
+        trained, tmp_path, capsys, field, at, value, what):
+    ckpt, data = trained
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[1])
+    entry = rec[field]
+    for i in at[:-1]:
+        entry = entry[i]
+    entry[at[-1]] = value
     lines[1] = json.dumps(rec)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")

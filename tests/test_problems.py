@@ -54,6 +54,14 @@ def test_instance_rejects_non_finite_coordinates():
         pb.Instance("MDVRP", ok, [[0.0, 0.0], [np.inf, 1.0]], M=2)
 
 
+@pytest.mark.parametrize("uid", [-3, 1.5, True])
+def test_instance_rejects_a_uid_that_seeds_no_rng(uid):
+    # infer seeds every instance's rngs with its uid, so a bad one must
+    # fail here, not inside np.random.default_rng
+    with pytest.raises(ValueError, match=f"uid must be an integer >= 0, got {uid!r}"):
+        pb.Instance("MTSP", [[0.1, 0.2], [0.3, 0.4]], [[0.0, 0.0]], M=2, uid=uid)
+
+
 # ---------------------------------------------------------------------------
 # route_length / minmax_objective
 # ---------------------------------------------------------------------------

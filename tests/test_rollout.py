@@ -333,6 +333,56 @@ def test_batched_rows_match_one_variant_decodes(kind):
                        - float(total1.data[0, 0, 0])) <= 1e-5
 
 
+@settings(max_examples=30)
+@given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3), K=st.integers(1, 3),
+       n=st.integers(1, 4), aug8=st.booleans(), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_mixed_instance_batch_rows_match_their_own_decodes(kind, M, K, n, aug8, seed,
+                                                           data):
+    """In one decode_batch over the variants of n same-size instances, each
+    with its own K permutations and node rngs, every row's RouteSet and
+    log-prob sum are bitwise those of a batch of its instance alone, greedy
+    and forced; and infer over the list is infer instance by instance."""
+    units = data.draw(st.integers(M, 3 if kind == "MPDP" else 5), label="N")
+    N = 2 * units if kind == "MPDP" else units
+    D = data.draw(st.integers(1, 3), label="D") if kind in ("MDVRP", "FMDVRP") else 1
+    rng = np.random.default_rng(seed)
+    instances = [pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                             depot_coords=rng.uniform(0, 1, (D, 2)), M=M, uid=seed + i)
+                 for i in range(n)]
+    perms = [[tuple(int(v) for v in rng.permutation(M)) for _ in range(K)]
+             for _ in instances]
+    groups = [pb.augment8(ins) if aug8 else [ins] for ins in instances]
+    V = len(groups[0])
+
+    def node_rngs(i):
+        return [np.random.default_rng((seed, i, a)) for a in range(V)]
+
+    def decode(idx, **kw):
+        return ro.decode_batch([v for i in idx for v in groups[i]],
+                               [perms[i] for i in idx for _ in range(V)],
+                               cfg, params, rng=[g for i in idx for g in node_rngs(i)], **kw)
+
+    cfg, params = MODELS[kind]
+    forced = []
+    for i in range(n):  # one sampled walk per row, to replay
+        sols, _ = ro.decode_batch(groups[i], perms[i], cfg, params, mode="sample",
+                                  rng=np.random.default_rng(seed + i))
+        forced += [ro.actions_from_solution(rs, perms[i][r % K], groups[i][r // K])
+                   for r, rs in enumerate(sols)]
+    for kw in ({}, {"forced": forced}):
+        sols, total = decode(range(n), **kw)
+        for i in range(n):
+            rows = slice(i * V * K, (i + 1) * V * K)
+            own = {k: v[rows] for k, v in kw.items()}
+            sols1, total1 = decode([i], **own)
+            assert sols[rows] == sols1
+            assert np.array_equal(total.data[i * V:(i + 1) * V], total1.data)
+    assert (ro.infer(instances, cfg, params, n_per=K, use_aug8=aug8, seed=seed % 3)
+            == [ro.infer(ins, cfg, params, n_per=K, use_aug8=aug8, seed=seed % 3)
+                for ins in instances])
+
+
 def test_infer_decodes_every_symmetry_in_one_loop(monkeypatch):
     calls = Counter()
     for mod, name in ((de, "logits"), (de, "feasibility_mask"), (en, "encode")):

@@ -108,24 +108,27 @@ def test_identical_objectives_give_zero_loss_and_zero_step():
 
 
 def test_loss_matches_manual_recomputation():
+    """The rng draws every instance's permutations in batch order, then
+    decodes the size groups in ascending order: here M=2 before M=3."""
     cfg, params = tiny_model("MTSP", seed=1)
-    instances = [pb.gen_uniform("MTSP", N=5, D=1, M=2, seed=s)
-                 for s in (0, 1)]
+    instances = [pb.gen_uniform("MTSP", N=5, D=1, M=M, seed=s)
+                 for s, M in ((0, 3), (1, 2))]
     K = 3
     loss, best, baselines = tr.aps_loss(instances, cfg, params, K,
                                         rng=np.random.default_rng(42))
 
     rng = np.random.default_rng(42)
+    perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     manual = 0.0
-    for ins in instances:
-        perms = ro.sample_permutations(ins.M, K, rng)
-        solutions, logp = ro.decode_batch(ins, perms, cfg, params,
+    for i in (1, 0):
+        ins = instances[i]
+        solutions, logp = ro.decode_batch(ins, perms[i], cfg, params,
                                           mode="sample", rng=rng)
         objs = np.array([pb.minmax_objective(rs, ins) for rs in solutions])
         manual += float(((objs - objs.mean())[:, None]
                          * logp.data.astype(np.float64)).sum())
-        assert abs(baselines.pop(0) - objs.mean()) < 1e-12
-        assert abs(best.pop(0) - objs.min()) < 1e-12
+        assert abs(baselines[i] - objs.mean()) < 1e-12
+        assert abs(best[i] - objs.min()) < 1e-12
     manual /= len(instances) * K
     assert abs(float(loss.data[0, 0]) - manual) < 1e-5
 
