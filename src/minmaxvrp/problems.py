@@ -8,6 +8,7 @@ length of the longest route. Route lengths accumulate in float64.
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -125,26 +126,32 @@ def route_length(route, instance, start_depot=0, end_depot=0):
     FMDVRP: start-depot edge + internal edges + end-depot edge, no edge
     between the two depots. An empty route has length 0.
     """
+    return _route_length(route, instance.kind, instance.coords.tolist(),
+                         instance.depot_coords.tolist(), start_depot, end_depot)
+
+
+def _route_length(route, kind, xy, depot_xy, start_depot, end_depot):
+    """route_length on coordinates as lists of Python floats: the same
+    float64 differences and math.hypot, summed in the same order, as on the
+    arrays, without a numpy scalar per element."""
     if not route:
         return 0.0
-    pts = [instance.depot_coords[start_depot]]
+    px, py = depot_xy[start_depot]
+    total, n = 0.0, len(xy)
     for j in route:
-        if not 0 <= j < instance.N:
-            raise IndexError(f"customer index {j} out of range for N={instance.N}")
-        pts.append(instance.coords[j])
-    if instance.kind == "FMDVRP":
-        pts.append(instance.depot_coords[end_depot])
-    else:
-        pts.append(instance.depot_coords[start_depot])
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += math.hypot(a[0] - b[0], a[1] - b[1])
-    return total
+        if not 0 <= j < n:
+            raise IndexError(f"customer index {j} out of range for N={n}")
+        x, y = xy[j]
+        total += math.hypot(px - x, py - y)
+        px, py = x, y
+    ex, ey = depot_xy[end_depot if kind == "FMDVRP" else start_depot]
+    return total + math.hypot(px - ex, py - ey)
 
 
 def minmax_objective(solution, instance):
+    xy, depot_xy = instance.coords.tolist(), instance.depot_coords.tolist()
     return max(
-        route_length(r, instance, s, e)
+        _route_length(r, instance.kind, xy, depot_xy, s, e)
         for r, s, e in zip(solution.routes, solution.start_depots, solution.end_depots)
     )
 
@@ -260,13 +267,49 @@ def atomic_write_text(path, text):
         raise
 
 
-def read_json_file(path, what, parse):
-    """parse(the JSON object in a file). A file that is not JSON or not an
-    object, or whose object parse rejects, fails as one ValueError line
-    that names the file."""
+_JSON = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*").match
+
+
+def _json_members(text, members):
+    """The JSON object in text as a dict, parsed one member (one key and its
+    value) at a time; once every key of members is read, parsing stops and
+    the rest of the text is never looked at. members None reads them all.
+    Text that is not an object gives what json.loads gives it."""
+    i = _SPACE(text).end()
+    if not text.startswith("{", i):
+        return json.loads(text)
+    rec, i = {}, _SPACE(text, i + 1).end()
+    while not text.startswith("}", i):
+        if rec:
+            if not text.startswith(",", i):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            i = _SPACE(text, i + 1).end()
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name enclosed in "
+                                       "double quotes", text, i)
+        key, i = _JSON.raw_decode(text, i)
+        i = _SPACE(text, i).end()
+        if not text.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        rec[key], i = _JSON.raw_decode(text, _SPACE(text, i + 1).end())
+        if members is not None and rec.keys() >= members:
+            return rec
+        i = _SPACE(text, i).end()
+    i = _SPACE(text, i + 1).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return rec
+
+
+def read_json_file(path, what, parse, members=None):
+    """parse(the JSON object in a file). Given members, a set of keys, the
+    parse ends once all of them are read, so the members after them are
+    never parsed. A file that is not JSON or not an object, or whose object
+    parse rejects, fails as one ValueError line that names the file."""
     try:
-        with open(path) as f:
-            rec = json.load(f)
+        with open(path, "rb") as f:
+            rec = _json_members(f.read().decode("utf-8"), members)
         if not isinstance(rec, dict):
             raise ValueError(f"the file holds a {type(rec).__name__}, not a JSON object")
         return parse(rec)

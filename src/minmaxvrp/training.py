@@ -5,7 +5,7 @@ mean of the K objectives is the baseline, and only the log-probabilities
 receive gradient. Also holds fine-tuning and the checkpoint file format.
 """
 
-import base64
+import binascii
 import json
 import re
 import time
@@ -278,17 +278,18 @@ def arrays_to_records(arrays):
         records[name] = {
             "shape": list(arr.shape),
             "dtype": str(arr.dtype),
-            "data_b64": base64.b64encode(arr.tobytes()).decode("ascii"),
+            "data_b64": binascii.b2a_base64(arr.tobytes(), newline=False).decode("ascii"),
         }
     return records
 
 
 def records_to_arrays(records):
-    """The name -> ndarray that arrays_to_records encoded, bit for bit."""
+    """The name -> ndarray that arrays_to_records encoded, bit for bit; each
+    array is writable, over a buffer of its own."""
     arrays = {}
     for name, rec in records.items():
-        raw = base64.b64decode(rec["data_b64"])
-        arrays[name] = np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"]).copy()
+        raw = bytearray(binascii.a2b_base64(rec["data_b64"]))
+        arrays[name] = np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"])
     return arrays
 
 
@@ -332,7 +333,7 @@ def _from_payload(payload, optimizer):
         for name in list(arrays) if version == 1 else ():
             if m := _V1_HEAD.fullmatch(name):
                 heads.setdefault(m[1], {})[int(m[2])] = arrays.pop(name)
-        arrays.update((name, np.hstack([h[i] for i in sorted(h)]))
+        arrays.update((name, np.concatenate([h[i] for i in sorted(h)], axis=1))
                       for name, h in heads.items())
         arrays = en.check_params(shapes, arrays, what)
         for name, arr in arrays.items():
@@ -355,13 +356,17 @@ def _from_payload(payload, optimizer):
 def load_model(path):
     """Read a checkpoint's (ModelConfig, params) without the optimizer.
 
-    Every parameter must have the name and shape that init_params gives
-    the stored config (encoder.check_params) and hold finite values;
-    format v1 (per-head attention matrices) is fused. Any fault of the
-    file fails as one line naming it.
+    Only the format_version, model and params members are parsed: in a file
+    save_checkpoint wrote they come first, so the optimizer member (two
+    thirds of the file) is never parsed and may even be damaged. Every
+    parameter must have the name and shape that init_params gives the
+    stored config (encoder.check_params) and hold finite values; format v1
+    (per-head attention matrices) is fused. Any fault of what is read fails
+    as one line naming the file.
     """
     return pb.read_json_file(path, "checkpoint",
-                             lambda payload: _from_payload(payload, False)[:2])
+                             lambda payload: _from_payload(payload, False)[:2],
+                             members={"format_version", "model", "params"})
 
 
 def load_checkpoint(path):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,39 @@ def test_solve_interleaved_sizes_matches_one_instance_infers(trained, tmp_path,
         expect.append(json.dumps(pb.solution_to_record(
             res.solution, res.objective, res.permutation, res.aug_index)) + "\n")
     assert sols.read_text() == "".join(expect)
+
+
+def test_solve_prints_where_its_time_went(trained, tmp_path, capsys):
+    ckpt, data = trained
+    code, out, _err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                           "--out", tmp_path / "s.jsonl"], capsys)
+    assert code == 0
+    m = re.fullmatch(r"solved 3 instances: mean objective \d+\.\d{4}, wallclock (\S+)s "
+                     r"\(load (\S+)s, decode (\S+)s, validate\+write (\S+)s\)\n", out)
+    assert m, out
+    wall, *parts = map(float, m.groups())
+    assert all(p >= 0 for p in parts) and abs(sum(parts) - wall) <= 0.05 + 0.0015
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_a_damaged_adam_member_serves_solve_but_not_resume(trained, tmp_path, capsys,
+                                                           damage):
+    ckpt, data = trained
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                "--out", tmp_path / "whole.jsonl"]) == 0
+    text = ckpt.read_text()
+    at = text.index('"optimizer"')
+    cut = at + (len(text) - at) // 2
+    ckpt.write_text(text[:cut] if damage == "truncated"
+                    else text[:cut] + "\x00garbage}}" + text[cut:])
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                "--out", tmp_path / "damaged.jsonl"]) == 0
+    assert (tmp_path / "damaged.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+    code, _out, err = run(["train", "--config", tmp_path / "train.json", "--resume", ckpt,
+                           "--out-dir", tmp_path / "again"], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert f"checkpoint {ckpt} is not JSON" in err
+    assert not (tmp_path / "again").exists()
 
 
 def test_eval_count_mismatch(trained, tmp_path, capsys):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_feasible
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxvrp import problems as pb
 
@@ -83,8 +86,11 @@ def test_collinear_pair():
 
 def test_route_length_index_error():
     ins = mtsp([(0.3, 0.0), (0.7, 0.0)], M=2)
-    with pytest.raises(IndexError):
-        pb.route_length([0, 5], ins)
+    for j in (5, 2, -1, -2):
+        with pytest.raises(IndexError, match=f"customer index {j} out of range for N=2"):
+            pb.route_length([0, j], ins)
+        with pytest.raises(IndexError, match="for N=2"):
+            pb.minmax_objective(pb.RouteSet(routes=[[j], [0, 1]]), ins)
 
 
 def test_fmdvrp_open_chain():
@@ -128,6 +134,48 @@ def test_route_length_reverse_resummation():
     pts = [ins.depot_coords[0]] + [ins.coords[j] for j in route] + [ins.depot_coords[0]]
     edges = [math.hypot(a[0] - b[0], a[1] - b[1]) for a, b in zip(pts[:-1], pts[1:])]
     assert abs(forward - sum(reversed(edges))) < 1e-9
+
+
+def numpy_scalar_route_length(route, instance, start_depot=0, end_depot=0):
+    """The earlier route_length, on the numpy coordinate rows: the reference
+    the Python-float version must equal bit for bit."""
+    if not route:
+        return 0.0
+    pts = [instance.depot_coords[start_depot]]
+    for j in route:
+        pts.append(instance.coords[j])
+    if instance.kind == "FMDVRP":
+        pts.append(instance.depot_coords[end_depot])
+    else:
+        pts.append(instance.depot_coords[start_depot])
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        total += math.hypot(a[0] - b[0], a[1] - b[1])
+    return total
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(pb.KINDS), M=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1e-3, 37.5, 1e5]),
+       data=st.data())
+def test_objective_equals_the_numpy_scalar_formula_bitwise(kind, M, seed, scale, data):
+    units = data.draw(st.integers(M, 9), label="N")
+    N = 2 * units if kind == "MPDP" else units  # MPDP counts pairs
+    D = data.draw(st.integers(1, 3), label="D") if kind in pb.MULTI_DEPOT_KINDS else 1
+    rng = np.random.default_rng(seed)
+    ins = pb.Instance(kind=kind, coords=rng.uniform(-scale, scale, (N, 2)),
+                      depot_coords=rng.uniform(-scale, scale, (D, 2)), M=M)
+    sol = random_feasible(ins, rng)
+    ends = zip(sol.routes, sol.start_depots, sol.end_depots)
+    lengths = [numpy_scalar_route_length(r, ins, s, e) for r, s, e in ends]
+    assert pb.minmax_objective(sol, ins).hex() == max(lengths).hex()
+    for (r, s, e), ref in zip(zip(sol.routes, sol.start_depots, sol.end_depots), lengths):
+        assert pb.route_length(r, ins, s, e).hex() == ref.hex()
+    # any walk over the customers, repeats allowed, between any two depots
+    walk = data.draw(st.lists(st.integers(0, N - 1), max_size=12), label="walk")
+    s, e = data.draw(st.integers(0, D - 1), label="s"), data.draw(st.integers(0, D - 1), label="e")
+    assert pb.route_length(walk, ins, s, e).hex() == \
+        numpy_scalar_route_length(walk, ins, s, e).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +274,67 @@ def test_instance_line_rewrites_identically(tmp_path):
     ins = pb.gen_uniform("MPDP", N=8, D=1, M=2, seed=13)
     line = pb.instance_to_line(ins)
     assert pb.instance_to_line(pb.instance_from_record(json.loads(line))) == line
+
+
+# ---------------------------------------------------------------------------
+# JSON files read member by member
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def outcome(parse, text):
+    """What parse gives text, or the JSONDecodeError class if it rejects it."""
+    try:
+        return parse(text)
+    except json.JSONDecodeError:
+        return json.JSONDecodeError
+
+
+@settings(max_examples=300)
+@given(obj=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5),
+       indent=st.sampled_from([None, 0, 2, "\t"]), pad=st.sampled_from(["", " \n", "\r\t "]),
+       data=st.data())
+def test_json_members_reads_what_json_loads_reads(obj, indent, pad, data):
+    text = pad + json.dumps(obj, indent=indent) + pad
+    assert pb._json_members(text, None) == json.loads(text) == obj
+    wanted = frozenset(data.draw(st.sets(st.sampled_from(sorted(obj))), label="members")
+                       if obj else ())
+    got = pb._json_members(text, wanted)
+    assert {k: got[k] for k in wanted} == {k: obj[k] for k in wanted}
+    # a damaged text: cut short, or with a character spliced in; a whole read
+    # accepts and rejects what json.loads does
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    splice = data.draw(st.sampled_from(["", "x", ",", "}", "]", ":", '"', "{", " "]),
+                       label="splice")
+    for bad in (text[:cut], text[:cut] + splice + text[cut:]):
+        assert outcome(lambda t: pb._json_members(t, None), bad) == outcome(json.loads, bad)
+
+
+@pytest.mark.parametrize("text", ["", "  ", "not a checkpoint{", "{", '{"a"', '{"a" 1}',
+                                  '{"a": 1 "b": 2}', '{"a": 1,}', '{"a": 1} x', "{1: 2}",
+                                  '{"a": [1, 2}'])
+def test_read_json_file_names_a_file_that_is_not_json(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^config {path} is not JSON: "):
+        pb.read_json_file(path, "config", dict)
+    # the damage is in the members asked for, or before them
+    with pytest.raises(ValueError, match="is not JSON"):
+        pb.read_json_file(path, "config", dict, members=frozenset({"a", "b"}))
+
+
+def test_read_json_file_stops_after_the_members_asked_for(tmp_path):
+    path = tmp_path / "part.json"
+    path.write_text('{"a": 1, "b": [2, 3], "c": {"broken": ')
+    assert pb.read_json_file(path, "config", dict, members=frozenset({"b", "a"})) == \
+        {"a": 1, "b": [2, 3]}
+    with pytest.raises(ValueError, match="is not JSON"):
+        pb.read_json_file(path, "config", dict)
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="holds a list, not a JSON object"):
+        pb.read_json_file(path, "config", dict, members=frozenset({"a"}))

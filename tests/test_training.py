@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import params64, tiny_cfg, tiny_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxvrp import diffcore as dc
 from minmaxvrp import encoder as en
@@ -188,6 +190,23 @@ def test_train_smoke_and_reproducible_metrics():
     assert runs[0][1] == runs[1][1]
     for k in runs[0][0]:
         assert np.array_equal(runs[0][0][k].data, runs[1][0][k].data)
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["MTSP", "MPDP", "FMDVRP"]), seed=st.integers(0, 1000))
+def test_train_is_bitwise_deterministic_per_seed(kind, seed):
+    tc = tiny_tc(kind, seed=seed, epochs=2, epoch_size=2, batch_size=2,
+                 d_max=2 if kind == "FMDVRP" else 1)
+    (p1, o1, m1), (p2, o2, m2) = tr.train(tc), tr.train(tc)
+    assert list(p1) == list(p2)
+    for name in p1:
+        for a, b in [(p1[name].data, p2[name].data), (o1.m[name], o2.m[name]),
+                     (o1.v[name], o2.v[name])]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (o1.step_count, o1.lr) == (o2.step_count, o2.lr)
+    for row1, row2 in zip(m1, m2, strict=True):
+        assert row1.pop("wallclock") >= 0 and row2.pop("wallclock") >= 0
+        assert row1 == row2
 
 
 def test_train_applies_lr_decay_and_callback():
@@ -399,6 +418,40 @@ def test_load_checkpoint_v1_missing_head_names_the_fused_entry(tmp_path):
     path.write_text(json.dumps(v1))
     msg = _one_line_error(path)
     assert "params" in msg and "layer0.agent_attn.k " in msg and "(16, 8)" in msg
+
+
+def _reordered_text(payload, layout):
+    """The checkpoint text compact as saved, or with indent=2 and the
+    optimizer member first."""
+    if layout == "compact":
+        return json.dumps(payload)
+    first = {"optimizer": payload["optimizer"]}
+    first.update((k, v) for k, v in payload.items() if k != "optimizer")
+    return json.dumps(first, indent=2)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("layout", ["compact", "indent2-optimizer-first"])
+def test_load_model_gives_load_checkpoint_params_bitwise(tmp_path, version, layout):
+    cfg, params = tiny_model("MDVRP", seed=5)
+    opt = dc.AdamState(params, lr=1e-3)
+    _random_moments(params, opt, 5)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(path, cfg, params, opt)
+    payload = json.loads(path.read_text())
+    if version == 1:
+        payload = _as_v1(payload, cfg.n_heads)
+    path.write_text(_reordered_text(payload, layout))
+    cfg1, params1 = tr.load_model(path)
+    cfg2, params2, opt2 = tr.load_checkpoint(path)
+    assert cfg1 == cfg2 == cfg and list(params1) == list(params2) == list(params)
+    for name, p in params.items():
+        for got in (params1[name].data, params2[name].data):
+            assert got.dtype == p.data.dtype and got.tobytes() == p.data.tobytes(), name
+        assert opt2.m[name].tobytes() == opt.m[name].tobytes(), name
+        # Adam updates params and moments in place
+        for got in (params1[name].data, params2[name].data, opt2.m[name], opt2.v[name]):
+            assert got.flags.writeable, name
 
 
 def test_load_model_skips_the_optimizer(tmp_path):
