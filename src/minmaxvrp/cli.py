@@ -53,12 +53,10 @@ def cmd_gen(args):
     if not 2 <= args.m_min <= args.m_max:
         raise ValueError(f"need 2 <= m-min <= m-max, "
                          f"got [{args.m_min}, {args.m_max}]")
+    pb.check_instance_shape(args.kind, args.n, args.d, args.m_max)  # every M, not just those drawn
     rng = np.random.default_rng(args.seed)
-    instances = []
-    for _ in range(args.count):
-        m = int(rng.integers(args.m_min, args.m_max + 1))
-        instances.append(pb.gen_uniform(args.kind, N=args.n, D=args.d, M=m,
-                                        seed=int(rng.integers(2 ** 63))))
+    instances = [pb.draw_instance(args.kind, args.n, (args.m_min, args.m_max),
+                                  (args.d, args.d), rng) for _ in range(args.count)]
     pb.write_instances(args.out, instances)
     print(f"wrote {len(instances)} {args.kind} instances to {args.out}")
     return 0
@@ -98,8 +96,9 @@ def cmd_train(args):
         print(tr.metrics_to_text([row]), end="")
 
     params, opt, metrics = tr.train(tc, params=params, opt=opt, on_epoch=on_epoch)
-    tr.save_checkpoint(ckpt_path, tc.model, params, opt)
-    pb.atomic_write_text(metrics_path, tr.metrics_to_text(metrics))
+    if not metrics:  # no epoch ran, so on_epoch has saved nothing
+        tr.save_checkpoint(ckpt_path, tc.model, params, opt)
+        pb.atomic_write_text(metrics_path, "")
     print(f"finished {len(metrics)} epochs; checkpoint at {ckpt_path}")
     return 0
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import encoder as en
+from . import problems as pb
 
 LOGIT_CLIP = 50.0
 MASK_VALUE = -1e9
@@ -37,7 +38,7 @@ class DecodeConstants:
         ins = variants[0]
         xy = np.stack([v.coords for v in variants])
         depots = np.stack([v.depot_coords for v in variants])
-        multi = ins.kind in ("MDVRP", "FMDVRP")
+        multi = ins.kind in pb.MULTI_DEPOT_KINDS
         n_slots = ins.D if multi else ins.M
         slot_coords = depots if multi else np.repeat(depots, ins.M, axis=1)
         cand = np.concatenate([slot_coords, xy], axis=1)

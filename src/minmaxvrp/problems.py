@@ -9,7 +9,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +93,7 @@ def check_instance_shape(kind, N, D, M):
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     if kind in SINGLE_DEPOT_KINDS and D != 1:
-        raise ValueError(f"{kind} requires exactly one depot, got D={D}")
+        raise ValueError(f"{kind} is single-depot, so it needs D=1, got D={D}")
     if kind in MULTI_DEPOT_KINDS and D < 1:
         raise ValueError(f"{kind} requires at least one depot, got D={D}")
     if kind == "MPDP" and N % 2 != 0:
@@ -117,6 +116,14 @@ def gen_uniform(kind, N, D, M, seed):
     depot_coords = rng.uniform(0.0, 1.0, size=(D, 2))
     return Instance(kind=kind, coords=coords, depot_coords=depot_coords, M=M,
                     uid=int(seed))
+
+
+def draw_instance(kind, N, m_range, d_range, rng):
+    """gen_uniform with M, then D, drawn from inclusive (low, high) ranges,
+    then its seed, all from rng. A one-value range draws no random bits."""
+    M = int(rng.integers(m_range[0], m_range[1] + 1))
+    D = int(rng.integers(d_range[0], d_range[1] + 1))
+    return gen_uniform(kind, N, D, M, seed=int(rng.integers(2 ** 63)))
 
 
 def route_length(route, instance, start_depot=0, end_depot=0):
@@ -253,13 +260,14 @@ def instance_from_record(rec):
 
 
 def atomic_write_text(path, text):
-    """Write via a sibling temp file + rename so readers never see a torn file."""
+    """Write UTF-8 via a sibling temp file + rename so readers never see a
+    torn file. The file gets the mode open() gives a new file."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
+    tmp = os.path.join(os.path.dirname(path),
+                       f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    f = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w") as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -268,38 +276,29 @@ def atomic_write_text(path, text):
 
 
 _JSON = json.JSONDecoder()
-_SPACE = re.compile(r"[ \t\n\r]*").match
+_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*(?=")')  # what opens a member
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
 
 
 def _json_members(text, members):
     """The JSON object in text as a dict, parsed one member (one key and its
-    value) at a time; once every key of members is read, parsing stops and
-    the rest of the text is never looked at. members None reads them all.
-    Text that is not an object gives what json.loads gives it."""
-    i = _SPACE(text).end()
-    if not text.startswith("{", i):
-        return json.loads(text)
-    rec, i = {}, _SPACE(text, i + 1).end()
-    while not text.startswith("}", i):
-        if rec:
-            if not text.startswith(",", i):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-            i = _SPACE(text, i + 1).end()
-        if not text.startswith('"', i):
-            raise json.JSONDecodeError("Expecting property name enclosed in "
-                                       "double quotes", text, i)
-        key, i = _JSON.raw_decode(text, i)
-        i = _SPACE(text, i).end()
-        if not text.startswith(":", i):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-        rec[key], i = _JSON.raw_decode(text, _SPACE(text, i + 1).end())
-        if members is not None and rec.keys() >= members:
-            return rec
-        i = _SPACE(text, i).end()
-    i = _SPACE(text, i + 1).end()
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
-    return rec
+    value) at a time until every key of members is read; the rest of the
+    text is then never looked at. Everything else (members None, text that
+    is not an object, a fault, or a member missing) is json.loads(text)."""
+    if members is not None:
+        rec, sep, i = {}, "{", 0
+        try:
+            while (m := _MEMBER.match(text, i)) and m[1] == sep:
+                key, i = _JSON.raw_decode(text, m.end())
+                if not (m := _COLON.match(text, i)):
+                    break
+                rec[key], i = _JSON.raw_decode(text, m.end())
+                if rec.keys() >= members:
+                    return rec
+                sep = ","
+        except json.JSONDecodeError:
+            pass
+    return json.loads(text)
 
 
 def read_json_file(path, what, parse, members=None):
@@ -330,7 +329,7 @@ def read_jsonl(path, parse):
     """parse(record) of the JSON object on every non-blank line of a file.
     Any fault of a line fails as one ValueError line `<path>:<line>: ...`."""
     out = []
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if line.strip():
                 try:

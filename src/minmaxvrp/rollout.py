@@ -176,7 +176,7 @@ def actions_from_solution(solution, permutation, instance):
     Route i of the solution must belong to agent permutation[i]; for
     single-depot kinds the closing depot action is that agent's slot.
     """
-    multi = instance.kind in ("MDVRP", "FMDVRP")
+    multi = instance.kind in pb.MULTI_DEPOT_KINDS
     n_slots = instance.D if multi else instance.M
     o = tuple(int(v) for v in permutation)
     actions = []

@@ -47,8 +47,14 @@ class TrainConfig:
 
     def __post_init__(self):
         en.check_field_types(self, "train config")
-        if self.kind not in pb.KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
+        if not 2 <= self.m_min <= self.m_max:
+            raise ValueError(f"need 2 <= m_min <= m_max, got [{self.m_min}, {self.m_max}]")
+        if not 1 <= self.d_min <= self.d_max:
+            raise ValueError(f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
+        try:  # the largest M and D are the hardest on every shape rule
+            pb.check_instance_shape(self.kind, self.N, self.d_max, self.m_max)
+        except ValueError as exc:
+            raise ValueError(f"m_max={self.m_max}, d_max={self.d_max}: {exc}") from None
         if self.model is None:
             self.model = en.ModelConfig(kind=self.kind)
         if self.model.kind != self.kind:
@@ -56,20 +62,6 @@ class TrainConfig:
                              f"training kind {self.kind!r}")
         if self.K < 2:
             raise ValueError("K must be >= 2: the mean baseline needs variance")
-        if not 2 <= self.m_min <= self.m_max:
-            raise ValueError(f"need 2 <= m_min <= m_max, got [{self.m_min}, {self.m_max}]")
-        cap = self.N // 2 if self.kind == "MPDP" else self.N
-        if self.m_max > cap:
-            raise ValueError(f"m_max={self.m_max} exceeds the {cap} non-empty "
-                             f"routes {self.kind} N={self.N} supports")
-        if self.kind in pb.MULTI_DEPOT_KINDS:
-            if not 1 <= self.d_min <= self.d_max:
-                raise ValueError(f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        else:
-            if (self.d_min, self.d_max) != (1, 1):
-                raise ValueError(f"{self.kind} is single-depot; D range must be [1, 1]")
-        if self.kind == "MPDP" and self.N % 2 != 0:
-            raise ValueError(f"MPDP needs an even customer count, got N={self.N}")
         if self.batch_size < 1 or self.epoch_size < 1:
             raise ValueError("batch_size and epoch_size must be >= 1")
         if self.epochs < 0:
@@ -161,16 +153,6 @@ def frozen_surrogate(instance, perms, forced, advantages, cfg, seed=None):
 # the loop
 # ---------------------------------------------------------------------------
 
-def _gen_instance(tc, rng):
-    M = int(rng.integers(tc.m_min, tc.m_max + 1))
-    if tc.kind in pb.MULTI_DEPOT_KINDS:
-        D = int(rng.integers(tc.d_min, tc.d_max + 1))
-    else:
-        D = 1
-    return pb.gen_uniform(tc.kind, N=tc.N, D=D, M=M,
-                          seed=int(rng.integers(2 ** 63)))
-
-
 def train(tc, params=None, opt=None, on_epoch=None):
     """Run the REINFORCE loop; returns (params, optimizer state, metrics).
 
@@ -198,7 +180,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
         done = 0
         while done < tc.epoch_size:
             n = min(tc.batch_size, tc.epoch_size - done)
-            batch = [_gen_instance(tc, master) for _ in range(n)]
+            batch = [pb.draw_instance(tc.kind, tc.N, (tc.m_min, tc.m_max),
+                                      (tc.d_min, tc.d_max), master) for _ in range(n)]
             try:
                 loss, best, baselines = aps_loss(batch, tc.model, params,
                                                  tc.K, master)

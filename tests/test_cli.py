@@ -72,6 +72,10 @@ def test_gen_error_paths(tmp_path, capsys):
     code, _out, err = run(["gen", "--kind", "MTSP", "--n", 6, "--count", 2,
                            "--m-min", 1, "--out", tmp_path / "x"], capsys)
     assert code == 1 and "m-min" in err
+    for seed in range(4):  # the whole M range must fit N, whatever M is drawn
+        code, _out, err = run(["gen", "--kind", "MTSP", "--n", 3, "--m-min", 2, "--m-max", 5,
+                               "--count", 1, "--seed", seed, "--out", tmp_path / "x"], capsys)
+        assert code == 1 and "at most 3 non-empty routes, got M=5" in err
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +95,28 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert cfg.to_dict() == tc.model.to_dict()
     assert opt.step_count == 2  # one adam step per single-batch epoch
     assert "finished 2 epochs" in out
+
+
+@pytest.mark.parametrize("epochs,saves", [(2, 2), (0, 1)])
+def test_train_saves_once_per_epoch_or_once_without_epochs(tmp_path, monkeypatch,
+                                                            epochs, saves):
+    calls = {"checkpoint": 0, "file": 0}
+
+    def counted(fn, what):
+        def wrapped(*args):
+            calls[what] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(tr, "save_checkpoint", counted(tr.save_checkpoint, "checkpoint"))
+    monkeypatch.setattr(pb, "atomic_write_text", counted(pb.atomic_write_text, "file"))
+    cfg_path = tmp_path / "train.json"
+    write_config(cfg_path, epochs=epochs)
+    out_dir = tmp_path / "run"
+    assert run(["train", "--config", cfg_path, "--out-dir", out_dir]) == 0
+    assert calls == {"checkpoint": saves, "file": 2 * saves}  # checkpoint + metrics
+    assert len(pb.read_jsonl(out_dir / "metrics.jsonl", dict)) == epochs
+    assert tr.load_checkpoint(out_dir / "checkpoint.ckpt")[2].step_count == epochs
 
 
 def test_train_model_overrides_land_in_checkpoint(tmp_path):

@@ -1,6 +1,11 @@
+import contextlib
 import itertools
 import json
 import math
+import os
+import stat
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +52,30 @@ def test_gen_rejects_bad_combinations():
         pb.gen_uniform("MPDP", N=6, D=1, M=4, seed=0)  # only 3 pairs
     with pytest.raises(ValueError):
         pb.gen_uniform("BOGUS", N=6, D=1, M=2, seed=0)
+
+
+def test_draw_instance_draws_m_then_d_then_the_seed():
+    ins = pb.draw_instance("MDVRP", 6, (2, 4), (1, 3), np.random.default_rng(5))
+    ref = np.random.default_rng(5)
+    M, D = int(ref.integers(2, 5)), int(ref.integers(1, 4))
+    assert (ins.M, ins.D, ins.uid) == (M, D, int(ref.integers(2 ** 63)))
+    # a one-value range draws no random bits
+    one = pb.draw_instance("MTSP", 6, (3, 3), (1, 1), np.random.default_rng(5))
+    assert (one.M, one.D, one.uid) == (3, 1, int(np.random.default_rng(5).integers(2 ** 63)))
+
+
+def instance_and_solution(data):
+    """An instance of a drawn kind and shape on the unit square, with a
+    random feasible solution."""
+    kind = data.draw(st.sampled_from(pb.KINDS), label="kind")
+    M = data.draw(st.integers(1, 4), label="M")
+    units = data.draw(st.integers(M, 9), label="N")
+    N = 2 * units if kind == "MPDP" else units  # MPDP counts pairs
+    D = data.draw(st.integers(1, 3), label="D") if kind in pb.MULTI_DEPOT_KINDS else 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    ins = pb.Instance(kind=kind, coords=rng.uniform(0.0, 1.0, (N, 2)),
+                      depot_coords=rng.uniform(0.0, 1.0, (D, 2)), M=M)
+    return ins, random_feasible(ins, rng)
 
 
 def test_instance_rejects_non_finite_coordinates():
@@ -223,9 +252,31 @@ def test_validate_mdvrp_depot_rule():
     assert pb.validate(cross, fl) is None
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_permuting_routes_with_their_depots_keeps_validity_and_objective(data):
+    ins, sol = instance_and_solution(data)
+    order = data.draw(st.permutations(range(ins.M)), label="order")
+    moved = pb.RouteSet(routes=[sol.routes[i] for i in order],
+                        start_depots=[sol.start_depots[i] for i in order],
+                        end_depots=[sol.end_depots[i] for i in order])
+    assert pb.validate(moved, ins) is None
+    assert pb.minmax_objective(moved, ins).hex() == pb.minmax_objective(sol, ins).hex()
+
+
 # ---------------------------------------------------------------------------
 # augment8
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_objective_is_the_same_on_every_symmetry(data):
+    ins, sol = instance_and_solution(data)
+    obj = pb.minmax_objective(sol, ins)
+    for aug in pb.augment8(ins):
+        assert pb.validate(sol, aug) is None
+        assert abs(pb.minmax_objective(sol, aug) - obj) <= 1e-12 * max(1.0, obj)
+
 
 def test_augment_identity_element():
     ins = pb.gen_uniform("MTSP", N=8, D=1, M=2, seed=3)
@@ -274,6 +325,41 @@ def test_instance_line_rewrites_identically(tmp_path):
     ins = pb.gen_uniform("MPDP", N=8, D=1, M=2, seed=13)
     line = pb.instance_to_line(ins)
     assert pb.instance_to_line(pb.instance_from_record(json.loads(line))) == line
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        pb.atomic_write_text(tmp_path / "atomic.txt", "x")
+        with open(tmp_path / "plain.txt", "w") as f:
+            f.write("x")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("atomic.txt", "plain.txt")]
+    assert modes == [0o666 & ~umask] * 2
+
+
+@settings(max_examples=60)
+@given(old=st.text(max_size=40), new=st.text(max_size=3000),
+       fault=st.sampled_from([None, "text", "rename"]), at=st.integers(0, 3000))
+def test_a_failed_atomic_write_leaves_the_old_file_and_no_temp_file(old, new, fault, at):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "out.jsonl")
+        pb.atomic_write_text(path, old)
+        if fault == "text":  # a lone surrogate has no UTF-8 encoding
+            new = new[:at] + "\ud800" + new[at:]
+        failing_rename = mock.patch.object(os, "replace", side_effect=OSError("rename"))
+        with failing_rename if fault == "rename" else contextlib.nullcontext():
+            if fault is None:
+                pb.atomic_write_text(path, new)
+            else:
+                with pytest.raises(UnicodeEncodeError if fault == "text" else OSError):
+                    pb.atomic_write_text(path, new)
+        with open(path, encoding="utf-8", newline="") as f:
+            assert f.read() == (new if fault is None else old)
+        assert os.listdir(d) == ["out.jsonl"]
 
 
 # ---------------------------------------------------------------------------
