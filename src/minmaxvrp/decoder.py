@@ -5,12 +5,15 @@ Candidate actions are indexed [agent slots 0..M-1, customers M..M+N-1] for
 single-depot kinds and [depot slots 0..D-1, customers D..D+N-1] for
 multi-depot kinds. Functions here take the rollout's DecodeState by duck
 type so the two modules stay import-acyclic. The state holds R = V x K rows
-(V variants of an instance, K permutations each); every function here runs
-once per decode step for all rows, and the tensors carry the V variants on a
-leading batch axis.
+(V variants of an instance, K permutations each), and the tensors carry the
+V variants on a leading batch axis. step_inputs reads what the model head
+needs of one decode step's state; the head (context, glimpse, logits) runs
+on those arrays, so one call serves one step's K rows per variant or all T
+steps' T x K rows at once.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -147,22 +150,39 @@ def pooled_graph(emb, params):
     return dc.matmul(dc.mean_rows(dc.concat_rows(parts)), params["dec.emb"])
 
 
-def context(state, H_a, cand, pooled, params):
-    """The V x K x d context rows of the state's V x K rows: pooled graph +
-    step + length.
+class StepInputs(namedtuple("StepInputs", "agent node fracs feats exp_rows masks")):
+    """What the model head reads of the V x Q decode rows it scores, each
+    V x Q (x features): agent and node index the agent rows and the
+    candidate rows, fracs and feats are scalar_features, exp_rows is
+    dist_exp_row and masks feasibility_mask."""
 
-    Row (a, k) joins its agent row of H_a[a], its current node's row of the
-    candidate rows cand[a] and its scalar features; the pooled-graph term
-    pooled[a] (pooled_graph) is shared by the K rows of variant a.
-    """
-    V = cand.shape[0]
-    agents = dc.gather_rows(H_a, state.agent.reshape(V, -1))
-    nodes = dc.gather_rows(cand, state.node.reshape(V, -1))
+    __slots__ = ()
+
+
+def step_inputs(state):
+    """The StepInputs of the state's V x K rows."""
+    V = len(state.variants)
+    K = len(state.rows) // V
     fracs, feats = scalar_features(state)
-    fracs = dc.constant(fracs.reshape(V, -1, fracs.shape[1]))
-    step = dc.matmul(dc.concat_cols([agents, nodes, fracs]), params["dec.step"])
-    length = dc.matmul(dc.constant(feats.reshape(V, -1, feats.shape[1])),
-                       params["dec.length"])
+    return StepInputs(state.agent.reshape(V, K), state.node.reshape(V, K),
+                      fracs.reshape(V, K, -1), feats.reshape(V, K, -1),
+                      dist_exp_row(state).reshape(V, K, -1),
+                      feasibility_mask(state).reshape(V, K, -1))
+
+
+def context(inputs, H_a, cand, pooled, params):
+    """The V x Q x d context rows of the V x Q rows of inputs (StepInputs):
+    pooled graph + step + length.
+
+    Row (a, q) joins its agent row of H_a[a], its current node's row of the
+    candidate rows cand[a] and its scalar features; the pooled-graph term
+    pooled[a] (pooled_graph) is shared by every row of variant a.
+    """
+    agents = dc.gather_rows(H_a, inputs.agent)
+    nodes = dc.gather_rows(cand, inputs.node)
+    step = dc.matmul(dc.concat_cols([agents, nodes, dc.constant(inputs.fracs)]),
+                     params["dec.step"])
+    length = dc.matmul(dc.constant(inputs.feats), params["dec.length"])
     return dc.add(dc.add(step, pooled), length)
 
 
@@ -189,10 +209,10 @@ def glimpse(H_ctx, kv, cfg, params):
 
 
 def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
-    """Masked log-probabilities, V x K x C.
+    """Masked log-probabilities, V x Q x C.
 
-    q: V x K x d glimpse output; cand_proj_t: (candidates @ W_L)
-    transposed, V x d x C; exp_rows/masks: V x K x C numpy (distance
+    q: V x Q x d glimpse output; cand_proj_t: (candidates @ W_L)
+    transposed, V x d x C; exp_rows/masks: V x Q x C numpy (distance
     factors and feasibility).
     """
     scores = dc.scale(dc.matmul(q, cand_proj_t),
@@ -200,7 +220,7 @@ def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     bias = dc.scale(dc.constant(exp_rows), params["dec.alpha_dist"])
     pre = dc.add(scores, bias)
     # every encoder and decoder value reaches this sum, so one check per
-    # step catches a NaN or inf from anywhere in the model
+    # call catches a NaN or inf from anywhere in the model
     if not np.isfinite(pre.data).all():
         raise FloatingPointError("non-finite values in the decoder logits")
     u = dc.scale(dc.tanh(pre), LOGIT_CLIP)

@@ -299,6 +299,21 @@ def take_per_row(a, indexes):
     return _make(out_data, (a,), backward)
 
 
+def sum_row_blocks(a, n_blocks):
+    """V x (n_blocks * K) x c -> V x K x c: row k of the output sums row k
+    of each of the n_blocks blocks of K rows, block by block in order, as a
+    chain of adds would."""
+    if a.data.ndim != 3 or a.shape[1] % n_blocks:
+        raise ValueError(f"sum_row_blocks: {n_blocks} blocks do not divide {a.shape}")
+    V, _rows, cols = a.shape
+    out_data = np.cumsum(a.data.reshape(V, n_blocks, -1, cols), axis=1)[:, -1]
+
+    def backward(g, out):
+        _accum(a, np.tile(g, (1, n_blocks, 1)))
+
+    return _make(out_data, (a,), backward)
+
+
 def sum_all(a):
     out_data = np.array([[np.sum(a.data, dtype=np.float64)]], dtype=a.dtype)
 

@@ -207,7 +207,7 @@ def sample_rows(rng, rows):
 
 
 def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
-                 forced=None):
+                 forced=None, stats=None):
     """Roll out K permutations of each of V same-size instances in lockstep.
 
     instances is one Instance or V of one kind and size: the variants of an
@@ -221,6 +221,14 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     multi-depot pre-start nodes (see DecodeState, which also takes one
     Generator per variant). forced, when given, is one action sequence per
     row and overrides both decoding modes (teacher forcing).
+
+    The step loop records no graph. With gradients on, or with forced
+    actions, each step keeps its StepInputs, and after the loop one scoring
+    pass runs the model head over all T steps' rows at once; its graph is
+    the only one a decode records, and a forced decode calls the model only
+    there. Otherwise the loop sums the chosen log-probs step by step. stats,
+    a dict, receives "entropy" from a scoring pass: the R rows' policy
+    entropies, each the mean over its steps.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -228,32 +236,46 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     if sampling and not isinstance(rng, np.random.Generator):
         raise ValueError("sampled decoding needs an rng")
     state = DecodeState(instances, perms, rng)
-    V = len(state.variants)
-    K = len(state.rows) // V
+    R, V, T = len(state.rows), len(state.variants), state.n_steps
     emb = en.encode(state.variants, cfg, params)
     cand = de.candidate_rows(emb)
     pooled = de.pooled_graph(emb, params)
     kv = de.glimpse_kv(cand, cfg, params)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
-    total = None
-    while not state.terminal:
-        ctx = de.context(state, emb.H_a, cand, pooled, params)
+
+    def head(inputs):
+        ctx = de.context(inputs, emb.H_a, cand, pooled, params)
         q = de.glimpse(ctx, kv, cfg, params)
-        exp_rows = de.dist_exp_row(state)
-        masks = de.feasibility_mask(state)
-        logp = de.logits(q, cand_proj_t, exp_rows.reshape(V, K, -1),
-                         masks.reshape(V, K, -1), params, cfg.d_model)
-        rows = logp.data.reshape(V * K, -1)
-        if forced is not None:
-            chosen = [seq[state.t] for seq in forced]
-        elif sampling:
-            chosen = sample_rows(rng, rows)
-        else:
-            chosen = rows.argmax(axis=1)
-        chosen = np.array(chosen, dtype=np.intp).reshape(V, K)
-        picked = dc.take_per_row(logp, chosen)
-        total = picked if total is None else dc.add(total, picked)
-        step(state, chosen, masks)
+        return de.logits(q, cand_proj_t, inputs.exp_rows, inputs.masks, params,
+                         cfg.d_model)
+
+    scoring = forced is not None or dc.grad_enabled()
+    steps, total = [], None
+    with dc.no_grad():
+        while not state.terminal:
+            inputs = de.step_inputs(state)
+            if forced is not None:
+                chosen = [seq[state.t] for seq in forced]
+            else:
+                logp = head(inputs)
+                rows = logp.data.reshape(R, -1)
+                chosen = sample_rows(rng, rows) if sampling else rows.argmax(axis=1)
+            if scoring:
+                steps.append(inputs)
+            else:
+                picked = dc.take_per_row(logp, chosen.reshape(V, -1))
+                total = picked if total is None else dc.add(total, picked)
+            step(state, chosen, inputs.masks.reshape(R, -1))
+    if scoring:
+        # row t * K + k of variant a is step t of rollout (a, k)
+        logp = head(de.StepInputs(*(np.concatenate(parts, axis=1)
+                                    for parts in zip(*steps))))
+        chosen = state.actions.reshape(V, -1, T).transpose(0, 2, 1).reshape(V, -1)
+        total = dc.sum_row_blocks(dc.take_per_row(logp, chosen), T)
+        if stats is not None:
+            lp = logp.data.astype(np.float64)
+            entropy = -(np.exp(lp) * lp).sum(axis=-1)
+            stats["entropy"] = entropy.reshape(V, T, -1).mean(axis=1).reshape(R)
     return finish(state), total
 
 

@@ -54,7 +54,8 @@ class TrainConfig:
         try:  # the largest M and D are the hardest on every shape rule
             pb.check_instance_shape(self.kind, self.N, self.d_max, self.m_max)
         except ValueError as exc:
-            raise ValueError(f"m_max={self.m_max}, d_max={self.d_max}: {exc}") from None
+            raise ValueError(f"kind={self.kind!r}, N={self.N}, d_max={self.d_max}, "
+                             f"m_max={self.m_max}: {exc}") from None
         if self.model is None:
             self.model = en.ModelConfig(kind=self.kind)
         if self.model.kind != self.kind:
@@ -103,7 +104,7 @@ def surrogate_term(logp, advantages):
     return dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
 
 
-def aps_loss(instances, cfg, params, K, rng):
+def aps_loss(instances, cfg, params, K, rng, stats=None):
     """Surrogate loss over a batch: mean of (f - baseline) * log-prob.
 
     rng first draws the K permutations of every instance in batch order;
@@ -112,22 +113,27 @@ def aps_loss(instances, cfg, params, K, rng):
     rng and adds one surrogate term. Advantages are plain floats, so no
     gradient ever reaches the objectives or the baseline. Returns (loss
     node, best-of-K objective per instance, baseline per instance), both in
-    batch order.
+    batch order. stats, a dict of lists, gets every rollout's mean policy
+    entropy appended to "entropy" and its advantage to "advantages".
     """
     perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     total = None
     best = [None] * len(instances)
     baselines = [None] * len(instances)
     for group in ro.size_groups(instances):
+        decoded = {}
         solutions, logp = ro.decode_batch([instances[i] for i in group],
                                           [perms[i] for i in group], cfg, params,
-                                          mode="sample", rng=rng)
+                                          mode="sample", rng=rng, stats=decoded)
         advantages = []
         for g, i in enumerate(group):
             objs = [pb.minmax_objective(rs, instances[i])
                     for rs in solutions[g * K:(g + 1) * K]]
             best[i], baselines[i] = min(objs), aps_baseline(objs)
             advantages.append(np.array(objs) - baselines[i])
+        if stats is not None:
+            stats["entropy"].extend(decoded["entropy"].tolist())
+            stats["advantages"].extend(np.concatenate(advantages).tolist())
         term = surrogate_term(logp, advantages)
         total = term if total is None else dc.add(total, term)
     loss = dc.scale(total, 1.0 / (len(instances) * K))
@@ -161,7 +167,11 @@ def train(tc, params=None, opt=None, on_epoch=None):
     on_epoch, if given, is called as on_epoch(epoch, metrics_row, params,
     opt) after each epoch. A metrics row holds the epoch's mean best-of-K
     objective and baseline, the mean pre-clip gradient norm of its batches
-    (grad_norm), the learning rate used and the wallclock so far.
+    (grad_norm), the mean policy entropy per decode step of its rollouts
+    (entropy), the spread of their advantages (adv_std), the learning rate
+    used, the epoch's seconds in decoding and the loss (decode_s), in
+    backward (backward_s) and in clipping and Adam (adam_s), and the
+    wallclock so far.
     """
     master = np.random.default_rng(tc.seed)
     if params is None:
@@ -177,23 +187,31 @@ def train(tc, params=None, opt=None, on_epoch=None):
         epoch_best = []
         epoch_base = []
         norms = []
+        stats = {"entropy": [], "advantages": []}
+        phase_s = {"decode_s": 0.0, "backward_s": 0.0, "adam_s": 0.0}
         done = 0
         while done < tc.epoch_size:
             n = min(tc.batch_size, tc.epoch_size - done)
             batch = [pb.draw_instance(tc.kind, tc.N, (tc.m_min, tc.m_max),
                                       (tc.d_min, tc.d_max), master) for _ in range(n)]
+            t0 = time.perf_counter()
             try:
                 loss, best, baselines = aps_loss(batch, tc.model, params,
-                                                 tc.K, master)
+                                                 tc.K, master, stats)
                 if not np.isfinite(loss.data).all():
                     raise FloatingPointError("non-finite loss")
+                t1 = time.perf_counter()
                 dc.backward(loss)
             except FloatingPointError as exc:
                 raise RuntimeError(
                     f"training diverged in epoch {epoch}: {exc}") from exc
+            t2 = time.perf_counter()
             # the pre-clip global norm; clip_norm 0 only measures it
             norms.append(dc.clip_grad_norm(params, tc.clip_norm))
             dc.adam_step(params, opt)
+            phase_s["decode_s"] += t1 - t0
+            phase_s["backward_s"] += t2 - t1
+            phase_s["adam_s"] += time.perf_counter() - t2
             epoch_best.extend(best)
             epoch_base.extend(baselines)
             done += n
@@ -203,7 +221,10 @@ def train(tc, params=None, opt=None, on_epoch=None):
             "mean_obj": float(np.mean(epoch_best)),
             "mean_baseline": float(np.mean(epoch_base)),
             "grad_norm": float(np.mean(norms)),
+            "entropy": float(np.mean(stats["entropy"])),
+            "adv_std": float(np.std(stats["advantages"])),
             "lr": lr_used,
+            **phase_s,
             "wallclock": time.perf_counter() - start,
         }
         metrics.append(row)

@@ -138,6 +138,8 @@ BATCHED_OPS = [
     ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["x"], p["c"]]), 2))),
     ("merge_heads", lambda p: _weighted(dc.merge_heads(
         p["x"], (1, p["x"].shape[1], p["x"].shape[0] * p["x"].shape[2])))),
+    ("sum_row_blocks", lambda p: _weighted(dc.sum_row_blocks(
+        dc.concat_rows([p["x"], dc.tanh(p["c"]), p["x"]]), 3))),
 ]
 
 
@@ -203,6 +205,22 @@ def test_batched_forward_matches_per_matrix_calls():
             assert np.array_equal(batched.data[v], single.data)
         assert np.array_equal(dc.gather_rows(X, idx).data[v],
                               dc.gather_rows(dc.constant(x[v:v + 1]), idx[v:v + 1]).data[0])
+
+
+def test_sum_row_blocks_adds_block_by_block():
+    """Bitwise the float32 chain of adds over the blocks, V x K x c."""
+    rng = np.random.default_rng(8)
+    blocks = [rng.standard_normal((2, 3, 1)).astype(np.float32) for _ in range(5)]
+    out = dc.sum_row_blocks(dc.constant(np.concatenate(blocks, axis=1)), 5)
+    chain = blocks[0]
+    for b in blocks[1:]:
+        chain = chain + b
+    assert out.shape == (2, 3, 1)
+    assert np.array_equal(out.data, chain)
+    with pytest.raises(ValueError, match="blocks"):
+        dc.sum_row_blocks(dc.constant(np.zeros((2, 7, 1))), 3)
+    with pytest.raises(ValueError, match="blocks"):
+        dc.sum_row_blocks(dc.constant(np.zeros((6, 1))), 3)
 
 
 def test_split_and_merge_heads_layout():

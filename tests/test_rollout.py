@@ -192,6 +192,9 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
 
 
 def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
+    """Without a graph the loop runs one context per step. With gradients
+    on it adds one scoring pass over every step's rows; a forced decode
+    runs only that pass."""
     real_consts, real_context = de.DecodeConstants, de.context
     calls = Counter()
 
@@ -199,20 +202,57 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
         calls["consts"] += 1
         return real_consts(variants)
 
-    def context(state, *args):
+    def context(inputs, *args):
         calls["context"] += 1
-        calls["rows"] += len(state.rows)
-        return real_context(state, *args)
+        calls["rows"] += inputs.agent.size
+        return real_context(inputs, *args)
 
     monkeypatch.setattr(de, "DecodeConstants", consts)
     monkeypatch.setattr(de, "context", context)
+    perms = [(0, 1, 2), (2, 1, 0), (1, 2, 0)]
     for kind in ALL_KINDS:
-        calls.clear()
         cfg, params = tiny_model(kind)
         ins = make(kind, N=6, M=3, seed=5)
-        ro.decode_batch(ins, [(0, 1, 2), (2, 1, 0), (1, 2, 0)], cfg, params)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
+        calls.clear()
+        with dc.no_grad():
+            sols, _ = ro.decode_batch(ins, perms, cfg, params)
         assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
+        calls.clear()
+        ro.decode_batch(ins, perms, cfg, params)
+        assert calls == {"consts": 1, "context": steps + 1, "rows": 6 * steps}
+        calls.clear()
+        forced = [ro.actions_from_solution(rs, o, ins) for rs, o in zip(sols, perms)]
+        ro.decode_batch(ins, perms, cfg, params, forced=forced)
+        assert calls == {"consts": 1, "context": 1, "rows": 3 * steps}
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3), K=st.integers(1, 3),
+       V=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_scoring_pass_matches_the_decode_without_a_graph(kind, M, K, V, seed):
+    """A sampled decode with gradients on takes the actions, rng draws and
+    RouteSets of one under no_grad; its scoring pass gives the log-prob
+    sums the loop adds up step by step, within 1e-5."""
+    N = 2 * M + 2 if kind == "MPDP" else M + 3
+    D = 2 if kind in ("MDVRP", "FMDVRP") else 1
+    rng = np.random.default_rng(seed)
+    instances = [pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                             depot_coords=rng.uniform(0, 1, (D, 2)), M=M)
+                 for _ in range(V)]
+    perms = [ro.sample_permutations(M, K, rng) for _ in instances]
+    cfg, params = MODELS[kind]
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    with dc.no_grad():
+        sols_free, free = ro.decode_batch(instances, perms, cfg, params,
+                                          mode="sample", rng=rngs[0])
+    sols, scored = ro.decode_batch(instances, perms, cfg, params, mode="sample",
+                                   rng=rngs[1])
+    assert scored.requires_grad and not free.requires_grad
+    assert sols == sols_free
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert scored.shape == free.shape == (V, K, 1)
+    np.testing.assert_allclose(scored.data, free.data, rtol=0, atol=1e-5)
 
 
 @settings(max_examples=60)

@@ -14,6 +14,10 @@ from minmaxvrp import rollout as ro
 from minmaxvrp import training as tr
 
 
+# the seconds a metrics row measures, which no seed reproduces
+TIMES = ("decode_s", "backward_s", "adam_s", "wallclock")
+
+
 def tiny_tc(kind="MTSP", **kw):
     base = dict(kind=kind, N=4, m_min=2, m_max=2, batch_size=4,
                 epoch_size=8, epochs=2, K=2, lr=1e-3, seed=0,
@@ -45,6 +49,15 @@ def test_config_rejects_bad_values():
         tiny_tc(lr=0.0)
     with pytest.raises(ValueError):
         tiny_tc(epochs=-1)
+
+
+def test_config_shape_errors_name_every_field_checked():
+    with pytest.raises(ValueError) as err:
+        tr.TrainConfig(kind="BOGUS", N=4)
+    assert str(err.value) == ("kind='BOGUS', N=4, d_max=1, m_max=2: "
+                              "unknown problem kind 'BOGUS'")
+    with pytest.raises(ValueError, match=r"^kind='MPDP', N=6, d_max=1, m_max=4: "):
+        tr.TrainConfig(kind="MPDP", N=6, m_max=4)
 
 
 def test_config_rejects_wrong_types():
@@ -151,6 +164,44 @@ def test_frozen_surrogate_replays_the_training_loss():
     assert np.array_equal(f(params).data, loss.data)
 
 
+def graph_nodes(loss):
+    """Tensors reachable from the loss through recorded parents."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind", ["MTSP", "MDVRP"])
+def test_aps_loss_records_one_graph_per_batch(kind):
+    """Doubling N doubles the decode steps but not the graph: the loop
+    records nothing, and one scoring pass covers every step."""
+    cfg, params = tiny_model(kind, seed=1)
+    D = 2 if kind == "MDVRP" else 1
+    counts = []
+    for N in (5, 10):
+        batch = [pb.gen_uniform(kind, N, D, 3, seed=s) for s in range(3)]
+        loss, _, _ = tr.aps_loss(batch, cfg, params, 4, np.random.default_rng(0))
+        counts.append(graph_nodes(loss))
+    assert counts[0] == counts[1]
+
+
+def test_aps_loss_stats_hold_every_rollout():
+    cfg, params = tiny_model("MTSP", seed=1)
+    batch = [pb.gen_uniform("MTSP", 6, 1, M, seed=M) for M in (2, 3, 2)]
+    stats = {"entropy": [], "advantages": []}
+    _, best, baselines = tr.aps_loss(batch, cfg, params, 4,
+                                     np.random.default_rng(0), stats)
+    assert len(stats["entropy"]) == len(stats["advantages"]) == 3 * 4
+    # per rollout, 0 <= mean entropy <= log of the widest choice
+    assert all(0.0 <= h <= math.log(6 + 3) for h in stats["entropy"])
+    # each instance's K advantages sum to zero
+    assert abs(sum(stats["advantages"])) < 1e-9
+
+
 def test_frozen_surrogate_gradient_matches_finite_differences():
     cfg = tiny_cfg("MTSP")
     params = params64(cfg, seed=5)
@@ -180,12 +231,16 @@ def test_train_smoke_and_reproducible_metrics():
         assert len(metrics) == 2
         for row in metrics:
             assert set(row) == {"epoch", "mean_obj", "mean_baseline",
-                                "grad_norm", "lr", "wallclock"}
+                                "grad_norm", "entropy", "adv_std", "lr",
+                                "decode_s", "backward_s", "adam_s", "wallclock"}
             assert np.isfinite(list(row.values())).all()
             assert row["mean_obj"] <= row["mean_baseline"] + 1e-12
             assert row["lr"] == 1e-3
+            assert row["entropy"] > 0.0 and row["adv_std"] >= 0.0
+            phases = [row[k] for k in TIMES if k != "wallclock"]
+            assert min(phases) > 0.0 and sum(phases) <= row["wallclock"]
         runs.append((params, [
-            {k: v for k, v in row.items() if k != "wallclock"}
+            {k: v for k, v in row.items() if k not in TIMES}
             for row in metrics]))
     assert runs[0][1] == runs[1][1]
     for k in runs[0][0]:
@@ -205,7 +260,8 @@ def test_train_is_bitwise_deterministic_per_seed(kind, seed):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert (o1.step_count, o1.lr) == (o2.step_count, o2.lr)
     for row1, row2 in zip(m1, m2, strict=True):
-        assert row1.pop("wallclock") >= 0 and row2.pop("wallclock") >= 0
+        for key in TIMES:
+            assert row1.pop(key) >= 0 and row2.pop(key) >= 0
         assert row1 == row2
 
 
