@@ -12,6 +12,7 @@ pass and one decode loop serve them all, and each row decodes exactly as it
 would in a batch of its variant alone.
 """
 
+import contextlib
 from collections import namedtuple
 
 import numpy as np
@@ -206,8 +207,15 @@ def sample_rows(rng, rows):
     return (cdf / cdf[:, -1:] <= rng.random((len(rows), 1))).sum(axis=1)
 
 
+# The most attention weights (rows x steps x candidates x heads) that one
+# scoring pass over all steps of a decode_batch may hold. Below it, the
+# pass's fewer graph nodes save more time than its stacked arrays cost;
+# above it, recording the graph step by step is faster.
+SCORE_CELLS = 1 << 18
+
+
 def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
-                 forced=None, stats=None):
+                 forced=None):
     """Roll out K permutations of each of V same-size instances in lockstep.
 
     instances is one Instance or V of one kind and size: the variants of an
@@ -215,20 +223,21 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     both. perms is K permutations shared by every variant or a V x K table
     (see DecodeState). One encoder pass covers every variant, and one decode
     step serves all R = V x K rollouts; each row's result is bitwise the one
-    a batch of its variant alone gives. Returns (list of R RouteSets in row
-    order a * K + k, log-prob sums as a V x K x 1 Tensor). rng draws the
-    sampled actions (sample_rows: one draw per row, in row order) and the
-    multi-depot pre-start nodes (see DecodeState, which also takes one
-    Generator per variant). forced, when given, is one action sequence per
-    row and overrides both decoding modes (teacher forcing).
+    a batch of its variant alone gives. rng draws the sampled actions
+    (sample_rows: one draw per row, in row order) and the multi-depot
+    pre-start nodes (see DecodeState, which also takes one Generator per
+    variant). forced, when given, is one action sequence per row and
+    overrides both decoding modes (teacher forcing).
 
-    The step loop records no graph. With gradients on, or with forced
-    actions, each step keeps its StepInputs, and after the loop one scoring
-    pass runs the model head over all T steps' rows at once; its graph is
-    the only one a decode records, and a forced decode calls the model only
-    there. Otherwise the loop sums the chosen log-probs step by step. stats,
-    a dict, receives "entropy" from a scoring pass: the R rows' policy
-    entropies, each the mean over its steps.
+    Returns (list of R RouteSets in row order a * K + k, log-prob sums as a
+    V x K x 1 Tensor, policy entropies as an R x T array: row a * K + k,
+    column t the entropy of that rollout's step t). Under no_grad without
+    forced actions nothing is scored, and both are None. Otherwise the step
+    loop runs the model head without a graph, and one scoring pass after it
+    runs the head over all T steps' rows at once, so a decode records one
+    graph; a forced decode calls the model only there. Where that pass
+    would hold more than SCORE_CELLS attention weights, the loop records
+    the graph step by step instead and there is no pass.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -250,40 +259,50 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
                          cfg.d_model)
 
     scoring = forced is not None or dc.grad_enabled()
-    steps, total = [], None
-    with dc.no_grad():
+    per_step = scoring and R * T * cand.shape[1] * cfg.n_heads > SCORE_CELLS
+    steps, picked, entropy = [], [], []
+
+    def score(logp, actions):
+        """Keep the chosen log-probs and the entropies of logp, V x n*K rows
+        of n steps; actions holds their n x K chosen actions per variant."""
+        picked.append(dc.take_per_row(logp, actions.reshape(V, -1)))
+        lp = logp.data.astype(np.float64)
+        entropy.append(-(np.exp(lp) * lp).sum(axis=-1).reshape(V, -1, R // V))
+
+    with contextlib.nullcontext() if per_step else dc.no_grad():
         while not state.terminal:
             inputs = de.step_inputs(state)
-            if forced is not None:
-                chosen = [seq[state.t] for seq in forced]
-            else:
+            if forced is None or per_step:
                 logp = head(inputs)
+            if forced is not None:
+                chosen = np.array([seq[state.t] for seq in forced], dtype=np.intp)
+            else:
                 rows = logp.data.reshape(R, -1)
                 chosen = sample_rows(rng, rows) if sampling else rows.argmax(axis=1)
-            if scoring:
+            if per_step:
+                score(logp, chosen)
+            elif scoring:
                 steps.append(inputs)
-            else:
-                picked = dc.take_per_row(logp, chosen.reshape(V, -1))
-                total = picked if total is None else dc.add(total, picked)
             step(state, chosen, inputs.masks.reshape(R, -1))
-    if scoring:
+    if not scoring:
+        return finish(state), None, None
+    if not per_step:
         # row t * K + k of variant a is step t of rollout (a, k)
         logp = head(de.StepInputs(*(np.concatenate(parts, axis=1)
                                     for parts in zip(*steps))))
-        chosen = state.actions.reshape(V, -1, T).transpose(0, 2, 1).reshape(V, -1)
-        total = dc.sum_row_blocks(dc.take_per_row(logp, chosen), T)
-        if stats is not None:
-            lp = logp.data.astype(np.float64)
-            entropy = -(np.exp(lp) * lp).sum(axis=-1)
-            stats["entropy"] = entropy.reshape(V, T, -1).mean(axis=1).reshape(R)
-    return finish(state), total
+        score(logp, state.actions.reshape(V, -1, T).transpose(0, 2, 1))
+    total = dc.sum_row_blocks(dc.concat_rows(picked), T)
+    entropy = np.concatenate(entropy, axis=1).transpose(0, 2, 1)
+    return finish(state), total, entropy.reshape(R, T)
 
 
 def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
-    """Single-permutation rollout -> (RouteSet, objective, log_prob_sum)."""
-    (rs,), total = decode_batch(instance, [permutation], cfg, params,
-                                mode=mode, rng=rng)
-    return rs, pb.minmax_objective(rs, instance), float(total.data[0, 0, 0])
+    """Single-permutation rollout -> (RouteSet, objective, log_prob_sum);
+    the log-prob sum is None under no_grad (see decode_batch)."""
+    (rs,), total, _ = decode_batch(instance, [permutation], cfg, params,
+                                   mode=mode, rng=rng)
+    return (rs, pb.minmax_objective(rs, instance),
+            None if total is None else float(total.data[0, 0, 0]))
 
 
 def size_groups(instances):
@@ -329,8 +348,8 @@ def infer(instances, cfg, params, n_per=1, use_aug8=False, seed=0):
                       for a in range(len(group))]
         perm_lists.append(perms)
     with dc.no_grad():
-        solutions, _ = decode_batch(variants, table, cfg, params,
-                                    mode="greedy", rng=node_rngs)
+        solutions, _, _ = decode_batch(variants, table, cfg, params,
+                                       mode="greedy", rng=node_rngs)
     rows = len(solutions) // len(instances)  # symmetries x permutations
     results = []
     for i, (ins, perms) in enumerate(zip(instances, perm_lists)):

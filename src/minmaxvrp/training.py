@@ -104,7 +104,7 @@ def surrogate_term(logp, advantages):
     return dc.sum_all(dc.mul(logp, dc.constant(adv, dtype=logp.data.dtype)))
 
 
-def aps_loss(instances, cfg, params, K, rng, stats=None):
+def aps_loss(instances, cfg, params, K, rng):
     """Surrogate loss over a batch: mean of (f - baseline) * log-prob.
 
     rng first draws the K permutations of every instance in batch order;
@@ -112,32 +112,32 @@ def aps_loss(instances, cfg, params, K, rng, stats=None):
     training is (M, D)) is decoded in one sampled decode_batch from the same
     rng and adds one surrogate term. Advantages are plain floats, so no
     gradient ever reaches the objectives or the baseline. Returns (loss
-    node, best-of-K objective per instance, baseline per instance), both in
-    batch order. stats, a dict of lists, gets every rollout's mean policy
-    entropy appended to "entropy" and its advantage to "advantages".
+    node, best-of-K objective per instance, baseline per instance,
+    advantages, step entropies). The objectives and baselines are in batch
+    order, the advantages array holds each instance's K advantages in
+    batch order, and the step entropies array holds the policy entropy of
+    every decode step of every rollout.
     """
     perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     total = None
     best = [None] * len(instances)
     baselines = [None] * len(instances)
+    advantages = np.empty((len(instances), K))
+    entropies = []
     for group in ro.size_groups(instances):
-        decoded = {}
-        solutions, logp = ro.decode_batch([instances[i] for i in group],
-                                          [perms[i] for i in group], cfg, params,
-                                          mode="sample", rng=rng, stats=decoded)
-        advantages = []
+        solutions, logp, entropy = ro.decode_batch(
+            [instances[i] for i in group], [perms[i] for i in group], cfg, params,
+            mode="sample", rng=rng)
         for g, i in enumerate(group):
             objs = [pb.minmax_objective(rs, instances[i])
                     for rs in solutions[g * K:(g + 1) * K]]
             best[i], baselines[i] = min(objs), aps_baseline(objs)
-            advantages.append(np.array(objs) - baselines[i])
-        if stats is not None:
-            stats["entropy"].extend(decoded["entropy"].tolist())
-            stats["advantages"].extend(np.concatenate(advantages).tolist())
-        term = surrogate_term(logp, advantages)
+            advantages[i] = np.array(objs) - baselines[i]
+        entropies.append(entropy.reshape(-1))
+        term = surrogate_term(logp, advantages[group])
         total = term if total is None else dc.add(total, term)
     loss = dc.scale(total, 1.0 / (len(instances) * K))
-    return loss, best, baselines
+    return loss, best, baselines, advantages.reshape(-1), np.concatenate(entropies)
 
 
 def frozen_surrogate(instance, perms, forced, advantages, cfg, seed=None):
@@ -148,8 +148,8 @@ def frozen_surrogate(instance, perms, forced, advantages, cfg, seed=None):
     """
     def f(params):
         rng = None if seed is None else np.random.default_rng(seed)
-        _, logp = ro.decode_batch(instance, perms, cfg, params,
-                                  forced=forced, rng=rng)
+        _, logp, _ = ro.decode_batch(instance, perms, cfg, params,
+                                     forced=forced, rng=rng)
         return dc.scale(surrogate_term(logp, advantages), 1.0 / len(perms))
 
     return f
@@ -187,7 +187,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
         epoch_best = []
         epoch_base = []
         norms = []
-        stats = {"entropy": [], "advantages": []}
+        epoch_adv = []
+        epoch_entropy = []
         phase_s = {"decode_s": 0.0, "backward_s": 0.0, "adam_s": 0.0}
         done = 0
         while done < tc.epoch_size:
@@ -196,8 +197,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
                                       (tc.d_min, tc.d_max), master) for _ in range(n)]
             t0 = time.perf_counter()
             try:
-                loss, best, baselines = aps_loss(batch, tc.model, params,
-                                                 tc.K, master, stats)
+                loss, best, baselines, adv, entropy = aps_loss(
+                    batch, tc.model, params, tc.K, master)
                 if not np.isfinite(loss.data).all():
                     raise FloatingPointError("non-finite loss")
                 t1 = time.perf_counter()
@@ -214,6 +215,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
             phase_s["adam_s"] += time.perf_counter() - t2
             epoch_best.extend(best)
             epoch_base.extend(baselines)
+            epoch_adv.append(adv)
+            epoch_entropy.append(entropy)
             done += n
         opt.decay_epoch()
         row = {
@@ -221,8 +224,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
             "mean_obj": float(np.mean(epoch_best)),
             "mean_baseline": float(np.mean(epoch_base)),
             "grad_norm": float(np.mean(norms)),
-            "entropy": float(np.mean(stats["entropy"])),
-            "adv_std": float(np.std(stats["advantages"])),
+            "entropy": float(np.mean(np.concatenate(epoch_entropy))),
+            "adv_std": float(np.std(np.concatenate(epoch_adv))),
             "lr": lr_used,
             **phase_s,
             "wallclock": time.perf_counter() - start,

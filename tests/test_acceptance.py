@@ -66,8 +66,8 @@ def _surrogate_case(seed):
     params = params64(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     perms = ro.sample_permutations(ins.M, 2, rng)
-    solutions, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
-                                   rng=rng)
+    solutions, _, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                      rng=rng)
     objs = [pb.minmax_objective(rs, ins) for rs in solutions]
     base = tr.aps_baseline(objs)
     forced = [ro.actions_from_solution(rs, o, ins)
@@ -220,8 +220,8 @@ def test_criterion_4_aps_invariances(capsys):
     # (b) K identical objectives leave an exactly zero gradient
     cfg, params = tiny_model("MTSP")
     twin = pb.gen_uniform("MTSP", 2, 1, 2, seed=7)
-    loss, _, _ = tr.aps_loss([twin], cfg, params, K=2,
-                             rng=np.random.default_rng(7))
+    loss, *_ = tr.aps_loss([twin], cfg, params, K=2,
+                           rng=np.random.default_rng(7))
     dc.backward(loss)
     grads_zero = all(
         p.grad is None or not p.grad.any()

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import tiny_model
+from conftest import params64, tiny_cfg, tiny_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,9 +126,9 @@ def test_forced_replay_reproduces_solution():
                                rng=np.random.default_rng(7))
     acts = ro.actions_from_solution(rs, (1, 0), ins)
     # replay under the same seed so the random start-context node matches
-    (rs2,), total = ro.decode_batch(ins, [(1, 0)], cfg, params,
-                                    forced=[acts],
-                                    rng=np.random.default_rng(7))
+    (rs2,), total, _ = ro.decode_batch(ins, [(1, 0)], cfg, params,
+                                       forced=[acts],
+                                       rng=np.random.default_rng(7))
     obj2 = pb.minmax_objective(rs2, ins)
     assert rs2.routes == rs.routes
     assert rs2.start_depots == rs.start_depots
@@ -146,8 +146,8 @@ def test_forced_replay_recovers_logp_all_kinds():
         rs, obj, logp = ro.rollout(ins, perm, cfg, params, mode="sample",
                                    rng=np.random.default_rng(seed))
         acts = ro.actions_from_solution(rs, perm, ins)
-        _, total = ro.decode_batch(ins, [perm], cfg, params, forced=[acts],
-                                   rng=np.random.default_rng(seed))
+        _, total, _ = ro.decode_batch(ins, [perm], cfg, params, forced=[acts],
+                                      rng=np.random.default_rng(seed))
         assert abs(float(total.data[0, 0, 0]) - logp) <= 1e-5
 
 
@@ -155,7 +155,7 @@ def test_decode_batch_matches_stacked_single_rollouts():
     cfg, params = tiny_model("MTSP")
     ins = make("MTSP", N=6, M=3, seed=5)
     perms = [(0, 1, 2), (2, 1, 0), (1, 2, 0)]
-    results, total = ro.decode_batch(ins, perms, cfg, params)
+    results, total, _ = ro.decode_batch(ins, perms, cfg, params)
     assert total.shape == (1, 3, 1)
     for k, perm in enumerate(perms):
         rs, obj, logp = ro.rollout(ins, perm, cfg, params)
@@ -194,7 +194,8 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
 def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
     """Without a graph the loop runs one context per step. With gradients
     on it adds one scoring pass over every step's rows; a forced decode
-    runs only that pass."""
+    runs only that pass. Past SCORE_CELLS both run one context per step,
+    recording the graph there."""
     real_consts, real_context = de.DecodeConstants, de.context
     calls = Counter()
 
@@ -216,7 +217,7 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
         calls.clear()
         with dc.no_grad():
-            sols, _ = ro.decode_batch(ins, perms, cfg, params)
+            sols, _, _ = ro.decode_batch(ins, perms, cfg, params)
         assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
         calls.clear()
         ro.decode_batch(ins, perms, cfg, params)
@@ -225,15 +226,24 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
         forced = [ro.actions_from_solution(rs, o, ins) for rs, o in zip(sols, perms)]
         ro.decode_batch(ins, perms, cfg, params, forced=forced)
         assert calls == {"consts": 1, "context": 1, "rows": 3 * steps}
+        # past SCORE_CELLS the loop records the graph instead: no extra pass
+        with monkeypatch.context() as m:
+            m.setattr(ro, "SCORE_CELLS", 0)
+            for kw in ({}, {"forced": forced}):
+                calls.clear()
+                ro.decode_batch(ins, perms, cfg, params, **kw)
+                assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
 
 
 @settings(max_examples=40)
 @given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3), K=st.integers(1, 3),
        V=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
 def test_scoring_pass_matches_the_decode_without_a_graph(kind, M, K, V, seed):
-    """A sampled decode with gradients on takes the actions, rng draws and
-    RouteSets of one under no_grad; its scoring pass gives the log-prob
-    sums the loop adds up step by step, within 1e-5."""
+    """A sampled decode takes the same actions, rng draws and RouteSets
+    under no_grad, which scores nothing, with one scoring pass over all
+    steps, and with the graph recorded step by step (SCORE_CELLS 0). The
+    two graphs give the same log-prob sums, entropies and gradients within
+    1e-5."""
     N = 2 * M + 2 if kind == "MPDP" else M + 3
     D = 2 if kind in ("MDVRP", "FMDVRP") else 1
     rng = np.random.default_rng(seed)
@@ -241,18 +251,35 @@ def test_scoring_pass_matches_the_decode_without_a_graph(kind, M, K, V, seed):
                              depot_coords=rng.uniform(0, 1, (D, 2)), M=M)
                  for _ in range(V)]
     perms = [ro.sample_permutations(M, K, rng) for _ in instances]
-    cfg, params = MODELS[kind]
-    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    cfg = tiny_cfg(kind)
+    params = params64(cfg, seed=seed % 5)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
     with dc.no_grad():
-        sols_free, free = ro.decode_batch(instances, perms, cfg, params,
-                                          mode="sample", rng=rngs[0])
-    sols, scored = ro.decode_batch(instances, perms, cfg, params, mode="sample",
-                                   rng=rngs[1])
-    assert scored.requires_grad and not free.requires_grad
-    assert sols == sols_free
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-    assert scored.shape == free.shape == (V, K, 1)
-    np.testing.assert_allclose(scored.data, free.data, rtol=0, atol=1e-5)
+        sols_free, *unscored = ro.decode_batch(instances, perms, cfg, params,
+                                               mode="sample", rng=rngs[0])
+    assert unscored == [None, None]
+    runs = [ro.decode_batch(instances, perms, cfg, params, mode="sample", rng=rngs[1])]
+    with mock.patch.object(ro, "SCORE_CELLS", 0):
+        runs.append(ro.decode_batch(instances, perms, cfg, params, mode="sample",
+                                    rng=rngs[2]))
+    steps = N + (2 if D == 2 else 1) * M
+    grads = []
+    for (sols, total, entropy), g in zip(runs, rngs[1:]):
+        assert sols == sols_free
+        assert g.bit_generator.state == rngs[0].bit_generator.state
+        assert total.shape == (V, K, 1) and entropy.shape == (V * K, steps)
+        dc.backward(dc.sum_all(total))
+        grads.append({name: p.grad for name, p in params.items()})
+        for p in params.values():
+            p.zero_grad()
+    (_, stacked, h_stacked), (_, stepwise, h_stepwise) = runs
+    np.testing.assert_allclose(stacked.data, stepwise.data, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(h_stacked, h_stepwise, rtol=0, atol=1e-5)
+    for name, g in grads[0].items():
+        if g is None:
+            assert grads[1][name] is None
+        else:
+            np.testing.assert_allclose(g, grads[1][name], rtol=1e-5, atol=1e-5)
 
 
 @settings(max_examples=60)
@@ -329,11 +356,11 @@ def test_forced_replay_of_any_legal_walk_matches_free_decode(kind, M, seed, data
     cfg, params = tiny_model(kind, seed=seed % 7)
     # sampled decoding whose draws follow the walk
     with mock.patch.object(ro, "sample_rows", scripted_draws(actions)):
-        [rs], free = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
-                                     rng=np.random.default_rng(seed))
+        [rs], free, _ = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
+                                        rng=np.random.default_rng(seed))
     assert ro.actions_from_solution(rs, perm, ins) == actions
-    _, forced = ro.decode_batch(ins, [perm], cfg, params, forced=[actions],
-                                rng=np.random.default_rng(seed))
+    _, forced, _ = ro.decode_batch(ins, [perm], cfg, params, forced=[actions],
+                                   rng=np.random.default_rng(seed))
     assert abs(float(forced.data[0, 0, 0]) - float(free.data[0, 0, 0])) <= 1e-5
 
 
@@ -346,7 +373,7 @@ def test_batched_rows_match_one_variant_decodes(kind):
     ins = make(kind, N=8 if kind == "MPDP" else 7, M=3, D=3, seed=21)
     variants = pb.augment8(ins)
     perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
-    results, total = ro.decode_batch(
+    results, total, _ = ro.decode_batch(
         variants, perms, cfg, params,
         rng=[np.random.default_rng((5, a)) for a in range(8)])
     assert total.shape == (8, 3, 1)
@@ -364,7 +391,7 @@ def test_batched_rows_match_one_variant_decodes(kind):
             if kind in ("MDVRP", "FMDVRP"):
                 for _ in range(k):  # the draws of rows (a, 0..k-1)
                     rng.integers(ins.D)
-            [rs1], total1 = ro.decode_batch(var, [perm], cfg, params, rng=rng)
+            [rs1], total1, _ = ro.decode_batch(var, [perm], cfg, params, rng=rng)
             rs = results[a * 3 + k]
             assert (ro.actions_from_solution(rs, perm, var)
                     == ro.actions_from_solution(rs1, perm, var))
@@ -406,16 +433,16 @@ def test_mixed_instance_batch_rows_match_their_own_decodes(kind, M, K, n, aug8, 
     cfg, params = MODELS[kind]
     forced = []
     for i in range(n):  # one sampled walk per row, to replay
-        sols, _ = ro.decode_batch(groups[i], perms[i], cfg, params, mode="sample",
-                                  rng=np.random.default_rng(seed + i))
+        sols, _, _ = ro.decode_batch(groups[i], perms[i], cfg, params, mode="sample",
+                                     rng=np.random.default_rng(seed + i))
         forced += [ro.actions_from_solution(rs, perms[i][r % K], groups[i][r // K])
                    for r, rs in enumerate(sols)]
     for kw in ({}, {"forced": forced}):
-        sols, total = decode(range(n), **kw)
+        sols, total, _ = decode(range(n), **kw)
         for i in range(n):
             rows = slice(i * V * K, (i + 1) * V * K)
             own = {k: v[rows] for k, v in kw.items()}
-            sols1, total1 = decode([i], **own)
+            sols1, total1, _ = decode([i], **own)
             assert sols[rows] == sols1
             assert np.array_equal(total.data[i * V:(i + 1) * V], total1.data)
     assert (ro.infer(instances, cfg, params, n_per=K, use_aug8=aug8, seed=seed % 3)

@@ -109,8 +109,8 @@ def test_identical_objectives_give_zero_loss_and_zero_step():
     cfg, params = tiny_model("MTSP")
     ins = pb.gen_uniform("MTSP", N=2, D=1, M=2, seed=3)
     before = {k: v.data.copy() for k, v in params.items()}
-    loss, best, baselines = tr.aps_loss([ins], cfg, params, K=4,
-                                        rng=np.random.default_rng(0))
+    loss, best, baselines, _, _ = tr.aps_loss([ins], cfg, params, K=4,
+                                              rng=np.random.default_rng(0))
     assert float(loss.data[0, 0]) == 0.0
     assert best[0] == baselines[0]
     dc.backward(loss)
@@ -129,16 +129,16 @@ def test_loss_matches_manual_recomputation():
     instances = [pb.gen_uniform("MTSP", N=5, D=1, M=M, seed=s)
                  for s, M in ((0, 3), (1, 2))]
     K = 3
-    loss, best, baselines = tr.aps_loss(instances, cfg, params, K,
-                                        rng=np.random.default_rng(42))
+    loss, best, baselines, _, _ = tr.aps_loss(instances, cfg, params, K,
+                                              rng=np.random.default_rng(42))
 
     rng = np.random.default_rng(42)
     perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     manual = 0.0
     for i in (1, 0):
         ins = instances[i]
-        solutions, logp = ro.decode_batch(ins, perms[i], cfg, params,
-                                          mode="sample", rng=rng)
+        solutions, logp, _ = ro.decode_batch(ins, perms[i], cfg, params,
+                                             mode="sample", rng=rng)
         objs = np.array([pb.minmax_objective(rs, ins) for rs in solutions])
         manual += float(((objs - objs.mean())[:, None]
                          * logp.data.astype(np.float64)).sum())
@@ -151,12 +151,12 @@ def test_loss_matches_manual_recomputation():
 def test_frozen_surrogate_replays_the_training_loss():
     cfg, params = tiny_model("MTSP", seed=1)
     ins = pb.gen_uniform("MTSP", N=5, D=1, M=2, seed=0)
-    loss, _, (b,) = tr.aps_loss([ins], cfg, params, 3,
-                                rng=np.random.default_rng(42))
+    loss, _, (b,), _, _ = tr.aps_loss([ins], cfg, params, 3,
+                                      rng=np.random.default_rng(42))
     rng = np.random.default_rng(42)
     perms = ro.sample_permutations(ins.M, 3, rng)
-    solutions, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
-                                   rng=rng)
+    solutions, _, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                      rng=rng)
     forced = [ro.actions_from_solution(rs, o, ins)
               for rs, o in zip(solutions, perms)]
     adv = [pb.minmax_objective(rs, ins) - b for rs in solutions]
@@ -184,22 +184,23 @@ def test_aps_loss_records_one_graph_per_batch(kind):
     counts = []
     for N in (5, 10):
         batch = [pb.gen_uniform(kind, N, D, 3, seed=s) for s in range(3)]
-        loss, _, _ = tr.aps_loss(batch, cfg, params, 4, np.random.default_rng(0))
+        loss, *_ = tr.aps_loss(batch, cfg, params, 4, np.random.default_rng(0))
         counts.append(graph_nodes(loss))
     assert counts[0] == counts[1]
 
 
-def test_aps_loss_stats_hold_every_rollout():
+def test_aps_loss_returns_every_advantage_and_step_entropy():
     cfg, params = tiny_model("MTSP", seed=1)
     batch = [pb.gen_uniform("MTSP", 6, 1, M, seed=M) for M in (2, 3, 2)]
-    stats = {"entropy": [], "advantages": []}
-    _, best, baselines = tr.aps_loss(batch, cfg, params, 4,
-                                     np.random.default_rng(0), stats)
-    assert len(stats["entropy"]) == len(stats["advantages"]) == 3 * 4
-    # per rollout, 0 <= mean entropy <= log of the widest choice
-    assert all(0.0 <= h <= math.log(6 + 3) for h in stats["entropy"])
+    _, best, baselines, adv, entropy = tr.aps_loss(batch, cfg, params, 4,
+                                                   np.random.default_rng(0))
+    assert adv.shape == (3 * 4,)
+    # one entropy per step of every rollout: N + M steps each
+    assert entropy.shape == (4 * (8 + 9 + 8),)
+    # per step, 0 <= entropy <= log of the widest choice
+    assert entropy.min() >= 0.0 and entropy.max() <= math.log(6 + 3) + 1e-9
     # each instance's K advantages sum to zero
-    assert abs(sum(stats["advantages"])) < 1e-9
+    assert np.abs(adv.reshape(3, 4).sum(axis=1)).max() < 1e-9
 
 
 def test_frozen_surrogate_gradient_matches_finite_differences():
@@ -208,8 +209,8 @@ def test_frozen_surrogate_gradient_matches_finite_differences():
     ins = pb.gen_uniform("MTSP", N=5, D=1, M=2, seed=7)
     rng = np.random.default_rng(9)
     perms = ro.sample_permutations(2, 3, rng)
-    solutions, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
-                                   rng=rng)
+    solutions, _, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                      rng=rng)
     forced = [ro.actions_from_solution(rs, o, ins)
               for rs, o in zip(solutions, perms)]
     objs = [pb.minmax_objective(rs, ins) for rs in solutions]
