@@ -76,14 +76,15 @@ def _load_train_config(args, stored_model=None):
     return tc
 
 
-def cmd_train(args):
-    """train, train --resume, and finetune: a resume at the config's lr."""
+def cmd_train(args, config_lr=False):
+    """train, and train --resume; with config_lr, a resume at the config's
+    lr (finetune)."""
     if args.resume is None:
         tc, params, opt = _load_train_config(args), None, None
     else:
         tc, params, opt = tr.resume(
             args.resume, lambda stored: _load_train_config(args, stored),
-            config_lr=args.config_lr)
+            config_lr=config_lr)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.ckpt")
     metrics_path = os.path.join(args.out_dir, "metrics.jsonl")
@@ -101,6 +102,10 @@ def cmd_train(args):
         pb.atomic_write_text(metrics_path, "")
     print(f"finished {len(metrics)} epochs; checkpoint at {ckpt_path}")
     return 0
+
+
+def cmd_finetune(args):
+    return cmd_train(args, config_lr=True)
 
 
 # Rows (instances x symmetries x permutations) of one decode_batch in solve.
@@ -275,81 +280,84 @@ def cmd_plot_data(args):
 # argument surface
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+# One row per subcommand: (name, help, arguments, handler). The handler is
+# named, and looked up when the command runs, so a replaced module attribute
+# (a profiler's timing wrapper) is the one called.
+COMMANDS = (
+    ("gen", "generate a dataset of random instances", (
+        _arg("--kind", required=True, choices=pb.KINDS),
+        _arg("--n", type=int, required=True, help="customers per instance"),
+        _arg("--d", type=int, default=1, help="depots per instance"),
+        _arg("--m-min", type=int, default=2),
+        _arg("--m-max", type=int, default=None, help="defaults to --m-min"),
+        _arg("--count", type=int, required=True),
+        _arg("--seed", type=int, default=0),
+        _arg("--out", required=True)), "cmd_gen"),
+    ("train", "train a model from a JSON config", (
+        _arg("--config", required=True),
+        _arg("--out-dir", required=True),
+        _arg("--resume", default=None, help="checkpoint to continue from"),
+        _arg("--pe", choices=en.PE_KINDS, default=None,
+             help="override the positional-encoding family"),
+        _arg("--no-navigation-part", action="store_true",
+             help="drop the within-route self-attention blocks")), "cmd_train"),
+    ("finetune", "resume a checkpoint at the config's lr", (
+        _arg("--checkpoint", dest="resume", metavar="CHECKPOINT", required=True),
+        _arg("--config", required=True),
+        _arg("--out-dir", required=True)), "cmd_finetune"),
+    ("solve", "solve a dataset with a checkpoint", (
+        _arg("--checkpoint", required=True),
+        _arg("--dataset", required=True),
+        _arg("--out", required=True),
+        _arg("--per", type=int, default=1, help="agent permutations per instance"),
+        _arg("--aug8", action="store_true", help="also search the 8 square symmetries"),
+        _arg("--seed", type=int, default=0)), "cmd_solve"),
+    ("eval", "gap of a solutions file vs a reference", (
+        _arg("--solutions", required=True),
+        _arg("--dataset", required=True),
+        _arg("--ref", default="oracle",
+             help='"oracle" for exact brute force, or a solutions file')), "cmd_eval"),
+    ("parse-tsplib", "convert a TSPLIB file to a one-instance dataset", (
+        _arg("--in", dest="infile", required=True),
+        _arg("--m", type=int, required=True, help="number of routes"),
+        _arg("--out", required=True)), "cmd_parse_tsplib"),
+    ("plot-data", "export (epoch, objective) series from metrics", (
+        _arg("--metrics", nargs="+", required=True),
+        _arg("--out", required=True)), "cmd_plot_data"),
+)
+
+
+def build_parser(command=None):
+    """The argument parser of every command, or, given the name of one, of
+    that command alone. Its usage line still lists every command, so what
+    it parses and prints for that command is what the full parser does."""
+    only = [row for row in COMMANDS if row[0] == command]
     p = argparse.ArgumentParser(
         prog="minmaxvrp",
         description="Train and run the min-max routing solver.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a dataset of random instances")
-    g.add_argument("--kind", required=True, choices=pb.KINDS)
-    g.add_argument("--n", type=int, required=True,
-                   help="customers per instance")
-    g.add_argument("--d", type=int, default=1, help="depots per instance")
-    g.add_argument("--m-min", type=int, default=2)
-    g.add_argument("--m-max", type=int, default=None,
-                   help="defaults to --m-min")
-    g.add_argument("--count", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
-
-    t = sub.add_parser("train", help="train a model from a JSON config")
-    t.add_argument("--config", required=True)
-    t.add_argument("--out-dir", required=True)
-    t.add_argument("--resume", default=None,
-                   help="checkpoint to continue from")
-    t.add_argument("--pe", choices=en.PE_KINDS, default=None,
-                   help="override the positional-encoding family")
-    t.add_argument("--no-navigation-part", action="store_true",
-                   help="drop the within-route self-attention blocks")
-    t.set_defaults(func=cmd_train, config_lr=False)
-
-    ft = sub.add_parser("finetune",
-                        help="resume a checkpoint at the config's lr")
-    ft.add_argument("--checkpoint", dest="resume", metavar="CHECKPOINT",
-                    required=True)
-    ft.add_argument("--config", required=True)
-    ft.add_argument("--out-dir", required=True)
-    ft.set_defaults(func=cmd_train, config_lr=True)
-
-    s = sub.add_parser("solve", help="solve a dataset with a checkpoint")
-    s.add_argument("--checkpoint", required=True)
-    s.add_argument("--dataset", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--per", type=int, default=1,
-                   help="agent permutations per instance")
-    s.add_argument("--aug8", action="store_true",
-                   help="also search the 8 square symmetries")
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_solve)
-
-    e = sub.add_parser("eval", help="gap of a solutions file vs a reference")
-    e.add_argument("--solutions", required=True)
-    e.add_argument("--dataset", required=True)
-    e.add_argument("--ref", default="oracle",
-                   help='"oracle" for exact brute force, or a solutions file')
-    e.set_defaults(func=cmd_eval)
-
-    pt = sub.add_parser("parse-tsplib",
-                        help="convert a TSPLIB file to a one-instance dataset")
-    pt.add_argument("--in", dest="infile", required=True)
-    pt.add_argument("--m", type=int, required=True, help="number of routes")
-    pt.add_argument("--out", required=True)
-    pt.set_defaults(func=cmd_parse_tsplib)
-
-    pd = sub.add_parser("plot-data",
-                        help="export (epoch, objective) series from metrics")
-    pd.add_argument("--metrics", nargs="+", required=True)
-    pd.add_argument("--out", required=True)
-    pd.set_defaults(func=cmd_plot_data)
+    # without a metavar argparse shows the choices it has; with one it also
+    # names the action by it in errors, which a known command never meets
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(row[0] for row in COMMANDS) if only else None)
+    for name, help_text, arguments, handler in only or COMMANDS:
+        s = sub.add_parser(name, help=help_text)
+        for flags, kw in arguments:
+            s.add_argument(*flags, **kw)
+        s.set_defaults(handler=handler)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -214,9 +214,9 @@ def augment8(instance):
 # ---------------------------------------------------------------------------
 
 def _fmt_pairs(arr):
-    return "[" + ",".join(
-        "[%s,%s]" % (format(x, ".17g"), format(y, ".17g")) for x, y in arr
-    ) + "]"
+    """An n x 2 float array as JSON pairs in one % call; %.17g is the same
+    float formatting as format(x, ".17g")."""
+    return "[%s]" % ",".join(("[%.17g,%.17g]",) * len(arr)) % tuple(arr.ravel().tolist())
 
 
 def instance_to_line(instance):
@@ -234,11 +234,18 @@ def _json_int(value, field):
 
 
 def _json_number(value, field):
-    """value as a float if it is a JSON number (not a bool); any other value
-    raises a ValueError that names field."""
+    """value as a float if it is a JSON number (not a bool) a double can
+    hold; any other value raises a ValueError that names field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a double: an integer of "
+                         f"{len(str(abs(value)))} digits") from None
+
+
+_PLAIN_NUMBERS = (float, int)  # what json.loads gives for a number; not bool
 
 
 def _json_points(value, field):
@@ -249,8 +256,16 @@ def _json_points(value, field):
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{field}[{i}] must be an [x, y] pair, got {json.dumps(pair)}")
-    return np.array([[_json_number(v, f"{field}[{i}][{j}]") for j, v in enumerate(pair)]
-                     for i, pair in enumerate(value)])
+        if type(pair[0]) not in _PLAIN_NUMBERS or type(pair[1]) not in _PLAIN_NUMBERS:
+            _json_number(pair[0], f"{field}[{i}][0]")
+            _json_number(pair[1], f"{field}[{i}][1]")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer past the largest double: name it
+        for i, pair in enumerate(value):
+            for j, v in enumerate(pair):
+                _json_number(v, f"{field}[{i}][{j}]")
+        raise
 
 
 def instance_from_record(rec):

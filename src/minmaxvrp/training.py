@@ -170,8 +170,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
     (grad_norm), the mean policy entropy per decode step of its rollouts
     (entropy), the spread of their advantages (adv_std), the learning rate
     used, the epoch's seconds in decoding and the loss (decode_s), in
-    backward (backward_s) and in clipping and Adam (adam_s), and the
-    wallclock so far.
+    backward (backward_s) and in clipping and Adam (adam_s), the epoch's
+    training instances per second (inst_per_s), and the wallclock so far.
     """
     master = np.random.default_rng(tc.seed)
     if params is None:
@@ -183,6 +183,7 @@ def train(tc, params=None, opt=None, on_epoch=None):
     metrics = []
     start = time.perf_counter()
     for epoch in range(tc.epochs):
+        epoch_start = time.perf_counter()
         lr_used = opt.lr
         epoch_best = []
         epoch_base = []
@@ -219,6 +220,7 @@ def train(tc, params=None, opt=None, on_epoch=None):
             epoch_entropy.append(entropy)
             done += n
         opt.decay_epoch()
+        now = time.perf_counter()
         row = {
             "epoch": epoch,
             "mean_obj": float(np.mean(epoch_best)),
@@ -228,7 +230,8 @@ def train(tc, params=None, opt=None, on_epoch=None):
             "adv_std": float(np.std(np.concatenate(epoch_adv))),
             "lr": lr_used,
             **phase_s,
-            "wallclock": time.perf_counter() - start,
+            "inst_per_s": tc.epoch_size / (now - epoch_start),
+            "wallclock": now - start,
         }
         metrics.append(row)
         if on_epoch is not None:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -428,7 +431,10 @@ def test_eval_count_mismatch(trained, tmp_path, capsys):
     pytest.param(("objective", "1.5"), 'objective must be a number, got "1.5"',
                  id="objective-string"),
     pytest.param(("objective", True), "objective must be a number, got true",
-                 id="objective-bool")])
+                 id="objective-bool"),
+    pytest.param(("objective", 10 ** 400),
+                 "objective is too large for a double: an integer of 401 digits",
+                 id="objective-past-the-largest-double")])
 def test_eval_bad_solutions_line_names_the_file_and_line(
         trained, tmp_path, capsys, flag, fault, what):
     ckpt, data = trained
@@ -519,7 +525,13 @@ def test_solve_rejects_a_non_integer_field_naming_the_line(
     pytest.param("depots", (0, 0), "0", 'depots[0][0] must be a number, got "0"',
                  id="depot-string"),
     pytest.param("customers", (1,), [0.5], "customers[1] must be an [x, y] pair, got [0.5]",
-                 id="customer-not-a-pair")])
+                 id="customer-not-a-pair"),
+    pytest.param("customers", (2, 1), 10 ** 400,
+                 "customers[2][1] is too large for a double: an integer of 401 digits",
+                 id="customer-past-the-largest-double"),
+    pytest.param("depots", (0, 0), -10 ** 309,
+                 "depots[0][0] is too large for a double: an integer of 310 digits",
+                 id="depot-past-the-largest-double")])
 def test_solve_rejects_a_non_number_coordinate_naming_the_line(
         trained, tmp_path, capsys, field, at, value, what):
     ckpt, data = trained
@@ -669,3 +681,67 @@ def test_plot_data_bad_metrics_line_names_the_file_and_line(tmp_path, capsys):
                            "--out", tmp_path / "o"], capsys)
     assert code == 1 and err.count("\n") == 1
     assert err.startswith(f"error: {m}:2: no 'mean_obj' entry")
+
+
+# ---------------------------------------------------------------------------
+# argument surface
+# ---------------------------------------------------------------------------
+
+# one full argv per command, every argument given
+ARGVS = {
+    "gen": ["gen", "--kind", "MPDP", "--n", "6", "--d", "1", "--m-min", "2",
+            "--m-max", "3", "--count", "4", "--seed", "5", "--out", "o.jsonl"],
+    "train": ["train", "--config", "c.json", "--out-dir", "run", "--resume", "k.ckpt",
+              "--pe", "sinusoidal", "--no-navigation-part"],
+    "finetune": ["finetune", "--checkpoint", "k.ckpt", "--config", "c.json",
+                 "--out-dir", "run"],
+    "solve": ["solve", "--checkpoint", "k.ckpt", "--dataset", "d.jsonl", "--out", "s.jsonl",
+              "--per", "3", "--aug8", "--seed", "2"],
+    "eval": ["eval", "--solutions", "s.jsonl", "--dataset", "d.jsonl", "--ref", "r.jsonl"],
+    "parse-tsplib": ["parse-tsplib", "--in", "eil51.tsp", "--m", "4", "--out", "e.jsonl"],
+    "plot-data": ["plot-data", "--metrics", "a.jsonl", "b.jsonl", "--out", "c.tsv"],
+}
+
+
+def parser_output(parser, argv):
+    """(exit code or the Namespace, stdout, stderr) of parser.parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = parser.parse_args(argv)
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def test_every_command_has_an_argv_here():
+    assert sorted(ARGVS) == sorted(row[0] for row in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(ARGVS))
+def test_the_one_command_parser_parses_and_prints_what_the_full_one_does(command):
+    full = cli.build_parser()
+    one = cli.build_parser(command)
+    for argv in (ARGVS[command], ARGVS[command][:1], [command, "--help"],
+                 ARGVS[command] + ["extra"], ARGVS[command] + ["--bogus"]):
+        assert parser_output(one, argv) == parser_output(full, argv), argv
+    args = one.parse_args(ARGVS[command])
+    assert args.command == command and callable(getattr(cli, args.handler))
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["-h", "gen"], ["--bogus"]])
+def test_main_builds_every_command_without_a_known_one_first(argv, capsys):
+    want = parser_output(cli.build_parser(), argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == want
+    assert all(row[0] in captured.out + captured.err for row in cli.COMMANDS)
+
+
+def test_main_reads_sys_argv_and_calls_the_handler_it_finds_then(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_parse_tsplib", lambda args: seen.append(args) or 7)
+    monkeypatch.setattr(sys, "argv", ["minmaxvrp"] + ARGVS["parse-tsplib"])
+    assert cli.main() == 7
+    assert [(a.infile, a.m, a.out) for a in seen] == [("eil51.tsp", 4, "e.jsonl")]

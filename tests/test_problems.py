@@ -327,6 +327,34 @@ def test_instance_line_rewrites_identically(tmp_path):
     assert pb.instance_to_line(pb.instance_from_record(json.loads(line))) == line
 
 
+def per_number_line(ins):
+    """instance_to_line with one format(x, ".17g") call per number."""
+    def pairs(arr):
+        return "[" + ",".join("[%s,%s]" % (format(x, ".17g"), format(y, ".17g"))
+                              for x, y in arr) + "]"
+    return ('{"kind":"%s","M":%d,"uid":%d,"depots":%s,"customers":%s}'
+            % (ins.kind, ins.M, ins.uid, pairs(ins.depot_coords), pairs(ins.coords)))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=300)
+@given(xy=st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=12),
+       depots=st.lists(st.tuples(FINITE | st.sampled_from([-0.0, 5e-324, -5e-324]), FINITE),
+                       min_size=1, max_size=3),
+       uid=st.integers(0, 2 ** 63))
+def test_instance_line_is_the_per_number_format_and_round_trips(xy, depots, uid):
+    ins = pb.Instance(kind="FMDVRP", coords=xy, depot_coords=depots, M=2, uid=uid)
+    line = pb.instance_to_line(ins)
+    assert line == per_number_line(ins)
+    back = pb.instance_from_record(json.loads(line))
+    # bitwise but for the sign of zero: -0.0 is written "-0", which JSON
+    # reads as the integer 0 (adding 0.0 turns -0.0, and only it, into 0.0)
+    assert back.coords.tobytes() == (ins.coords + 0.0).tobytes()
+    assert back.depot_coords.tobytes() == (ins.depot_coords + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
 def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
     old = os.umask(umask)

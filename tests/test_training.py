@@ -14,8 +14,9 @@ from minmaxvrp import rollout as ro
 from minmaxvrp import training as tr
 
 
-# the seconds a metrics row measures, which no seed reproduces
-TIMES = ("decode_s", "backward_s", "adam_s", "wallclock")
+# the timings a metrics row measures, which no seed reproduces
+PHASES = ("decode_s", "backward_s", "adam_s")
+TIMES = PHASES + ("inst_per_s", "wallclock")
 
 
 def tiny_tc(kind="MTSP", **kw):
@@ -233,13 +234,17 @@ def test_train_smoke_and_reproducible_metrics():
         for row in metrics:
             assert set(row) == {"epoch", "mean_obj", "mean_baseline",
                                 "grad_norm", "entropy", "adv_std", "lr",
-                                "decode_s", "backward_s", "adam_s", "wallclock"}
+                                "decode_s", "backward_s", "adam_s", "inst_per_s",
+                                "wallclock"}
             assert np.isfinite(list(row.values())).all()
             assert row["mean_obj"] <= row["mean_baseline"] + 1e-12
             assert row["lr"] == 1e-3
             assert row["entropy"] > 0.0 and row["adv_std"] >= 0.0
-            phases = [row[k] for k in TIMES if k != "wallclock"]
-            assert min(phases) > 0.0 and sum(phases) <= row["wallclock"]
+            phases = [row[k] for k in PHASES]
+            epoch_s = 8 / row["inst_per_s"]  # epoch_size instances
+            assert min(phases) > 0.0
+            assert sum(phases) <= epoch_s * (1 + 1e-12)
+            assert epoch_s <= row["wallclock"] * (1 + 1e-12)
         runs.append((params, [
             {k: v for k, v in row.items() if k not in TIMES}
             for row in metrics]))
