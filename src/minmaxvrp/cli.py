@@ -285,8 +285,8 @@ def _arg(*flags, **kw):
 
 
 # One row per subcommand: (name, help, arguments, handler). The handler is
-# named, and looked up when the command runs, so a replaced module attribute
-# (a profiler's timing wrapper) is the one called.
+# named, and looked up when the parser is built, so a replaced module
+# attribute (a profiler's timing wrapper) is the one called.
 COMMANDS = (
     ("gen", "generate a dataset of random instances", (
         _arg("--kind", required=True, choices=pb.KINDS),
@@ -348,7 +348,7 @@ def build_parser(command=None):
         s = sub.add_parser(name, help=help_text)
         for flags, kw in arguments:
             s.add_argument(*flags, **kw)
-        s.set_defaults(handler=handler)
+        s.set_defaults(func=globals()[handler])
     return p
 
 
@@ -357,7 +357,7 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return globals()[args.handler](args)
+        return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

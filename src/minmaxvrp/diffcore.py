@@ -345,22 +345,9 @@ def tanh(a):
     return _make(out_data, (a,), backward)
 
 
-def _row_max(x):
-    """x.max(axis=-1, keepdims=True), exactly. NumPy reduces a row at a time,
-    which for many short rows costs more than the maximum itself; there the
-    max down the columns of a contiguous transposed copy is faster (32 x 40
-    x 40: 83 -> 36 us, 32 x 50 x 5: 68 -> 7 us, on 2 vCPUs). Below 64 rows,
-    and from 64 columns, the copy can cost more than it saves (8 x 1 x 43:
-    1.4 -> 3.1 us, 512 x 128: 47 -> 88 us)."""
-    n = x.shape[-1]
-    if n >= 64 or x.size < 64 * n:
-        return x.max(axis=-1, keepdims=True)
-    return x.reshape(-1, n).T.copy().max(axis=0).reshape(x.shape[:-1] + (1,))
-
-
 def softmax_rows(a):
     """Row softmax (over the last axis), stabilized by subtracting the row max."""
-    shifted = a.data - _row_max(a.data)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
@@ -373,7 +360,7 @@ def softmax_rows(a):
 
 
 def log_softmax_rows(a):
-    shifted = a.data - _row_max(a.data)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
 

@@ -245,9 +245,6 @@ def _json_number(value, field):
                          f"{len(str(abs(value)))} digits") from None
 
 
-_PLAIN_NUMBERS = (float, int)  # what json.loads gives for a number; not bool
-
-
 def _json_points(value, field):
     """The float array of a JSON list of [x, y] number pairs; any other value
     raises a ValueError that names field and the entry."""
@@ -256,16 +253,13 @@ def _json_points(value, field):
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{field}[{i}] must be an [x, y] pair, got {json.dumps(pair)}")
-        if type(pair[0]) not in _PLAIN_NUMBERS or type(pair[1]) not in _PLAIN_NUMBERS:
+        # a float needs no check; anything else (an int past the largest
+        # double too) goes through the one that names the entry
+        if type(pair[0]) is not float:
             _json_number(pair[0], f"{field}[{i}][0]")
+        if type(pair[1]) is not float:
             _json_number(pair[1], f"{field}[{i}][1]")
-    try:
-        return np.array(value, dtype=np.float64)
-    except OverflowError:  # an integer past the largest double: name it
-        for i, pair in enumerate(value):
-            for j, v in enumerate(pair):
-                _json_number(v, f"{field}[{i}][{j}]")
-        raise
+    return np.array(value, dtype=np.float64)
 
 
 def instance_from_record(rec):

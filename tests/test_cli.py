@@ -726,7 +726,8 @@ def test_the_one_command_parser_parses_and_prints_what_the_full_one_does(command
                  ARGVS[command] + ["extra"], ARGVS[command] + ["--bogus"]):
         assert parser_output(one, argv) == parser_output(full, argv), argv
     args = one.parse_args(ARGVS[command])
-    assert args.command == command and callable(getattr(cli, args.handler))
+    handler = next(row[3] for row in cli.COMMANDS if row[0] == command)
+    assert args.command == command and args.func is getattr(cli, handler)
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["-h", "gen"], ["--bogus"]])

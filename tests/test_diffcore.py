@@ -268,20 +268,6 @@ def test_softmax_rows_sum_to_one_and_positive():
         assert (out.data > 0).all()
 
 
-@pytest.mark.parametrize("shape", [(32, 40, 40), (32, 50, 5), (2, 32, 1), (64, 63),
-                                   (8, 1, 43), (1, 1, 53), (512, 128), (0, 7), (3, 0, 5)])
-def test_row_max_is_the_plain_row_max(shape):
-    # shapes on both sides of the copy rule: many short rows, few rows, long rows
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(shape)
-    if x.size:
-        flat = x.reshape(-1)
-        flat[rng.integers(x.size, size=3)] = [np.nan, np.inf, -np.inf]
-    want = x.max(axis=-1, keepdims=True)
-    got = dc._row_max(x)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 def test_forward_deterministic():
     rng = np.random.default_rng(7)
     x = dc.Tensor(rng.standard_normal((4, 4)))
