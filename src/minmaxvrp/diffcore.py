@@ -517,20 +517,8 @@ def clip_grad_norm(params, max_norm):
 
 
 # ---------------------------------------------------------------------------
-# parameter construction
+# constants
 # ---------------------------------------------------------------------------
-
-def init_matrix(rows, cols, rng, dtype=None):
-    """Uniform in [-1/sqrt(rows), +1/sqrt(rows)]; rows is the fan-in."""
-    bound = 1.0 / math.sqrt(rows)
-    data = rng.uniform(-bound, bound, size=(rows, cols))
-    return Tensor(data.astype(dtype if dtype is not None else DEFAULT_DTYPE),
-                  requires_grad=True, dtype=dtype)
-
-
-def zeros(rows, cols, dtype=None):
-    return Tensor(np.zeros((rows, cols)), requires_grad=True, dtype=dtype)
-
 
 def constant(data, dtype=None):
     """Non-trainable tensor (coordinates, masks, precomputed features)."""

@@ -2,8 +2,9 @@
 partition-and-navigation encoder for single-depot and multi-depot
 min-max routing problems.
 
-All trainable parameters of the model (encoder and decoder) are built
-here by init_params and live in one flat name -> Tensor dict.
+All trainable parameters of the model (encoder and decoder) are declared
+here in one table (param_table), which init_params draws in order and
+param_shapes reads; they live in one flat name -> Tensor dict.
 """
 
 import math
@@ -167,23 +168,6 @@ def rotation_pe(base, n_pos, w_pe):
 # parameters
 # ---------------------------------------------------------------------------
 
-def _attn_params(params, prefix, d, n_heads, rng, split_query=False):
-    """One d x d matrix per role plus proj; the d x d_k head blocks are
-    drawn head by head and placed side by side, head h in columns
-    h*d_k..(h+1)*d_k."""
-    roles = ("qp", "qd", "k", "v") if split_query else ("q", "k", "v")
-    heads = [[dc.init_matrix(d, d // n_heads, rng).data for _ in roles]
-             for _ in range(n_heads)]
-    for role, blocks in zip(roles, zip(*heads)):
-        params[f"{prefix}.{role}"] = dc.Tensor(np.hstack(blocks), requires_grad=True)
-    params[f"{prefix}.proj"] = dc.init_matrix(d, d, rng)
-
-
-def _ff_params(params, prefix, d, d_ff, rng):
-    params[f"{prefix}.w1"] = dc.init_matrix(d, d_ff, rng)
-    params[f"{prefix}.w2"] = dc.init_matrix(d_ff, d, rng)
-
-
 # One layer's blocks in order: (name, stream, context, scaled, probe
 # relation) over the agent (a), customer (c) and depot (d) streams. A block
 # replaces its stream; block j uses the ReZero scalars a{2j+1} and a{2j+2}.
@@ -199,65 +183,74 @@ _MULTI_BLOCKS = (("nav", "c", "c", True, "customer_customer"),
                  ("ca", "c", "a", False, "customer_agent"))
 
 
+def _blocks(cfg):
+    """(j, block) of one layer's blocks, the nav block left out without use_nav."""
+    blocks = _MULTI_BLOCKS if cfg.multi_depot else _SINGLE_BLOCKS
+    return [(j, b) for j, b in enumerate(blocks) if cfg.use_nav or b[0] != "nav"]
+
+
+def param_table(cfg):
+    """(names, shape, init) of every trainable tensor, in init_params' draw order.
+
+    init is the bound of a uniform draw, or ("fill", value) for a constant.
+    An entry of several names is one attention block's role matrices, each
+    d x d: one draw of n_heads x roles x d x d_k, whose head blocks sit side
+    by side, head h in columns h*d_k..(h+1)*d_k.
+    """
+    d, d_ff = cfg.d_model, cfg.d_ff
+
+    def w(name, rows, cols=d):  # uniform +-1/sqrt(fan_in)
+        return (name,), (rows, cols), 1.0 / math.sqrt(rows)
+
+    def fill(name, cols=d, value=0.0):
+        return (name,), (1, cols), ("fill", value)
+
+    def attn(prefix, roles=("q", "k", "v")):
+        return [(tuple(f"{prefix}.{r}" for r in roles), (d, d), 1.0 / math.sqrt(d)),
+                w(f"{prefix}.proj", d)]
+
+    table = [w("embed.customer.W", 2), fill("embed.customer.b"),
+             w("embed.depot.W", 2), fill("embed.depot.b")]
+    if cfg.kind == "MPDP":
+        table += [fill("embed.pickup.b"), fill("embed.delivery.b")]
+    if cfg.multi_depot:
+        table.append((("embed.agent_seed",), (1, d), 1.0 / math.sqrt(d)))
+    if cfg.pe == "rotation":
+        table.append(w("pe.proj", d))
+    for l in range(cfg.n_layers):
+        for _, (b, *_) in _blocks(cfg):
+            split = b == "cust" and cfg.kind == "MPDP"
+            roles = ("qp", "qd", "k", "v") if split else ("q", "k", "v")
+            table += attn(f"layer{l}.{b}_attn", roles)
+            table += [w(f"layer{l}.{b}_ff.w1", d, d_ff), w(f"layer{l}.{b}_ff.w2", d_ff)]
+        table += [fill(f"layer{l}.a{2 * j + i}", 1) for j, _ in _blocks(cfg) for i in (1, 2)]
+    table += [w("dec.emb", d), w("dec.step", 2 * d + 2),
+              w("dec.length", 5 if cfg.kind == "MPDP" else 3), *attn("dec.glimpse"),
+              w("dec.logit", d), fill("dec.alpha_dist", 1, -1.0)]
+    return table
+
+
 def init_params(cfg, rng):
     """Build every trainable tensor of the model, freshly initialized.
 
     Weights are uniform +-1/sqrt(fan_in), biases and ReZero scalars zero,
     the distance-bias scale starts at -1.
     """
-    d, d_ff, H = cfg.d_model, cfg.d_ff, cfg.n_heads
     params = {}
-
-    params["embed.customer.W"] = dc.init_matrix(2, d, rng)
-    params["embed.customer.b"] = dc.zeros(1, d)
-    params["embed.depot.W"] = dc.init_matrix(2, d, rng)
-    params["embed.depot.b"] = dc.zeros(1, d)
-    if cfg.kind == "MPDP":
-        params["embed.pickup.b"] = dc.zeros(1, d)
-        params["embed.delivery.b"] = dc.zeros(1, d)
-    if cfg.multi_depot:
-        bound = 1.0 / math.sqrt(d)
-        seed = rng.uniform(-bound, bound, size=(1, d)).astype(dc.DEFAULT_DTYPE)
-        params["embed.agent_seed"] = dc.Tensor(seed, requires_grad=True)
-    if cfg.pe == "rotation":
-        params["pe.proj"] = dc.init_matrix(d, d, rng)
-
-    blocks = _MULTI_BLOCKS if cfg.multi_depot else _SINGLE_BLOCKS
-    for l in range(cfg.n_layers):
-        for b, *_ in blocks:
-            if b == "nav" and not cfg.use_nav:
-                continue
-            split = b == "cust" and cfg.kind == "MPDP"
-            _attn_params(params, f"layer{l}.{b}_attn", d, H, rng, split_query=split)
-            _ff_params(params, f"layer{l}.{b}_ff", d, d_ff, rng)
-        n_alpha = 14 if cfg.multi_depot else 6
-        first = 3 if (not cfg.use_nav) else 1
-        for j in range(first, n_alpha + 1):
-            params[f"layer{l}.a{j}"] = dc.zeros(1, 1)
-
-    params["dec.emb"] = dc.init_matrix(d, d, rng)
-    params["dec.step"] = dc.init_matrix(2 * d + 2, d, rng)
-    n_len = 5 if cfg.kind == "MPDP" else 3
-    params["dec.length"] = dc.init_matrix(n_len, d, rng)
-    _attn_params(params, "dec.glimpse", d, H, rng)
-    params["dec.logit"] = dc.init_matrix(d, d, rng)
-    alpha_d = dc.Tensor(np.full((1, 1), -1.0), requires_grad=True)
-    params["dec.alpha_dist"] = alpha_d
+    for names, (rows, cols), init in param_table(cfg):
+        if isinstance(init, tuple):  # ("fill", value)
+            arrays = [np.full((rows, cols), init[1])]
+        else:
+            H = cfg.n_heads if len(names) > 1 else 1
+            draw = rng.uniform(-init, init, size=(H, len(names), rows, cols // H))
+            arrays = [np.hstack(draw[:, r]) for r in range(len(names))]
+        params.update((name, dc.Tensor(a, requires_grad=True)) for name, a in zip(names, arrays))
     return params
-
-
-class _NoDraws:
-    """Stands in for init_params' Generator: uniform gives zeros of the
-    asked size, so param_shapes reads init_params' table without drawing."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
 
 
 def param_shapes(cfg):
     """name -> shape of every tensor init_params(cfg) builds, in init order."""
-    return {name: p.shape for name, p in init_params(cfg, _NoDraws()).items()}
+    return {name: shape for names, shape, _ in param_table(cfg) for name in names}
 
 
 def check_params(shapes, params, what="params"):
@@ -352,10 +345,7 @@ def _attn_block(stream, context, params, layer, block, alpha_i, scaled, cfg,
 
 def _layer(emb, params, layer, cfg, pickup_rows, probe):
     streams = {"a": emb.H_a, "c": emb.H_c, "d": emb.H_d}
-    blocks = _MULTI_BLOCKS if cfg.multi_depot else _SINGLE_BLOCKS
-    for j, (block, x, ctx, scaled, relation) in enumerate(blocks):
-        if block == "nav" and not cfg.use_nav:
-            continue
+    for j, (block, x, ctx, scaled, relation) in _blocks(cfg):
         streams[x] = _attn_block(
             streams[x], streams[ctx], params, layer, block, 2 * j + 1, scaled,
             cfg, relation, pickup_rows=pickup_rows if block == "cust" else None,

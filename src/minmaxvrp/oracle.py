@@ -52,10 +52,7 @@ def _route_order_paths(members, cc, start_dist):
         for last in range(k):
             if not mask & (1 << last):
                 continue
-            entry = dp.get((mask, last))
-            if entry is None:
-                continue
-            cost, path = entry
+            cost, path = dp[(mask, last)]
             for nxt in range(k):
                 if mask & (1 << nxt):
                     continue
@@ -165,47 +162,28 @@ def brute_force(instance):
         raise ValueError(f"brute_force limit: M={instance.M} > {BRUTE_FORCE_MAX_M}")
 
     cc, dc = _dist_tables(instance)
+    n_items = instance.n_pairs if kind == "MPDP" else instance.N
+
+    @lru_cache(maxsize=None)
+    def block_value(block):
+        """(cost, order, start_depot, end_depot) of one block of customers
+        (of pickup-delivery pairs for MPDP)."""
+        if kind == "MPDP":
+            return (*_pdp_block_orders(block, instance.n_pairs, cc, dc), 0, 0)
+        return _best_tsp_block(block, kind, instance.D, cc, dc)
+
     explored = 0
     best = None
+    for part in _partitions(list(range(n_items)), instance.M):
+        explored += 1
+        blocks = [block_value(tuple(block)) for block in part]
+        worst = max(cost for cost, *_ in blocks)
+        if best is None or worst < best[0]:
+            best = (worst, blocks)
 
-    if kind == "MPDP":
-        n_pairs = instance.n_pairs
-
-        @lru_cache(maxsize=None)
-        def block_value(pairs_key):
-            return _pdp_block_orders(pairs_key, n_pairs, cc, dc)
-
-        for part in _partitions(list(range(n_pairs)), instance.M):
-            explored += 1
-            worst = 0.0
-            orders = []
-            for block in part:
-                cost, order = block_value(tuple(block))
-                worst = max(worst, cost)
-                orders.append(list(order))
-            if best is None or worst < best[0]:
-                best = (worst, orders, [0] * instance.M, [0] * instance.M)
-    else:
-        @lru_cache(maxsize=None)
-        def block_value(members_key):
-            return _best_tsp_block(members_key, kind, instance.D, cc, dc)
-
-        for part in _partitions(list(range(instance.N)), instance.M):
-            explored += 1
-            worst = 0.0
-            routes = []
-            starts = []
-            ends = []
-            for block in part:
-                cost, order, s, e = block_value(tuple(block))
-                worst = max(worst, cost)
-                routes.append(list(order))
-                starts.append(s)
-                ends.append(e)
-            if best is None or worst < best[0]:
-                best = (worst, routes, starts, ends)
-
-    solution = RouteSet(routes=best[1], start_depots=best[2], end_depots=best[3])
+    _, orders, starts, ends = zip(*best[1])
+    solution = RouteSet(routes=[list(o) for o in orders], start_depots=list(starts),
+                        end_depots=list(ends))
     report = validate(solution, instance)
     if report is not None:
         raise AssertionError(f"oracle produced an infeasible solution: {report}")

@@ -215,8 +215,10 @@ def augment8(instance):
 
 def _fmt_pairs(arr):
     """An n x 2 float array as JSON pairs in one % call; %.17g is the same
-    float formatting as format(x, ".17g")."""
-    return "[%s]" % ",".join(("[%.17g,%.17g]",) * len(arr)) % tuple(arr.ravel().tolist())
+    float formatting as format(x, ".17g"), except that -0.0, which %.17g
+    writes as the JSON integer -0 (read back as 0), is written -0.0."""
+    text = "[%s]" % ",".join(("[%.17g,%.17g]",) * len(arr)) % tuple(arr.ravel().tolist())
+    return text.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]")
 
 
 def instance_to_line(instance):

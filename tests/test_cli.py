@@ -422,6 +422,61 @@ def test_eval_count_mismatch(trained, tmp_path, capsys):
     assert code == 1 and "1 solutions vs 3 instances" in err
 
 
+def test_solve_rejects_an_empty_dataset(trained, tmp_path, capsys):
+    ckpt, _data = trained
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", empty,
+                           "--out", tmp_path / "x"], capsys)
+    assert (code, err) == (1, f"error: {empty} holds no instances\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_solve_rejects_per_zero(trained, tmp_path, capsys):
+    ckpt, data = trained
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                           "--out", tmp_path / "x", "--per", 0], capsys)
+    assert (code, err) == (1, "error: --per must be >= 1\n")
+    assert not (tmp_path / "x").exists()
+
+
+def test_eval_rejects_a_reference_of_the_wrong_length(trained, tmp_path, capsys):
+    ckpt, data = trained
+    sols, short = tmp_path / "sols.jsonl", tmp_path / "short.jsonl"
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data, "--out", sols]) == 0
+    short.write_text("".join(sols.read_text().splitlines(keepends=True)[:2]))
+    code, _out, err = run(["eval", "--solutions", sols, "--dataset", data,
+                           "--ref", short], capsys)
+    assert (code, err) == (1, "error: 2 reference solutions vs 3 instances\n")
+
+
+def test_eval_rejects_an_infeasible_reference(trained, tmp_path, capsys):
+    ckpt, data = trained
+    sols, ref = tmp_path / "sols.jsonl", tmp_path / "ref.jsonl"
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data, "--out", sols]) == 0
+    lines = sols.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["routes"] = rec["routes"][:1]
+    ref.write_text(lines[0] + json.dumps(rec) + "\n" + lines[2])
+    code, _out, err = run(["eval", "--solutions", sols, "--dataset", data,
+                           "--ref", ref], capsys)
+    assert (code, err) == (1, "error: reference solution infeasible: route count 1 != M=2\n")
+
+
+def test_eval_rejects_a_stored_objective_that_does_not_match_its_routes(trained, tmp_path,
+                                                                       capsys):
+    ckpt, data = trained
+    sols = tmp_path / "sols.jsonl"
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data, "--out", sols]) == 0
+    lines = sols.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[2])
+    real, rec["objective"] = rec["objective"], rec["objective"] + 0.5
+    sols.write_text(lines[0] + lines[1] + json.dumps(rec) + "\n")
+    code, _out, err = run(["eval", "--solutions", sols, "--dataset", data], capsys)
+    assert (code, err) == (1, f"error: solution 2 objective {rec['objective']} does not "
+                              f"match its routes ({real:.6f}); wrong dataset?\n")
+
+
 @pytest.mark.parametrize("flag", ["--solutions", "--ref"])
 @pytest.mark.parametrize("fault,what", [
     ("truncate", "Expecting"), ("no_start_depots", "no 'start_depots' entry"),
@@ -609,6 +664,25 @@ def test_parse_tsplib_errors(tmp_path, capsys):
     code, _out, err = run(["parse-tsplib", "--in", wrong_dim, "--m", 2,
                            "--out", tmp_path / "o"], capsys)
     assert code == 1 and str(wrong_dim) in err and "DIMENSION 'three'" in err
+
+
+def test_parse_tsplib_reads_headers_after_a_line_that_ends_the_node_section(tmp_path):
+    path = tmp_path / "after.tsp"
+    path.write_text("NAME : after\nNODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 8\n"
+                    "DISPLAY_DATA_TYPE : COORD_DISPLAY\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+                    "DIMENSION : 3\nEOF\n")
+    ins = cli.parse_tsplib(path, 2)
+    assert ins.depot_coords.tolist() == [[0.0, 0.0]]
+    assert ins.coords.tolist() == [[3.0, 4.0], [6.0, 8.0]]
+
+
+def test_normalized_for_model_puts_identical_points_at_the_origin():
+    same = pb.Instance(kind="MTSP", coords=np.full((3, 2), 7.5),
+                       depot_coords=np.array([[7.5, 7.5]]), M=2, uid=4)
+    norm = cli.normalized_for_model(same)
+    assert norm.coords.tolist() == [[0.0, 0.0]] * 3
+    assert norm.depot_coords.tolist() == [[0.0, 0.0]]
+    assert (norm.M, norm.uid) == (2, 4)
 
 
 def test_normalized_for_model():

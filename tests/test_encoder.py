@@ -1,5 +1,5 @@
+import itertools
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +26,12 @@ INS = {
 }
 
 
+def uniform(rng, rows, cols, dtype=None):
+    """A trainable rows x cols weight, uniform +-1/sqrt(rows) as init_params draws one."""
+    bound = 1.0 / math.sqrt(rows)
+    return dc.Tensor(rng.uniform(-bound, bound, (rows, cols)), requires_grad=True, dtype=dtype)
+
+
 # ---------------------------------------------------------------------------
 # positional encodings
 # ---------------------------------------------------------------------------
@@ -50,7 +56,7 @@ def test_sinusoidal_bounded_and_rejects_odd_d():
 def test_rotation_position_zero_is_projection():
     rng = np.random.default_rng(0)
     base = dc.constant(rng.normal(size=(1, 8)))
-    w = dc.init_matrix(8, 8, rng)
+    w = uniform(rng, 8, 8)
     out = en.rotation_pe(base, 3, w)
     direct = dc.matmul(base, w)
     assert np.array_equal(out.data[0], direct.data[0])
@@ -71,7 +77,7 @@ def test_rotation_preserves_pair_norms_before_projection():
 def test_rotation_is_linear_in_base():
     rng = np.random.default_rng(2)
     base = rng.normal(size=(1, 8))
-    w = dc.init_matrix(8, 8, rng)
+    w = uniform(rng, 8, 8)
     a = en.rotation_pe(dc.constant(base), 4, w).data
     b = en.rotation_pe(dc.constant(3.0 * base), 4, w).data
     assert np.allclose(3.0 * a, b, atol=1e-5)
@@ -90,19 +96,11 @@ def test_rotation_rows_pairwise_distinct():
 # attention blocks
 # ---------------------------------------------------------------------------
 
-def attn_params(d, n_heads, seed, prefix="blk"):
+def attn_params(d, n_heads, seed, split_query=False, dtype=None):
+    """One attention block: a d x d matrix per role, then proj."""
     rng = np.random.default_rng(seed)
-    params = {}
-    en._attn_params(params, prefix, d, n_heads, rng)
-    return params
-
-
-def attn_params64(d, n_heads, seed, split_query=False):
-    rng = np.random.default_rng(seed)
-    params = {}
-    en._attn_params(params, "blk", d, n_heads, rng, split_query=split_query)
-    return {name: dc.Tensor(t.data, requires_grad=True, dtype=np.float64)
-            for name, t in params.items()}
+    roles = ("qp", "qd", "k", "v") if split_query else ("q", "k", "v")
+    return {f"blk.{r}": uniform(rng, d, d, dtype) for r in roles + ("proj",)}
 
 
 def per_head_reference(X, C, params, prefix, n_heads, scaled, pickup_rows=None):
@@ -136,14 +134,14 @@ def test_fused_attention_matches_per_head_reference(n_heads):
         X = rng.normal(size=(5, d))
         C = rng.normal(size=(7, d))
         Xt, Ct = dc.constant(X, dtype=np.float64), dc.constant(C, dtype=np.float64)
-        params = attn_params64(d, n_heads, seed)
+        params = attn_params(d, n_heads, seed, dtype=np.float64)
         np.testing.assert_allclose(
             en.mha(Xt, Ct, params, "blk", n_heads).data,
             per_head_reference(X, C, params, "blk", n_heads, True), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             en.mhsa(Xt, Ct, params, "blk", n_heads).data,
             per_head_reference(X, C, params, "blk", n_heads, False), rtol=0, atol=1e-12)
-        params = attn_params64(d, n_heads, seed, split_query=True)
+        params = attn_params(d, n_heads, seed, split_query=True, dtype=np.float64)
         rows = rng.random(5) < 0.5
         np.testing.assert_allclose(
             en.mhsa(Xt, Ct, params, "blk", n_heads, pickup_rows=rows).data,
@@ -164,31 +162,75 @@ def test_fused_glimpse_matches_per_head_reference():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def _v1_attn_params(params, prefix, d, n_heads, rng, split_query=False):
-    """The format-v1 draw: one d x d_k matrix per head and role, head by head."""
-    roles = ("qp", "qd", "k", "v") if split_query else ("q", "k", "v")
-    for i in range(n_heads):
-        for role in roles:
-            params[f"{prefix}.{role}{i}"] = dc.init_matrix(d, d // n_heads, rng)
-    params[f"{prefix}.proj"] = dc.init_matrix(d, d, rng)
+def _per_head_init(cfg, rng):
+    """init_params written out draw by draw, each attention role drawn head
+    by head as d x d_k blocks placed side by side (head h in columns
+    h*d_k..(h+1)*d_k): the reference a seed's weights are pinned to."""
+    d, d_ff, H = cfg.d_model, cfg.d_ff, cfg.n_heads
+    out = {}
+
+    def draw(rows, cols, bound=None):
+        bound = 1.0 / math.sqrt(rows) if bound is None else bound
+        return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
+
+    def w(name, rows, cols=d):
+        out[name] = draw(rows, cols)
+
+    def const(name, cols=d, value=0.0):
+        out[name] = np.full((1, cols), value, dtype=np.float32)
+
+    def attn(prefix, roles=("q", "k", "v")):
+        heads = [[draw(d, d // H) for _ in roles] for _ in range(H)]
+        for role, blocks in zip(roles, zip(*heads)):
+            out[f"{prefix}.{role}"] = np.hstack(blocks)
+        w(f"{prefix}.proj", d)
+
+    w("embed.customer.W", 2)
+    const("embed.customer.b")
+    w("embed.depot.W", 2)
+    const("embed.depot.b")
+    if cfg.kind == "MPDP":
+        const("embed.pickup.b")
+        const("embed.delivery.b")
+    if cfg.multi_depot:
+        out["embed.agent_seed"] = draw(1, d, bound=1.0 / math.sqrt(d))
+    if cfg.pe == "rotation":
+        w("pe.proj", d)
+    blocks = (("nav", "dc", "cd", "ad", "da", "ac", "ca") if cfg.multi_depot
+              else ("nav", "agent", "cust"))
+    for l in range(cfg.n_layers):
+        for b in blocks[0 if cfg.use_nav else 1:]:
+            split = b == "cust" and cfg.kind == "MPDP"
+            attn(f"layer{l}.{b}_attn", ("qp", "qd", "k", "v") if split else ("q", "k", "v"))
+            w(f"layer{l}.{b}_ff.w1", d, d_ff)
+            w(f"layer{l}.{b}_ff.w2", d_ff)
+        for j in range(1 if cfg.use_nav else 3, 2 * len(blocks) + 1):
+            const(f"layer{l}.a{j}", cols=1)
+    w("dec.emb", d)
+    w("dec.step", 2 * d + 2)
+    w("dec.length", 5 if cfg.kind == "MPDP" else 3)
+    attn("dec.glimpse")
+    w("dec.logit", d)
+    const("dec.alpha_dist", cols=1, value=-1.0)
+    return out
 
 
 @pytest.mark.parametrize("kind", list(CFGS))
-def test_init_params_fuses_the_per_head_draws(kind, monkeypatch):
-    """A seed gives the weights the per-head layout drew, head h of a
-    role in columns h*d_k..(h+1)*d_k, bit for bit."""
-    cfg = en.ModelConfig(kind=kind)
-    fused = en.init_params(cfg, np.random.default_rng(5))
-    monkeypatch.setattr(en, "_attn_params", _v1_attn_params)
-    per_head = en.init_params(cfg, np.random.default_rng(5))
-    want = {}  # per-head entries in draw order, grouped under the fused name
-    for name, t in per_head.items():
-        head = re.fullmatch(r"(.+\.(?:qp|qd|q|k|v))\d+", name)
-        want.setdefault(head[1] if head else name, []).append(t.data)
-    assert list(fused) == list(want)
-    for name, blocks in want.items():
-        assert fused[name].data.dtype == blocks[0].dtype
-        assert np.array_equal(fused[name].data, np.hstack(blocks)), name
+def test_init_params_fuses_the_per_head_draws(kind):
+    """For every pe, use_nav and n_heads in {1, 4}, a seed gives the names,
+    order, dtypes, shapes and bytes of the per-head draws, and leaves the rng
+    in the same state; param_shapes lists the same names and shapes."""
+    for pe, use_nav, n_heads in itertools.product(en.PE_KINDS, (True, False), (1, 4)):
+        cfg = en.ModelConfig(kind=kind, pe=pe, use_nav=use_nav, n_heads=n_heads)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        params, want = en.init_params(cfg, rng), _per_head_init(cfg, ref_rng)
+        assert list(params) == list(want)
+        assert en.param_shapes(cfg) == {name: a.shape for name, a in want.items()}
+        for name, arr in want.items():
+            got = params[name].data
+            assert got.dtype == arr.dtype and got.shape == arr.shape, name
+            assert got.tobytes() == arr.tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_mhsa_equals_mha_with_prescaled_input():

@@ -228,6 +228,26 @@ def test_validate_flags_duplicate_and_missing():
     assert "unserved" in pb.validate(pb.RouteSet(routes=[[0, 1], [2]]), ins)
 
 
+def test_validate_flags_a_wrong_route_count():
+    ins = pb.gen_uniform("MTSP", N=4, D=1, M=2, seed=1)
+    assert pb.validate(pb.RouteSet(routes=[[0, 1, 2, 3]]), ins) == "route count 1 != M=2"
+
+
+def test_validate_flags_a_customer_index_out_of_range():
+    ins = pb.gen_uniform("MTSP", N=4, D=1, M=2, seed=1)
+    for bad in (4, -1):
+        assert pb.validate(pb.RouteSet(routes=[[0, 1], [2, bad]]), ins) == \
+            f"route 1 references customer {bad} outside 0..3"
+
+
+def test_validate_flags_a_depot_index_out_of_range():
+    ins = pb.gen_uniform("FMDVRP", N=4, D=2, M=2, seed=1)
+    for starts, ends in (([0, 2], [0, 1]), ([0, 1], [-1, 1])):
+        sol = pb.RouteSet(routes=[[0, 1], [2, 3]], start_depots=starts, end_depots=ends)
+        bad_route = 1 if 2 in starts else 0
+        assert pb.validate(sol, ins) == f"route {bad_route} has depot index outside 0..1"
+
+
 def test_validate_mpdp_precedence_and_pairing():
     ins = pb.Instance(kind="MPDP", coords=np.random.default_rng(0).uniform(0, 1, (6, 2)),
                       depot_coords=np.array([[0.5, 0.5]]), M=2)
@@ -328,10 +348,13 @@ def test_instance_line_rewrites_identically(tmp_path):
 
 
 def per_number_line(ins):
-    """instance_to_line with one format(x, ".17g") call per number."""
+    """instance_to_line with one format(x, ".17g") call per number, and
+    -0.0 written as such."""
+    def num(x):
+        return "-0.0" if x == 0 and math.copysign(1.0, x) < 0 else format(x, ".17g")
+
     def pairs(arr):
-        return "[" + ",".join("[%s,%s]" % (format(x, ".17g"), format(y, ".17g"))
-                              for x, y in arr) + "]"
+        return "[" + ",".join("[%s,%s]" % (num(x), num(y)) for x, y in arr) + "]"
     return ('{"kind":"%s","M":%d,"uid":%d,"depots":%s,"customers":%s}'
             % (ins.kind, ins.M, ins.uid, pairs(ins.depot_coords), pairs(ins.coords)))
 
@@ -349,10 +372,19 @@ def test_instance_line_is_the_per_number_format_and_round_trips(xy, depots, uid)
     line = pb.instance_to_line(ins)
     assert line == per_number_line(ins)
     back = pb.instance_from_record(json.loads(line))
-    # bitwise but for the sign of zero: -0.0 is written "-0", which JSON
-    # reads as the integer 0 (adding 0.0 turns -0.0, and only it, into 0.0)
-    assert back.coords.tobytes() == (ins.coords + 0.0).tobytes()
-    assert back.depot_coords.tobytes() == (ins.depot_coords + 0.0).tobytes()
+    assert back.coords.tobytes() == ins.coords.tobytes()
+    assert back.depot_coords.tobytes() == ins.depot_coords.tobytes()
+
+
+def test_negative_zero_coordinates_round_trip(tmp_path):
+    ins = pb.Instance(kind="MDVRP", coords=[(-0.0, 0.5), (0.25, -0.0), (-0.0, -0.0)],
+                      depot_coords=[(-0.0, 1.0), (0.0, -0.0)], M=2, uid=3)
+    path = tmp_path / "zeros.jsonl"
+    pb.write_instances(path, [ins])
+    assert '"depots":[[-0.0,1],[0,-0.0]]' in path.read_text()
+    (back,) = pb.read_instances(path)
+    assert back.coords.tobytes() == ins.coords.tobytes()
+    assert back.depot_coords.tobytes() == ins.depot_coords.tobytes()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)

@@ -510,6 +510,21 @@ def test_infer_every_point_on_the_depot(kind):
     assert res.objective == 0.0
 
 
+def test_decode_state_rejects_variants_of_mixed_sizes():
+    with pytest.raises(ValueError) as exc:
+        ro.DecodeState([make("MTSP", N=6), make("MTSP", N=7)], [(0, 1)])
+    assert str(exc.value) == ("a decode batch needs variants of one kind and size, "
+                              "got [('MTSP', 6, 1, 2), ('MTSP', 7, 1, 2)]")
+
+
+def test_decode_state_rejects_a_wrong_count_of_permutations():
+    variants = [make("MTSP", seed=0), make("MTSP", seed=1)]
+    for table, counts in (([[(0, 1)]], [1]), ([[(0, 1)], [(0, 1), (1, 0)]], [1, 2])):
+        with pytest.raises(ValueError) as exc:
+            ro.DecodeState(variants, table)
+        assert str(exc.value) == f"need K permutations for each of the 2 variants, got {counts}"
+
+
 def test_decode_mode_validation():
     cfg, params = tiny_model("MTSP")
     ins = make("MTSP")

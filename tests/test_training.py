@@ -361,9 +361,9 @@ def test_a_checkpoint_load_builds_the_parameter_table_once(tmp_path, monkeypatch
     cfg, params = tiny_model("MDVRP")
     path = tmp_path / "model.ckpt"
     tr.save_checkpoint(path, cfg, params, dc.AdamState(params, lr=1e-3))
-    calls, init_params = [], en.init_params
-    monkeypatch.setattr(en, "init_params",
-                        lambda *args: calls.append(args) or init_params(*args))
+    calls, param_table = [], en.param_table
+    monkeypatch.setattr(en, "param_table",
+                        lambda *args: calls.append(args) or param_table(*args))
     tr.load_checkpoint(path)
     assert len(calls) == 1
     tr.load_model(path)
