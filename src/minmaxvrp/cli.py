@@ -119,6 +119,8 @@ def cmd_solve(args):
     """Solve a dataset; the summary line splits the wallclock into load
     (checkpoint and dataset), decode (normalizing and rollout.infer) and
     validate+write (feasibility check, objective, output file)."""
+    if args.per < 1:
+        raise ValueError("--per must be >= 1")
     start = time.perf_counter()
     cfg, params = tr.load_model(args.checkpoint)
     instances = pb.read_instances(args.dataset)
@@ -128,8 +130,6 @@ def cmd_solve(args):
         if ins.kind != cfg.kind:
             raise ValueError(f"dataset kind {ins.kind} does not match "
                              f"checkpoint kind {cfg.kind}")
-    if args.per < 1:
-        raise ValueError("--per must be >= 1")
     load_s = time.perf_counter() - start
     decode_s = 0.0
     per_call = max(1, SOLVE_ROWS // (args.per * (8 if args.aug8 else 1)))

@@ -30,6 +30,15 @@ def check_field_types(config, what):
             raise ValueError(f"{what} field {f.name} must be {f.type.__name__}, got {value!r}")
 
 
+def check_keys(cls, rec, what):
+    """Raise a ValueError unless rec is a dict keyed by fields of the config cls."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{what} must be a JSON object, got {rec!r}")
+    extra = set(rec) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {what} config keys: {sorted(extra)}")
+
+
 @dataclass
 class ModelConfig:
     """Model hyperparameters shared by encoder, decoder and rollout."""
@@ -68,11 +77,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, rec):
-        if not isinstance(rec, dict):
-            raise ValueError(f"model must be a JSON object, got {rec!r}")
-        extra = set(rec) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown model config keys: {sorted(extra)}")
+        check_keys(cls, rec, "model")
         return cls(**rec)
 
 
@@ -168,19 +173,15 @@ def rotation_pe(base, n_pos, w_pe):
 # parameters
 # ---------------------------------------------------------------------------
 
-# One layer's blocks in order: (name, stream, context, scaled, probe
-# relation) over the agent (a), customer (c) and depot (d) streams. A block
-# replaces its stream; block j uses the ReZero scalars a{2j+1} and a{2j+2}.
-_SINGLE_BLOCKS = (("nav", "c", "c", True, "customer_customer"),
-                  ("agent", "a", "c", True, "agent_customer"),
-                  ("cust", "c", "a", False, "customer_agent"))
-_MULTI_BLOCKS = (("nav", "c", "c", True, "customer_customer"),
-                 ("dc", "d", "c", True, "depot_customer"),
-                 ("cd", "c", "d", False, "customer_depot"),
-                 ("ad", "a", "d", False, "agent_depot"),
-                 ("da", "d", "a", True, "depot_agent"),
-                 ("ac", "a", "c", True, "agent_customer"),
-                 ("ca", "c", "a", False, "customer_agent"))
+# One layer's blocks in order: (name, stream, context, scaled) over the
+# agent (a), customer (c) and depot (d) streams. A block replaces its stream;
+# block j uses the ReZero scalars a{2j+1} and a{2j+2}, and its probe
+# relation is named stream_context, e.g. "agent_customer".
+_SINGLE_BLOCKS = (("nav", "c", "c", True), ("agent", "a", "c", True), ("cust", "c", "a", False))
+_MULTI_BLOCKS = (("nav", "c", "c", True), ("dc", "d", "c", True), ("cd", "c", "d", False),
+                 ("ad", "a", "d", False), ("da", "d", "a", True),
+                 ("ac", "a", "c", True), ("ca", "c", "a", False))
+_STREAMS = {"a": "agent", "c": "customer", "d": "depot"}
 
 
 def _blocks(cfg):
@@ -345,10 +346,11 @@ def _attn_block(stream, context, params, layer, block, alpha_i, scaled, cfg,
 
 def _layer(emb, params, layer, cfg, pickup_rows, probe):
     streams = {"a": emb.H_a, "c": emb.H_c, "d": emb.H_d}
-    for j, (block, x, ctx, scaled, relation) in _blocks(cfg):
+    for j, (block, x, ctx, scaled) in _blocks(cfg):
         streams[x] = _attn_block(
             streams[x], streams[ctx], params, layer, block, 2 * j + 1, scaled,
-            cfg, relation, pickup_rows=pickup_rows if block == "cust" else None,
+            cfg, f"{_STREAMS[x]}_{_STREAMS[ctx]}",
+            pickup_rows=pickup_rows if block == "cust" else None,
             probe=probe)
     return Embeddings(H_a=streams["a"], H_c=streams["c"], H_d=streams["d"])
 

@@ -67,12 +67,6 @@ class Instance:
     def n_pairs(self):
         return self.N // 2
 
-    def delivery_of(self, j):
-        return j + self.n_pairs
-
-    def is_pickup(self, j):
-        return j < self.n_pairs
-
 
 @dataclass
 class RouteSet:
@@ -188,11 +182,12 @@ def validate(solution, instance):
         if instance.kind != "FMDVRP" and s != e:
             return f"route {i} ends at depot {e} but started at {s}"
     if instance.kind == "MPDP":
+        n_pairs = instance.n_pairs
         for i, r in enumerate(routes):
             pos = {j: t for t, j in enumerate(r)}
             for j in r:
-                if instance.is_pickup(j):
-                    d = instance.delivery_of(j)
+                if j < n_pairs:
+                    d = j + n_pairs
                     if d not in pos:
                         return f"pickup {j} in route {i} but delivery {d} elsewhere"
                     if pos[d] < pos[j]:

@@ -43,16 +43,16 @@ class DecodeState:
 
     def __init__(self, variants, perms, rng=None):
         variants = [variants] if isinstance(variants, pb.Instance) else list(variants)
-        ins = variants[0]
         sizes = {(v.kind, v.N, v.D, v.M) for v in variants}
-        if len(sizes) > 1:
+        if len(sizes) != 1:
             raise ValueError(f"a decode batch needs variants of one kind and size, "
                              f"got {sorted(sizes)}")
-        V = len(variants)
-        table = [perms] * V if np.ndim(perms[0][0]) == 0 else list(perms)
+        ins, V = variants[0], len(variants)
+        shared = len(perms) and len(perms[0]) and np.ndim(perms[0][0]) == 0
+        table = [perms] * V if shared else list(perms)
         table = [[tuple(int(v) for v in o) for o in row] for row in table]
-        K = len(table[0])
-        if len(table) != V or any(len(row) != K for row in table):
+        K = len(table[0]) if table else 0
+        if K == 0 or len(table) != V or any(len(row) != K for row in table):
             raise ValueError(f"need K permutations for each of the {V} variants, "
                              f"got {[len(row) for row in table]}")
         for o in (o for row in table for o in row):
@@ -80,8 +80,10 @@ class DecodeState:
         self.start_depot = np.zeros(R, dtype=np.intp)
         self.t = 0
         self.log = []  # one R-array of actions per step
+        rngs = rng if isinstance(rng, (list, tuple)) else [rng] * V
+        if len(rngs) != V:
+            raise ValueError(f"need one rng for each of the {V} variants, got {len(rngs)}")
         if self.multi:
-            rngs = rng if isinstance(rng, (list, tuple)) else [rng] * V
             self.node = np.array([int(g.integers(ins.D)) if g is not None else 0
                                   for g in rngs for _ in range(K)], dtype=np.intp)
         else:
@@ -246,6 +248,9 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
         raise ValueError("sampled decoding needs an rng")
     state = DecodeState(instances, perms, rng)
     R, V, T = len(state.rows), len(state.variants), state.n_steps
+    if forced is not None and (len(forced) != R or any(len(seq) != T for seq in forced)):
+        raise ValueError(f"forced needs {R} action sequences of {T} steps, "
+                         f"got lengths {[len(seq) for seq in forced]}")
     emb = en.encode(state.variants, cfg, params)
     cand = de.candidate_rows(emb)
     pooled = de.pooled_graph(emb, params)
@@ -335,6 +340,8 @@ def infer(instances, cfg, params, n_per=1, use_aug8=False, seed=0):
         raise ValueError("n_per must be >= 1")
     single = isinstance(instances, pb.Instance)
     instances = [instances] if single else list(instances)
+    if not instances:
+        return []
     variants, table, node_rngs, perm_lists = [], [], [], []
     for ins in instances:
         perm_rng = np.random.default_rng((seed, ins.uid, 1))

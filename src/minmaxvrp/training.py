@@ -7,9 +7,8 @@ receive gradient. Also holds fine-tuning and the checkpoint file format.
 
 import binascii
 import json
-import re
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,10 +76,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, rec):
-        known = {f.name for f in fields(cls)}
-        extra = set(rec) - known
-        if extra:
-            raise ValueError(f"unknown train config keys: {sorted(extra)}")
+        en.check_keys(cls, rec, "train")
         rec = dict(rec)
         if "model" in rec and rec["model"] is not None:
             rec["model"] = en.ModelConfig.from_dict(rec["model"])
@@ -323,10 +319,6 @@ def save_checkpoint(path, cfg, params, opt):
     pb.atomic_write_text(path, json.dumps(payload))
 
 
-# format v1 held one d x d_k matrix per attention head: {prefix}.{role}{i}
-_V1_HEAD = re.compile(r"(.+\.(?:qp|qd|q|k|v))(\d+)")
-
-
 def _from_payload(payload, optimizer):
     """(ModelConfig, params, AdamState or None) of a checkpoint's JSON
     object; v1 heads are fused side by side in head order, and the first
@@ -336,15 +328,17 @@ def _from_payload(payload, optimizer):
         raise ValueError(f"format version {version} is not a supported "
                          f"version (1 or {CHECKPOINT_VERSION})")
     cfg = en.ModelConfig.from_dict(payload["model"])
-    shapes = en.param_shapes(cfg)
+    table = en.param_table(cfg)
+    shapes = {name: shape for names, shape, _ in table for name in names}
+    # format v1 held each attention role matrix as its heads {name}0, {name}1, ...
+    fused = [name for names, _, _ in table if len(names) > 1 for name in names]
 
     def read(what, records):
-        arrays, heads = records_to_arrays(records), {}
-        for name in list(arrays) if version == 1 else ():
-            if m := _V1_HEAD.fullmatch(name):
-                heads.setdefault(m[1], {})[int(m[2])] = arrays.pop(name)
-        arrays.update((name, np.concatenate([h[i] for i in sorted(h)], axis=1))
-                      for name, h in heads.items())
+        arrays = records_to_arrays(records)
+        for name in fused if version == 1 else ():
+            heads = [f"{name}{h}" for h in range(cfg.n_heads) if f"{name}{h}" in arrays]
+            if heads:
+                arrays[name] = np.hstack([arrays.pop(head) for head in heads])
         arrays = en.check_params(shapes, arrays, what)
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():

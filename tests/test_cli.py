@@ -434,10 +434,12 @@ def test_solve_rejects_an_empty_dataset(trained, tmp_path, capsys):
 
 def test_solve_rejects_per_zero(trained, tmp_path, capsys):
     ckpt, data = trained
-    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
-                           "--out", tmp_path / "x", "--per", 0], capsys)
-    assert (code, err) == (1, "error: --per must be >= 1\n")
-    assert not (tmp_path / "x").exists()
+    # --per is checked before the checkpoint and the dataset are read
+    for files in ((ckpt, data), (tmp_path / "no.ckpt", tmp_path / "no.jsonl")):
+        code, _out, err = run(["solve", "--checkpoint", files[0], "--dataset", files[1],
+                               "--out", tmp_path / "x", "--per", 0], capsys)
+        assert (code, err) == (1, "error: --per must be >= 1\n")
+        assert not (tmp_path / "x").exists()
 
 
 def test_eval_rejects_a_reference_of_the_wrong_length(trained, tmp_path, capsys):

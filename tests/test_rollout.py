@@ -167,9 +167,10 @@ def test_decode_batch_matches_stacked_single_rollouts():
 def test_decode_batch_rejects_masked_forced_action():
     cfg, params = tiny_model("MTSP")
     ins = make("MTSP", N=4, M=2)
-    # closing the first route before it holds a customer is masked
+    # closing the first route before it holds a customer is masked; the
+    # sequence has the episode's N + M = 6 steps
     with pytest.raises(ValueError, match="masked"):
-        ro.decode_batch(ins, [(0, 1)], cfg, params, forced=[[0]])
+        ro.decode_batch(ins, [(0, 1)], cfg, params, forced=[[0] * 6])
 
 
 def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
@@ -519,10 +520,35 @@ def test_decode_state_rejects_variants_of_mixed_sizes():
 
 def test_decode_state_rejects_a_wrong_count_of_permutations():
     variants = [make("MTSP", seed=0), make("MTSP", seed=1)]
-    for table, counts in (([[(0, 1)]], [1]), ([[(0, 1)], [(0, 1), (1, 0)]], [1, 2])):
+    for table, counts in (([[(0, 1)]], [1]), ([[(0, 1)], [(0, 1), (1, 0)]], [1, 2]),
+                          ([], []), ([[], []], [0, 0])):
         with pytest.raises(ValueError) as exc:
             ro.DecodeState(variants, table)
         assert str(exc.value) == f"need K permutations for each of the 2 variants, got {counts}"
+
+
+def test_decode_state_rejects_a_wrong_count_of_variant_rngs():
+    variants = [make("MDVRP", seed=s) for s in range(3)]
+    rngs = [np.random.default_rng(s) for s in range(2)]
+    with pytest.raises(ValueError) as exc:
+        ro.DecodeState(variants, [(0, 1)], rng=rngs)
+    assert str(exc.value) == "need one rng for each of the 3 variants, got 2"
+
+
+def test_decode_batch_rejects_forced_sequences_of_the_wrong_shape():
+    cfg, params = tiny_model("MDVRP")
+    ins = make("MDVRP", N=4, M=2)  # T = N + 2M = 8 steps, R = 2 rows
+    perms = [(0, 1), (1, 0)]
+    for forced, lengths in (([[0] * 8], [8]), ([[0] * 8] * 3, [8, 8, 8]),
+                            ([[0] * 8, [0] * 7], [8, 7])):
+        with pytest.raises(ValueError) as exc:
+            ro.decode_batch(ins, perms, cfg, params, forced=forced)
+        assert str(exc.value) == f"forced needs 2 action sequences of 8 steps, got lengths {lengths}"
+
+
+def test_infer_of_no_instances_is_empty():
+    cfg, params = tiny_model("MTSP")
+    assert ro.infer([], cfg, params, n_per=2, use_aug8=True) == []
 
 
 def test_decode_mode_validation():

@@ -83,6 +83,14 @@ def test_config_roundtrip_and_unknown_keys():
     rec["momentum"] = 0.9
     with pytest.raises(ValueError, match="momentum"):
         tr.TrainConfig.from_dict(rec)
+    # both configs go by one rule, encoder.check_keys
+    for bad, msg in (([], "train must be a JSON object, got []"),
+                     ({"kind": "MTSP", "N": 4, "x": 1}, "unknown train config keys: ['x']"),
+                     ({"kind": "MTSP", "N": 4, "model": {"kind": "MTSP", "y": 2}},
+                      "unknown model config keys: ['y']")):
+        with pytest.raises(ValueError) as exc:
+            tr.TrainConfig.from_dict(bad)
+        assert str(exc.value) == msg
 
 
 def test_config_defaults_model_from_kind():
@@ -361,13 +369,18 @@ def test_a_checkpoint_load_builds_the_parameter_table_once(tmp_path, monkeypatch
     cfg, params = tiny_model("MDVRP")
     path = tmp_path / "model.ckpt"
     tr.save_checkpoint(path, cfg, params, dc.AdamState(params, lr=1e-3))
+    v2 = path.read_text()
     calls, param_table = [], en.param_table
     monkeypatch.setattr(en, "param_table",
                         lambda *args: calls.append(args) or param_table(*args))
-    tr.load_checkpoint(path)
-    assert len(calls) == 1
-    tr.load_model(path)
-    assert len(calls) == 2
+    # v1 fuses its heads by the same table
+    for text in (v2, json.dumps(_as_v1(json.loads(v2), cfg.n_heads))):
+        path.write_text(text)
+        calls.clear()
+        tr.load_checkpoint(path)
+        assert len(calls) == 1
+        tr.load_model(path)
+        assert len(calls) == 2
 
 
 def test_checkpoint_version_and_corruption_errors(tmp_path):
@@ -480,6 +493,16 @@ def test_load_checkpoint_v1_missing_head_names_the_fused_entry(tmp_path):
     path.write_text(json.dumps(v1))
     msg = _one_line_error(path)
     assert "params" in msg and "layer0.agent_attn.k " in msg and "(16, 8)" in msg
+
+
+def test_load_checkpoint_v1_extra_head_is_an_unknown_entry(tmp_path):
+    path, payload = _saved_payload(tmp_path)
+    v1 = _as_v1(payload, 2)
+    v1["params"]["layer0.agent_attn.k2"] = v1["params"]["layer0.agent_attn.k1"]
+    path.write_text(json.dumps(v1))
+    msg = _one_line_error(path)
+    assert msg.endswith("params entry layer0.agent_attn.k2 is (16, 8); "
+                        "the model config expects no such entry")
 
 
 def _reordered_text(payload, layout):
