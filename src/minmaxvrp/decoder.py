@@ -215,16 +215,10 @@ def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     transposed, V x d x C; exp_rows/masks: V x Q x C numpy (distance
     factors and feasibility).
     """
-    scores = dc.scale(dc.matmul(q, cand_proj_t),
-                      1.0 / math.sqrt(d_model))
-    bias = dc.scale(dc.constant(exp_rows), params["dec.alpha_dist"])
-    pre = dc.add(scores, bias)
-    # every encoder and decoder value reaches this sum, so one check per
-    # call catches a NaN or inf from anywhere in the model
-    if not np.isfinite(pre.data).all():
-        raise FloatingPointError("non-finite values in the decoder logits")
-    u = dc.scale(dc.tanh(pre), LOGIT_CLIP)
     if not masks.any(axis=-1).all():
         raise ValueError("a decode state has no feasible action")
-    penal = np.where(masks, 0.0, MASK_VALUE)
-    return dc.log_softmax_rows(dc.add(u, dc.constant(penal)))
+    # every encoder and decoder value reaches the op's pre-tanh sum, so its
+    # one check per call catches a NaN or inf from anywhere in the model
+    return dc.masked_logits(q, cand_proj_t, 1.0 / math.sqrt(d_model), exp_rows,
+                            params["dec.alpha_dist"], LOGIT_CLIP,
+                            np.where(masks, 0.0, MASK_VALUE))

@@ -6,9 +6,11 @@ encoder and decoder run together, or attention heads via split_heads; rows
 are the second-to-last axis), and a 2-D parameter used with one broadcasts
 over the batch axis (its gradient sums over that axis). Ops record their
 backward closure on the output tensor; ``backward`` on a scalar loss walks
-the implicit graph in reverse topological order once. Parameters default to
-float32; float64 is available (gradient checks run there, on the same code
-paths). Reductions that feed route lengths and means accumulate in float64.
+the implicit graph in reverse topological order once, freeing it as it
+goes. Attention and the decoder's masked logits are one fused node each.
+Parameters default to float32; float64 is available (gradient checks run
+there, on the same code paths). Reductions that feed route lengths and
+means accumulate in float64.
 """
 
 import contextlib
@@ -45,7 +47,8 @@ class Tensor:
     None), plus the recorded parents and backward closure for non-leaves.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
@@ -112,20 +115,30 @@ def _accum(t, g):
 # linear algebra ops
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
-    """a @ b per batch entry; a 2-D b is shared by every entry of a 3-D a."""
-    ad, bd = a.data, b.data
+def _matmul(ad, bd):
+    """ad @ bd per batch entry; a 2-D bd is shared by every entry of a 3-D ad."""
     if (ad.shape[-1] != bd.shape[-2] or bd.ndim > ad.ndim
             or (bd.ndim == 3 and len(ad) != len(bd))):
         raise ValueError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    out_data = ad @ bd
+    return ad @ bd
+
+
+def _matmul_grads(ad, bd, g):
+    """The gradients of _matmul(ad, bd) for the output gradient g, (for ad,
+    for bd); a shared bd gets the sum over the batch axis."""
+    if bd.ndim < ad.ndim:
+        return g @ bd.mT, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return g @ bd.mT, ad.mT @ g
+
+
+def matmul(a, b):
+    """a @ b per batch entry; a 2-D b is shared by every entry of a 3-D a."""
+    out_data = _matmul(a.data, b.data)
 
     def backward(g, out):
-        _accum(a, g @ b.data.mT)
-        if b.data.ndim < a.data.ndim:  # shared b: sum over the batch axis
-            _accum(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
-            _accum(b, a.data.mT @ g)
+        ga, gb = _matmul_grads(a.data, b.data, g)
+        _accum(a, ga)
+        _accum(b, gb)
 
     return _make(out_data, (a, b), backward)
 
@@ -345,31 +358,64 @@ def tanh(a):
     return _make(out_data, (a,), backward)
 
 
-def softmax_rows(a):
-    """Row softmax (over the last axis), stabilized by subtracting the row max."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+# ---------------------------------------------------------------------------
+# fused nodes: attention and the decoder's masked logits
+# ---------------------------------------------------------------------------
+
+def attention(q, k_t, v, c=None):
+    """softmax_rows(q @ k_t * c) @ v as one node, per batch entry: q is
+    rows x d_k, k_t d_k x C and v C x d_v (a 2-D k_t or v is shared as in
+    matmul); c=None leaves the logits unscaled (the sharp variant). The row
+    softmax subtracts the row max. Returns (the output Tensor, the logits
+    and the softmax weights as arrays)."""
+    raw = _matmul(q.data, k_t.data)
+    logits = raw if c is None else raw * c
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    out_data = _matmul(soft, v.data)
 
     def backward(g, out):
-        s = out.data
-        dot = np.sum(g * s, axis=-1, keepdims=True)
-        _accum(a, s * (g - dot))
+        g_soft, g_v = _matmul_grads(soft, v.data, g)
+        _accum(v, g_v)
+        g_logits = soft * (g_soft - np.sum(g_soft * soft, axis=-1, keepdims=True))
+        g_q, g_k_t = _matmul_grads(q.data, k_t.data,
+                                   g_logits if c is None else g_logits * c)
+        _accum(q, g_q)
+        _accum(k_t, g_k_t)
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (q, k_t, v), backward), logits, soft
 
 
-def log_softmax_rows(a):
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
+def masked_logits(q, cand_proj_t, c, exp_rows, alpha, clip, penal):
+    """log_softmax_rows(tanh(q @ cand_proj_t * c + exp_rows * alpha) * clip
+    + penal) as one node: the decoder's distance-biased, clipped and masked
+    log-probabilities. c and clip are floats, alpha a 1x1 tensor; exp_rows
+    and penal are arrays of the logits' shape, converted as constant()
+    converts them. A NaN or inf in the pre-tanh sum raises a
+    FloatingPointError."""
+    exp_rows, penal = (np.asarray(x, dtype=DEFAULT_DTYPE) for x in (exp_rows, penal))
+    scores = _matmul(q.data, cand_proj_t.data) * c
+    if exp_rows.shape != scores.shape or penal.shape != scores.shape:
+        raise ValueError(f"masked_logits shape mismatch: logits {scores.shape}, "
+                         f"exp_rows {exp_rows.shape}, penal {penal.shape}")
+    pre = scores + exp_rows * alpha.data[0, 0]
+    if not np.isfinite(pre).all():
+        raise FloatingPointError("non-finite values in the decoder logits")
+    th = np.tanh(pre)
+    z = th * clip + penal
+    shifted = z - z.max(axis=-1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def backward(g, out):
-        s = np.exp(out.data)
-        rowsum = g.sum(axis=-1, keepdims=True)
-        _accum(a, g - s * rowsum)
+        g_z = g - np.exp(out.data) * g.sum(axis=-1, keepdims=True)
+        g_pre = g_z * clip * (1.0 - th * th)
+        _accum(alpha, np.array([[np.sum(g_pre * exp_rows, dtype=np.float64)]],
+                               dtype=exp_rows.dtype))
+        g_q, g_cand = _matmul_grads(q.data, cand_proj_t.data, g_pre * c)
+        _accum(q, g_q)
+        _accum(cand_proj_t, g_cand)
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, (q, cand_proj_t, alpha), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +423,13 @@ def log_softmax_rows(a):
 # ---------------------------------------------------------------------------
 
 def backward(loss):
-    """Populate .grad on every requires_grad leaf reachable from scalar loss."""
+    """Add d loss / d leaf to .grad of every requires_grad leaf reachable
+    from the scalar loss, walking the graph once in reverse topological
+    order. The walk frees the graph as it goes: once a node's closure has
+    run, the node drops its closure, its parents and its .grad, so only
+    leaves keep a gradient, and each intermediate buffer is released as
+    soon as no later node and no caller holds it. A second call on the same
+    loss raises."""
     if loss.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss._done:
@@ -401,16 +453,15 @@ def backward(loss):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad, node)
     loss._done = True
-    # Release closures so intermediate buffers free up; grads on leaves stay.
-    for node in topo:
-        if node._backward is not None:
-            node._backward = None
-            node._parents = ()
+    loss.grad = np.ones_like(loss.data)
+    while topo:
+        node = topo.pop()
+        if node._backward is None:  # a leaf
+            continue
+        if node.grad is not None:
+            node._backward(node.grad, node)
+        node._backward, node._parents, node.grad = None, (), None
 
 
 # ---------------------------------------------------------------------------

@@ -285,14 +285,13 @@ def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None):
     scaled=True divides logits by sqrt(d_k); scaled=False is the sharp
     variant. The merged heads go through proj.
     """
-    raw = dc.matmul(dc.split_heads(q, n_heads), k_t)
-    logits = dc.scale(raw, 1.0 / math.sqrt(v.shape[-1])) if scaled else raw
-    soft = dc.softmax_rows(logits)
+    out, logits, soft = dc.attention(dc.split_heads(q, n_heads), k_t, v,
+                                     1.0 / math.sqrt(v.shape[-1]) if scaled else None)
     if probe is not None:
         layer, relation = probe_at
         for h in range(n_heads):
-            probe.record(layer, relation, h, logits.data[h], soft.data[h])
-    return dc.matmul(dc.merge_heads(dc.matmul(soft, v), q.shape), proj)
+            probe.record(layer, relation, h, logits[h], soft[h])
+    return dc.matmul(dc.merge_heads(out, q.shape), proj)
 
 
 def _mh_attention(X, C, params, prefix, n_heads, scaled,

@@ -212,7 +212,10 @@ def sample_rows(rng, rows):
 # The most attention weights (rows x steps x candidates x heads) that one
 # scoring pass over all steps of a decode_batch may hold. Below it, the
 # pass's fewer graph nodes save more time than its stacked arrays cost;
-# above it, recording the graph step by step is faster.
+# above it, recording the graph step by step is faster: with the fused
+# attention and logits nodes, a default MTSP N=50 M=5 batch (B=32, K=8;
+# 3.1M weights) trains in 107 ms step by step and 129 ms through the pass
+# (2 vCPUs, BENCH_pr18.json).
 SCORE_CELLS = 1 << 18
 
 

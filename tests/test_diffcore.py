@@ -1,7 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxvrp import diffcore as dc
 
@@ -35,8 +38,13 @@ def test_mean_rows_value():
 
 
 def test_softmax_symmetry():
-    out = dc.softmax_rows(t64([[0.0, 0.0]]))
-    assert np.allclose(out.data, [[0.5, 0.5]])
+    """Equal attention logits give equal weights, so the output is the
+    mean value row."""
+    out, logits, soft = dc.attention(t64([[0.0, 0.0]]), t64(np.eye(2)),
+                                     t64([[1.0, 4.0], [3.0, 0.0]]), 0.5)
+    assert np.array_equal(logits, [[0.0, 0.0]])
+    assert np.allclose(soft, [[0.5, 0.5]])
+    assert np.allclose(out.data, [[2.0, 2.0]])
 
 
 def test_relu_tanh_values():
@@ -51,10 +59,11 @@ def test_sum_backward_ones():
 
 
 def test_softmax_pick_backward():
-    # softmax([0,0]) then pick index 0: d/dx = [p0(1-p0), -p0*p1] = [0.25, -0.25]
+    # attention logits x @ I over values [[1], [0]] give softmax(x)[0], so
+    # at x = [0, 0] d/dx = [p0(1-p0), -p0*p1] = [0.25, -0.25]
     x = t64([[0.0, 0.0]])
-    picked = dc.take_per_row(dc.softmax_rows(x), [0])
-    dc.backward(dc.sum_all(picked))
+    out, _, _ = dc.attention(x, t64(np.eye(2), grad=False), t64([[1.0], [0.0]], grad=False))
+    dc.backward(dc.sum_all(out))
     assert np.allclose(x.grad, [[0.25, -0.25]], atol=1e-12)
 
 
@@ -89,6 +98,15 @@ def _op_cases(rng):
     return n, m, k, a, b, c, row
 
 
+def _masked(p, q, cand_t):
+    """masked_logits of q over cand_t with fixed distance factors and a
+    soft penalty (a -1e9 mask would swamp the finite differences)."""
+    shape = q.shape[:-1] + cand_t.shape[-1:]
+    grid = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
+    return dc.masked_logits(q, cand_t, 0.6, np.exp(grid), p["alpha"], 2.0,
+                            np.where(grid > 0.7, -3.0, 0.0))
+
+
 OPS = [
     ("matmul", lambda p: dc.sum_all(dc.tanh(dc.matmul(p["a"], p["b"])))),
     ("transpose", lambda p: dc.sum_all(dc.tanh(dc.transpose(p["a"])))),
@@ -102,8 +120,11 @@ OPS = [
     ("mean_rows", lambda p: dc.sum_all(dc.tanh(dc.mean_rows(p["a"])))),
     ("relu", lambda p: dc.sum_all(dc.relu(p["a"]))),
     ("tanh", lambda p: dc.sum_all(dc.tanh(p["a"]))),
-    ("softmax_rows", lambda p: dc.sum_all(dc.tanh(dc.softmax_rows(p["a"])))),
-    ("log_softmax_rows", lambda p: dc.sum_all(dc.mul(p["c"], dc.log_softmax_rows(p["a"])))),
+    ("attention_scaled", lambda p: _weighted(dc.attention(
+        p["a"], p["b"], dc.transpose(p["b"]), 0.7)[0])),
+    ("attention_sharp", lambda p: _weighted(dc.attention(
+        p["a"], p["b"], dc.transpose(p["b"]))[0])),
+    ("masked_logits", lambda p: _weighted(_masked(p, p["a"], p["b"]))),
     ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["a"], p["c"]]), 2))),
     ("merge_heads", lambda p: _weighted(dc.merge_heads(
         dc.split_heads(dc.concat_cols([p["a"], p["c"]]), 2),
@@ -132,8 +153,14 @@ BATCHED_OPS = [
     ("transpose", lambda p: dc.sum_all(dc.tanh(dc.matmul(dc.transpose(p["x"]), p["c"])))),
     ("add_row_broadcast", lambda p: dc.sum_all(dc.tanh(dc.add(p["x"], p["row"])))),
     ("scale_tensor", lambda p: dc.sum_all(dc.tanh(dc.scale(p["x"], p["alpha"])))),
-    ("softmax_rows", lambda p: dc.sum_all(dc.tanh(dc.softmax_rows(p["x"])))),
-    ("log_softmax_rows", lambda p: dc.sum_all(dc.mul(p["c"], dc.log_softmax_rows(p["x"])))),
+    ("attention_scaled", lambda p: _weighted(dc.attention(
+        p["x"], p["y"], dc.transpose(p["y"]), 0.7)[0])),
+    ("attention_sharp", lambda p: _weighted(dc.attention(
+        p["x"], p["y"], dc.transpose(p["y"]))[0])),
+    ("attention_shared", lambda p: _weighted(dc.attention(
+        p["x"], p["w"], dc.transpose(p["w"]), 0.7)[0])),
+    ("masked_logits", lambda p: _weighted(_masked(p, p["x"], p["y"]))),
+    ("masked_logits_shared", lambda p: _weighted(_masked(p, p["x"], p["w"]))),
     ("concat_cols", lambda p: dc.sum_all(dc.tanh(dc.concat_cols([p["x"], p["c"]])))),
     ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["x"], p["c"]]), 2))),
     ("merge_heads", lambda p: _weighted(dc.merge_heads(
@@ -187,7 +214,7 @@ def test_batched_forward_matches_per_matrix_calls():
     w = dc.constant(rng.standard_normal((6, 5)))
     row = rng.standard_normal((3, 1, 6)).astype(np.float32)
     idx = rng.integers(0, 4, size=(3, 2))
-    X, Y = dc.constant(x), dc.constant(y)
+    X, Y, alpha = dc.constant(x), dc.constant(y), dc.constant([[0.3]])
     for v in range(3):
         xv = dc.constant(x[v])
         pairs = [
@@ -195,8 +222,11 @@ def test_batched_forward_matches_per_matrix_calls():
             (dc.matmul(X, Y), dc.matmul(xv, dc.constant(y[v]))),
             (dc.matmul(X, dc.transpose(X)), dc.matmul(xv, dc.transpose(xv))),
             (dc.add(X, dc.constant(row)), dc.add(xv, dc.constant(row[v]))),
-            (dc.softmax_rows(X), dc.softmax_rows(xv)),
-            (dc.log_softmax_rows(X), dc.log_softmax_rows(xv)),
+            (dc.attention(X, Y, dc.transpose(Y))[0],
+             dc.attention(xv, dc.constant(y[v]), dc.constant(y[v].T))[0]),
+            (dc.masked_logits(X, Y, 0.5, y[:, :4], alpha, 5.0, -x[:, :, :5]),
+             dc.masked_logits(xv, dc.constant(y[v]), 0.5, y[v, :4], alpha, 5.0,
+                              -x[v, :, :5])),
             (dc.concat_cols([X, X]), dc.concat_cols([xv, xv])),
             (dc.take_per_row(X, idx[:, :1].repeat(4, axis=1)),
              dc.take_per_row(xv, idx[v, :1].repeat(4))),
@@ -260,21 +290,93 @@ def test_batched_shape_errors():
 # ---------------------------------------------------------------------------
 
 def test_softmax_rows_sum_to_one_and_positive():
+    """Attention weights, and the exp of masked_logits' log-probabilities
+    over a row's unmasked entries, are positive and sum to one per row."""
+    eye = dc.constant(np.eye(6))
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = dc.Tensor(rng.standard_normal((3, 6)) * 10)
-        out = dc.softmax_rows(x)
-        assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-        assert (out.data > 0).all()
+        _, _, soft = dc.attention(x, eye, eye)
+        assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-6)
+        assert (soft > 0).all()
+        legal = rng.random((3, 6)) < 0.6
+        legal[:, 0] = True
+        logp = dc.masked_logits(x, eye, 1.0, np.ones((3, 6)), dc.constant([[-1.0]]),
+                                50.0, np.where(legal, 0.0, -1e9)).data
+        probs = np.exp(logp.astype(np.float64))
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5)
+        assert (probs[legal] > 0).all() and (probs[~legal] == 0).all()
 
 
 def test_forward_deterministic():
     rng = np.random.default_rng(7)
     x = dc.Tensor(rng.standard_normal((4, 4)))
     w = dc.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    a = dc.softmax_rows(dc.matmul(x, w)).data
-    b = dc.softmax_rows(dc.matmul(x, w)).data
+    a = dc.attention(dc.matmul(x, w), x, w)[0].data
+    b = dc.attention(dc.matmul(x, w), x, w)[0].data
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), V=st.integers(1, 3), n=st.integers(1, 5),
+       m=st.integers(1, 5), k=st.integers(1, 6), scaled=st.booleans(),
+       dtype=st.sampled_from([np.float32, F64]))
+def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled, dtype):
+    """Forward and backward of each fused node are bitwise the NumPy
+    expressions of the op chain it replaced: matmul, scale, softmax and
+    matmul; matmul, scale, distance bias, add, tanh, clip scale, mask add
+    and log-softmax."""
+    rng = np.random.default_rng(seed)
+    q, cand_t, val = (rng.standard_normal(shape).astype(dtype)
+                      for shape in ((V, n, m), (V, m, k), (V, k, m)))
+    g_out, g = (rng.standard_normal(shape).astype(dtype) for shape in ((V, n, m), (V, n, k)))
+    c = 1.0 / math.sqrt(m) if scaled else None
+
+    tq, tk, tv = (dc.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, cand_t, val))
+    out, logits, soft = dc.attention(tq, tk, tv, c)
+    dc.backward(dc.sum_all(dc.mul(out, dc.constant(g_out, dtype=dtype))))
+    raw = q @ cand_t
+    ref_logits = raw if c is None else raw * c
+    e = np.exp(ref_logits - ref_logits.max(axis=-1, keepdims=True))
+    ref_soft = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(logits, ref_logits) and np.array_equal(soft, ref_soft)
+    assert np.array_equal(out.data, ref_soft @ val)
+    g_soft = g_out @ val.mT
+    g_logits = ref_soft * (g_soft - np.sum(g_soft * ref_soft, axis=-1, keepdims=True))
+    g_raw = g_logits if c is None else g_logits * c
+    assert np.array_equal(tv.grad, ref_soft.mT @ g_out)
+    assert np.array_equal(tq.grad, g_raw @ cand_t.mT)
+    assert np.array_equal(tk.grad, q.mT @ g_raw)
+
+    # the distance factors and the mask enter as float32 constants
+    exp_rows = np.exp(rng.uniform(0.0, 1.0, (V, n, k)))
+    penal = np.where(rng.random((V, n, k)) < 0.3, -1e9, 0.0)
+    penal[:, :, 0] = 0.0
+    alpha = dc.Tensor([[-0.8]], requires_grad=True, dtype=dtype)
+    tq, tk = (dc.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, cand_t))
+    logp = dc.masked_logits(tq, tk, 0.4, exp_rows, alpha, 50.0, penal)
+    dc.backward(dc.sum_all(dc.mul(logp, dc.constant(g, dtype=dtype))))
+    e32, p32 = exp_rows.astype(np.float32), penal.astype(np.float32)
+    th = np.tanh((q @ cand_t) * 0.4 + e32 * alpha.data[0, 0])
+    z = th * 50.0 + p32
+    shifted = z - z.max(axis=-1, keepdims=True)
+    ref = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert np.array_equal(logp.data, ref)
+    g_pre = (g - np.exp(ref) * g.sum(axis=-1, keepdims=True)) * 50.0 * (1.0 - th * th)
+    assert np.array_equal(alpha.grad, np.array([[np.sum(g_pre * e32, dtype=np.float64)]],
+                                               dtype=np.float32))
+    assert np.array_equal(tq.grad, (g_pre * 0.4) @ cand_t.mT)
+    assert np.array_equal(tk.grad, q.mT @ (g_pre * 0.4))
+
+
+def test_masked_logits_checks_shapes_and_finite_values():
+    q, cand_t = dc.constant(np.ones((2, 3))), dc.constant(np.ones((3, 4)))
+    alpha = dc.constant([[1.0]])
+    with pytest.raises(ValueError, match=r"\(2, 4\).*\(2, 5\)"):
+        dc.masked_logits(q, cand_t, 1.0, np.ones((2, 5)), alpha, 1.0, np.zeros((2, 4)))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        dc.masked_logits(q, cand_t, 1.0, np.full((2, 4), np.inf), alpha, 1.0,
+                         np.zeros((2, 4)))
 
 
 def test_backward_twice_errors():
@@ -283,6 +385,27 @@ def test_backward_twice_errors():
     dc.backward(loss)
     with pytest.raises(RuntimeError):
         dc.backward(loss)
+
+
+def test_backward_frees_each_node_during_the_walk():
+    """A node that only the graph holds is freed as soon as the walk has
+    passed it, before the walk reaches a later node, not at its end; the
+    leaf keeps its gradient and no other node keeps anything."""
+    x = t64([[0.5, -1.0]])
+    mid = dc.tanh(dc.scale(x, 2.0))
+    ref = weakref.ref(mid)
+    first = dc.sum_all(mid)
+    del mid
+    seen_dead = []
+    # add's second parent is walked last, after mid's whole branch
+    last = dc._make(np.zeros((1, 1)), (t64([[0.0]]),),
+                    lambda g, out: seen_dead.append(ref() is None))
+    loss = dc.add(first, last)
+    dc.backward(loss)
+    assert seen_dead == [True]
+    assert np.allclose(x.grad, 2.0 * (1.0 - np.tanh([[1.0, -2.0]]) ** 2))
+    for node in (first, last, loss):
+        assert node.grad is None and node._backward is None and node._parents == ()
 
 
 def test_backward_non_scalar_errors():

@@ -446,6 +446,36 @@ def test_probe_exports_seven_multi_depot_relations():
     assert blocks["agent_depot"][0].shape == (ins.M, ins.D)
 
 
+@pytest.mark.parametrize("kind", ["MTSP", "MDVRP"])
+def test_probe_blocks_are_the_heads_scores(kind):
+    """Every block records its relation's raw and softmaxed scores per head.
+    With the ReZero scalars at zero every block reads the initial streams,
+    so each recorded block equals scores computed from them head by head."""
+    cfg, ins = CFGS[kind], INS[kind]
+    params = params64(cfg, 10, wake_alphas=False)
+    probe = en.ProbeStore()
+    en.encode([ins], cfg, params, probe=probe)
+    emb = en.initial_embeddings([ins], cfg, params)
+    streams = {"a": emb.H_a, "c": emb.H_c, "d": emb.H_d}
+    d_k = cfg.d_model // cfg.n_heads
+    want = set()
+    for layer, (_, (block, x, ctx, scaled)) in itertools.product(
+            range(cfg.n_layers), en._blocks(cfg)):
+        prefix = f"layer{layer}.{block}_attn"
+        q = streams[x].data[0] @ params[f"{prefix}.q"].data
+        k = streams[ctx].data[0] @ params[f"{prefix}.k"].data
+        for h in range(cfg.n_heads):
+            cols = slice(h * d_k, (h + 1) * d_k)
+            raw = q[:, cols] @ k[:, cols].T * (1.0 / math.sqrt(d_k) if scaled else 1.0)
+            soft = np.exp(raw - raw.max(axis=1, keepdims=True))
+            soft /= soft.sum(axis=1, keepdims=True)
+            key = (layer, f"{en._STREAMS[x]}_{en._STREAMS[ctx]}", h)
+            want.add(key)
+            assert np.allclose(probe.scores[key][0], raw, rtol=1e-12, atol=1e-14)
+            assert np.allclose(probe.scores[key][1], soft, rtol=1e-12, atol=1e-14)
+    assert set(probe.scores) == want
+
+
 def test_probe_disabled_raises():
     with pytest.raises(RuntimeError):
         en.attention_probe(None, 0, 0)

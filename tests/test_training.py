@@ -173,15 +173,62 @@ def test_frozen_surrogate_replays_the_training_loss():
     assert np.array_equal(f(params).data, loss.data)
 
 
-def graph_nodes(loss):
-    """Tensors reachable from the loss through recorded parents."""
-    seen, stack = {id(loss)}, [loss]
+def graph_tensors(loss):
+    """Every tensor reachable from the loss through recorded parents."""
+    found, stack = {id(loss): loss}, [loss]
     while stack:
         for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
+            if id(parent) not in found:
+                found[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(found.values())
+
+
+def reference_backward(loss):
+    """The walk that keeps the graph: every closure in diffcore.backward's
+    reverse topological order (a depth-first walk that takes the last
+    parent first), nothing freed."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad, node)
+
+
+@pytest.mark.parametrize("kind,per_step", [("MTSP", False), ("MDVRP", True)])
+def test_backward_frees_the_graph_and_keeps_leaf_gradients(kind, per_step, monkeypatch):
+    """On a training loss (the scoring pass, or the graph recorded step by
+    step), the freeing walk leaves every leaf gradient bitwise what a walk
+    that keeps the graph gives, and no other node holds a gradient, a
+    closure or parents."""
+    if per_step:
+        monkeypatch.setattr(ro, "SCORE_CELLS", 0)
+    grads = []
+    for walk in (reference_backward, dc.backward):
+        cfg, params = tiny_model(kind, seed=2)
+        batch = [pb.gen_uniform(kind, 6, 2 if kind == "MDVRP" else 1, 3, seed=s)
+                 for s in range(2)]
+        loss, *_ = tr.aps_loss(batch, cfg, params, 3, np.random.default_rng(4))
+        nodes = graph_tensors(loss)
+        walk(loss)
+        grads.append({name: p.grad for name, p in params.items()})
+    leaves = {id(p) for p in params.values()}
+    for node in nodes:
+        if id(node) not in leaves:
+            assert node.grad is None and node._backward is None and node._parents == ()
+    assert grads[0].keys() == grads[1].keys()
+    for name, g in grads[0].items():
+        assert g is not None and g.dtype == grads[1][name].dtype, name
+        assert np.array_equal(g, grads[1][name]), name
 
 
 @pytest.mark.parametrize("kind", ["MTSP", "MDVRP"])
@@ -194,7 +241,7 @@ def test_aps_loss_records_one_graph_per_batch(kind):
     for N in (5, 10):
         batch = [pb.gen_uniform(kind, N, D, 3, seed=s) for s in range(3)]
         loss, *_ = tr.aps_loss(batch, cfg, params, 4, np.random.default_rng(0))
-        counts.append(graph_nodes(loss))
+        counts.append(len(graph_tensors(loss)))
     assert counts[0] == counts[1]
 
 
