@@ -3,13 +3,14 @@ masks, and distance-biased masked logits.
 
 Candidate actions are indexed [agent slots 0..M-1, customers M..M+N-1] for
 single-depot kinds and [depot slots 0..D-1, customers D..D+N-1] for
-multi-depot kinds. Functions here take the rollout's DecodeState by duck
-type so the two modules stay import-acyclic. The state holds R = V x K rows
-(V variants of an instance, K permutations each), and the tensors carry the
-V variants on a leading batch axis. step_inputs reads what the model head
-needs of one decode step's state; the head (context, glimpse, logits) runs
-on those arrays, so one call serves one step's K rows per variant or all T
-steps' T x K rows at once.
+multi-depot kinds; in a batch of mixed M, M is the largest, and a variant
+of fewer routes pads its slots. Functions here take the rollout's
+DecodeState by duck type so the two modules stay import-acyclic. The state
+holds R = V x K rows (V variants, K permutations each), and the tensors
+carry the V variants on a leading batch axis. step_inputs reads what the
+model head needs of one decode step's state; the head (context, glimpse,
+logits) runs on those arrays, so one call serves one step's K rows per
+variant or all T steps' T x K rows at once.
 """
 
 import math
@@ -22,7 +23,6 @@ from . import encoder as en
 from . import problems as pb
 
 LOGIT_CLIP = 50.0
-MASK_VALUE = -1e9
 RATIO_CAP = 30.0
 
 
@@ -31,10 +31,10 @@ class DecodeConstants:
     variants of one decode_batch.
 
     cand_dist: V x C x C distances between candidate rows (a single-depot
-    agent slot sits at the depot). The rest are read from it. MPDP: pair_d
-    V x P (pickup to delivery) and depot_d V x N (depot to each customer).
-    Other kinds: nearest V x N (each customer to its nearest depot) and
-    span V, the largest of those.
+    agent slot, padded or not, sits at the depot). The rest are read from
+    it. MPDP: pair_d V x P (pickup to delivery) and depot_d V x N (depot to
+    each customer). Other kinds: nearest V x N (each customer to its
+    nearest depot) and span V, the largest of those.
     """
 
     def __init__(self, variants):
@@ -42,8 +42,8 @@ class DecodeConstants:
         xy = np.stack([v.coords for v in variants])
         depots = np.stack([v.depot_coords for v in variants])
         multi = ins.kind in pb.MULTI_DEPOT_KINDS
-        n_slots = ins.D if multi else ins.M
-        slot_coords = depots if multi else np.repeat(depots, ins.M, axis=1)
+        n_slots = ins.D if multi else max(v.M for v in variants)
+        slot_coords = depots if multi else np.repeat(depots, n_slots, axis=1)
         cand = np.concatenate([slot_coords, xy], axis=1)
         self.cand_dist = np.empty(cand.shape[:2] + cand.shape[1:2])
         for dist, c in zip(self.cand_dist, cand):  # one variant at a time: less memory
@@ -64,7 +64,8 @@ class DecodeConstants:
 
 def feasibility_mask(state):
     """Boolean R x C over the state's rows and candidates, True where the
-    action is legal now."""
+    action is legal now. A row whose episode has ended may only repeat its
+    last action (a no-op, see rollout.step); no row may take a padded slot."""
     n_slots, visited = state.n_slots, state.visited
     routes_after = state.M - 1 - state.pos
     left = state.pairs_remaining if state.kind == "MPDP" else state.n_unvisited
@@ -88,10 +89,14 @@ def feasibility_mask(state):
     can_close &= np.where(routes_after > 0, left >= routes_after, left == 0)
     if state.kind == "FMDVRP":
         mask[:, :n_slots] = (can_close | state.needs_start)[:, None]
-        return mask
-    mask[state.rows, state.start_depot if state.multi else state.agent] = can_close
-    if state.multi:  # a route first picks its start depot
-        mask[:, :n_slots] |= state.needs_start[:, None]
+    else:
+        mask[state.rows, state.start_depot if state.multi else state.agent] = can_close
+        if state.multi:  # a route first picks its start depot
+            mask[:, :n_slots] |= state.needs_start[:, None]
+    if state.t >= state.first_done:
+        done = state.done
+        mask[done] = False
+        mask[state.rows[done], state.node[done]] = True
     return mask
 
 
@@ -143,11 +148,21 @@ def scalar_features(state):
 
 
 def pooled_graph(emb, params):
-    """The V x 1 x d pooled-graph term of the context, one row per variant."""
+    """The V x 1 x d pooled-graph term of the context, one row per variant:
+    the mean of its real agent, customer and depot rows."""
     parts = [emb.H_a, emb.H_c]
     if emb.H_d is not None:
         parts.append(emb.H_d)
-    return dc.matmul(dc.mean_rows(dc.concat_rows(parts)), params["dec.emb"])
+    keep = None
+    if emb.agent_keep is not None:
+        keep = _agent_keep_then(emb, sum(p.shape[-2] for p in parts[1:]))[:, :, None]
+    return dc.matmul(dc.mean_rows(dc.concat_rows(parts), keep), params["dec.emb"])
+
+
+def _agent_keep_then(emb, n_rows):
+    """emb.agent_keep followed by n_rows real rows, V x (M + n_rows)."""
+    keep = emb.agent_keep
+    return np.concatenate([keep, np.ones((len(keep), n_rows), dtype=bool)], axis=1)
 
 
 class StepInputs(namedtuple("StepInputs", "agent node fracs feats exp_rows masks")):
@@ -196,16 +211,25 @@ def candidate_rows(emb):
     return dc.concat_rows([first, emb.H_c])
 
 
+def candidate_bias(emb):
+    """The glimpse's key bias (encoder.key_bias) over the candidate rows
+    that leaves padded agent slots out; None when no slot is padded."""
+    if emb.H_d is not None or emb.agent_keep is None:
+        return None
+    return en.key_bias(_agent_keep_then(emb, emb.H_c.shape[-2]))
+
+
 def glimpse_kv(cand, cfg, params):
     """Head-split transposed keys and values of the fixed candidate rows,
     (V*H) x d_head x C and (V*H) x C x d_head."""
     return en.keys_values(cand, params, "dec.glimpse", cfg.n_heads)
 
 
-def glimpse(H_ctx, kv, cfg, params):
-    """Scaled multi-head attention of the context rows over candidates."""
+def glimpse(H_ctx, kv, cfg, params, bias=None):
+    """Scaled multi-head attention of the context rows over candidates;
+    bias is candidate_bias."""
     return en.attend(dc.matmul(H_ctx, params["dec.glimpse.q"]), *kv, cfg.n_heads,
-                     True, params["dec.glimpse.proj"])
+                     True, params["dec.glimpse.proj"], bias=bias)
 
 
 def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
@@ -221,4 +245,4 @@ def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     # one check per call catches a NaN or inf from anywhere in the model
     return dc.masked_logits(q, cand_proj_t, 1.0 / math.sqrt(d_model), exp_rows,
                             params["dec.alpha_dist"], LOGIT_CLIP,
-                            np.where(masks, 0.0, MASK_VALUE))
+                            np.where(masks, 0.0, dc.MASK_VALUE))

@@ -20,6 +20,8 @@ import math
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+# the additive logit of an action or key that must get probability 0
+MASK_VALUE = -1e9
 
 _grad_enabled = True
 
@@ -261,14 +263,23 @@ def merge_heads(a, shape):
                  lambda g, out: _accum(a, _split(g, n_heads)))
 
 
-def mean_rows(a):
+def mean_rows(a, keep=None):
     """Column means of each matrix -> 1 x d, or V x 1 x d.
-    mean_rows([[2,4],[6,8]]) = [[4,6]]."""
-    n = a.shape[-2]
-    out_data = a.data.mean(axis=-2, keepdims=True, dtype=np.float64).astype(a.dtype)
+    mean_rows([[2,4],[6,8]]) = [[4,6]]. keep, a V x rows x 1 bool array
+    with at least one True per matrix, leaves its False rows out."""
+    if keep is None:
+        n = a.shape[-2]
+        out_data = a.data.mean(axis=-2, keepdims=True, dtype=np.float64).astype(a.dtype)
 
-    def backward(g, out):
-        _accum(a, np.repeat(g / n, n, axis=-2))
+        def backward(g, out):
+            _accum(a, np.repeat(g / n, n, axis=-2))
+
+    else:
+        out_data = a.data.mean(axis=-2, keepdims=True, dtype=np.float64,
+                               where=keep).astype(a.dtype)
+
+        def backward(g, out):
+            _accum(a, g * (keep / keep.sum(axis=-2, keepdims=True)).astype(a.dtype))
 
     return _make(out_data, (a,), backward)
 
@@ -362,14 +373,19 @@ def tanh(a):
 # fused nodes: attention and the decoder's masked logits
 # ---------------------------------------------------------------------------
 
-def attention(q, k_t, v, c=None):
-    """softmax_rows(q @ k_t * c) @ v as one node, per batch entry: q is
-    rows x d_k, k_t d_k x C and v C x d_v (a 2-D k_t or v is shared as in
-    matmul); c=None leaves the logits unscaled (the sharp variant). The row
-    softmax subtracts the row max. Returns (the output Tensor, the logits
-    and the softmax weights as arrays)."""
+def attention(q, k_t, v, c=None, bias=None):
+    """softmax_rows(q @ k_t * c + bias) @ v as one node, per batch entry: q
+    is rows x d_k, k_t d_k x C and v C x d_v (a 2-D k_t or v is shared as
+    in matmul); c=None leaves the logits unscaled (the sharp variant). bias,
+    an array that broadcasts to the logits (such as 1 x C per entry), is a
+    constant at q's dtype: a key-padding bias of MASK_VALUE gives its keys
+    a softmax weight of exactly 0. The row softmax subtracts the row max.
+    Returns (the output Tensor, the logits and the softmax weights as
+    arrays)."""
     raw = _matmul(q.data, k_t.data)
     logits = raw if c is None else raw * c
+    if bias is not None:
+        logits = logits + np.asarray(bias, dtype=q.dtype)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     soft = e / e.sum(axis=-1, keepdims=True)
     out_data = _matmul(soft, v.data)
@@ -390,10 +406,9 @@ def masked_logits(q, cand_proj_t, c, exp_rows, alpha, clip, penal):
     """log_softmax_rows(tanh(q @ cand_proj_t * c + exp_rows * alpha) * clip
     + penal) as one node: the decoder's distance-biased, clipped and masked
     log-probabilities. c and clip are floats, alpha a 1x1 tensor; exp_rows
-    and penal are arrays of the logits' shape, converted as constant()
-    converts them. A NaN or inf in the pre-tanh sum raises a
-    FloatingPointError."""
-    exp_rows, penal = (np.asarray(x, dtype=DEFAULT_DTYPE) for x in (exp_rows, penal))
+    and penal are arrays of the logits' shape, constants at q's dtype. A NaN
+    or inf in the pre-tanh sum raises a FloatingPointError."""
+    exp_rows, penal = (np.asarray(x, dtype=q.dtype) for x in (exp_rows, penal))
     scores = _matmul(q.data, cand_proj_t.data) * c
     if exp_rows.shape != scores.shape or penal.shape != scores.shape:
         raise ValueError(f"masked_logits shape mismatch: logits {scores.shape}, "

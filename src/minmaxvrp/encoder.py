@@ -83,11 +83,21 @@ class ModelConfig:
 
 @dataclass
 class Embeddings:
-    """Encoder output streams, V variants x rows x d: agents, customers, depots."""
+    """Encoder output streams, V variants x rows x d: agents, customers,
+    depots. Variants of fewer routes than the largest M pad their agent
+    rows; agent_keep (V x M bool) is True on real agent rows, None when
+    every variant has the same M."""
 
     H_a: dc.Tensor
     H_c: dc.Tensor
     H_d: dc.Tensor = None
+    agent_keep: np.ndarray = None
+
+
+def key_bias(keep):
+    """The V x 1 x C additive attention bias that leaves the False keys of
+    a V x C keep out (dc.attention), or None for None."""
+    return None if keep is None else np.where(keep, 0.0, dc.MASK_VALUE)[:, None, :]
 
 
 class ProbeStore:
@@ -278,15 +288,17 @@ def keys_values(C, params, prefix, n_heads):
     return dc.transpose(k), dc.split_heads(dc.matmul(C, params[f"{prefix}.v"]), n_heads)
 
 
-def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None):
+def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None, bias=None):
     """Multi-head attention of the projected queries q (rows x d or
     V x rows x d) over keys_values' k_t and v, all heads at once.
 
     scaled=True divides logits by sqrt(d_k); scaled=False is the sharp
-    variant. The merged heads go through proj.
+    variant. bias (key_bias, V x 1 x C) is added to every head's logits of
+    its variant. The merged heads go through proj.
     """
     out, logits, soft = dc.attention(dc.split_heads(q, n_heads), k_t, v,
-                                     1.0 / math.sqrt(v.shape[-1]) if scaled else None)
+                                     1.0 / math.sqrt(v.shape[-1]) if scaled else None,
+                                     None if bias is None else np.repeat(bias, n_heads, axis=0))
     if probe is not None:
         layer, relation = probe_at
         for h in range(n_heads):
@@ -295,11 +307,11 @@ def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None):
 
 
 def _mh_attention(X, C, params, prefix, n_heads, scaled,
-                  pickup_rows=None, probe=None, probe_at=None):
+                  pickup_rows=None, probe=None, probe_at=None, bias=None):
     """Multi-head attention of X over context C.
 
     pickup_rows (bool per X row) switches per-row query weights between
-    the qp/qd projections.
+    the qp/qd projections; bias (key_bias) leaves padded rows of C out.
     """
     if pickup_rows is None:
         q = dc.matmul(X, params[f"{prefix}.q"])
@@ -309,7 +321,7 @@ def _mh_attention(X, C, params, prefix, n_heads, scaled,
                    dc.mul(dc.matmul(X, params[f"{prefix}.qd"]), dc.constant(1.0 - pick.data)))
     k_t, v = keys_values(C, params, prefix, n_heads)
     return attend(q, k_t, v, n_heads, scaled, params[f"{prefix}.proj"],
-                  probe=probe, probe_at=probe_at)
+                  probe=probe, probe_at=probe_at, bias=bias)
 
 
 def mha(X, C, params, prefix, n_heads):
@@ -333,11 +345,11 @@ def _rezero(stream, delta, alpha):
 
 
 def _attn_block(stream, context, params, layer, block, alpha_i, scaled, cfg,
-                relation, pickup_rows=None, probe=None):
+                relation, pickup_rows=None, probe=None, bias=None):
     prefix = f"layer{layer}.{block}_attn"
     out = _mh_attention(stream, context, params, prefix, cfg.n_heads, scaled,
                         pickup_rows=pickup_rows, probe=probe,
-                        probe_at=(layer, relation))
+                        probe_at=(layer, relation), bias=bias)
     hat = _rezero(stream, out, params[f"layer{layer}.a{alpha_i}"])
     delta = ff(hat, params, f"layer{layer}.{block}_ff")
     return _rezero(hat, delta, params[f"layer{layer}.a{alpha_i + 1}"])
@@ -345,13 +357,15 @@ def _attn_block(stream, context, params, layer, block, alpha_i, scaled, cfg,
 
 def _layer(emb, params, layer, cfg, pickup_rows, probe):
     streams = {"a": emb.H_a, "c": emb.H_c, "d": emb.H_d}
+    agent_bias = key_bias(emb.agent_keep)
     for j, (block, x, ctx, scaled) in _blocks(cfg):
         streams[x] = _attn_block(
             streams[x], streams[ctx], params, layer, block, 2 * j + 1, scaled,
             cfg, f"{_STREAMS[x]}_{_STREAMS[ctx]}",
             pickup_rows=pickup_rows if block == "cust" else None,
-            probe=probe)
-    return Embeddings(H_a=streams["a"], H_c=streams["c"], H_d=streams["d"])
+            probe=probe, bias=agent_bias if ctx == "a" else None)
+    return Embeddings(H_a=streams["a"], H_c=streams["c"], H_d=streams["d"],
+                      agent_keep=emb.agent_keep)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +373,14 @@ def _layer(emb, params, layer, cfg, pickup_rows, probe):
 # ---------------------------------------------------------------------------
 
 def initial_embeddings(variants, cfg, params):
-    """Project the coordinates of V same-size variants of an instance and
-    add agent positional encodings; every stream is V x rows x d."""
+    """Project the coordinates of V variants of one N and D and add agent
+    positional encodings; every stream is V x rows x d, the agent stream
+    padded to the largest M (see Embeddings)."""
     ins, sizes = variants[0], [(v.kind, v.N, v.D, v.M) for v in variants]
-    if set(sizes) != {(cfg.kind, ins.N, ins.D, ins.M)}:
-        raise ValueError(f"encode needs {cfg.kind} variants of one size, got {sizes}")
-    d, M, V = cfg.d_model, ins.M, len(variants)
+    if {size[:3] for size in sizes} != {(cfg.kind, ins.N, ins.D)}:
+        raise ValueError(f"encode needs {cfg.kind} variants of one size N, D, got {sizes}")
+    Ms = np.array([v.M for v in variants])
+    d, M, V = cfg.d_model, int(Ms.max()), len(variants)
     coords = dc.constant(np.stack([v.coords for v in variants]))
     H_c = dc.add(dc.matmul(coords, params["embed.customer.W"]),
                  _tile(params["embed.customer.b"], 1, V))
@@ -384,12 +400,15 @@ def initial_embeddings(variants, cfg, params):
     # a multi-depot agent row is the rotated seed itself
     H_a = (pe_rows if cfg.multi_depot and cfg.pe == "rotation"
            else dc.add(_tile(base, M), pe_rows))
-    return Embeddings(H_a=H_a, H_c=H_c, H_d=depot_proj if cfg.multi_depot else None)
+    keep = None if Ms.min() == M else np.arange(M) < Ms[:, None]
+    return Embeddings(H_a=H_a, H_c=H_c, H_d=depot_proj if cfg.multi_depot else None,
+                      agent_keep=keep)
 
 
 def encode(variants, cfg, params, probe=None):
     """Initial embeddings plus n_layers layers, in one pass over a list of V
-    same-size variants of an instance. A probe records the first variant's scores."""
+    variants of one N and D (of an instance, or of many). Padded agent rows
+    are no key of any attention. A probe records the first variant's scores."""
     emb = initial_embeddings(variants, cfg, params)
     ins = variants[0]
     pickup_rows = np.arange(ins.N) < ins.n_pairs if cfg.kind == "MPDP" else None

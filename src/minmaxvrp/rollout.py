@@ -5,11 +5,15 @@ One rollout builds all M routes in the order given by an agent permutation
 o; a depot action closes the current route and hands over to the next
 agent. Single-depot episodes take exactly N+M steps, multi-depot episodes
 N+2M (each route also opens with a depot choice), so the rollouts of a
-batch decode in lockstep. A batch is V variants of one size (the
+batch decode in lockstep. A batch is V variants of one kind, N and D (the
 symmetries of an instance, or many instances, or the symmetries of many
 instances) with K permutations each, every variant its own; one encoder
-pass and one decode loop serve them all, and each row decodes exactly as it
-would in a batch of its variant alone.
+pass and one decode loop serve them all. Variants may differ in M: each
+pads its agent slots to the batch's largest M, the padded slots are no key
+of any attention and never legal, and a row whose episode has ended takes
+masked no-op steps until the longest row ends. A batch of one M decodes
+each row bitwise as a batch of its variant alone would; in a batch of
+mixed M a row's policy is its own decode's within rounding.
 """
 
 import contextlib
@@ -27,11 +31,13 @@ class DecodeState:
     """Trajectory state of R = V x K rollouts as R-row arrays: row a * K + k
     decodes variant a under its permutation k.
 
-    variants (one Instance, or V of the same kind and sizes, such as the
-    symmetries of an instance or different instances) and perms fix the
-    rows: perms is either K permutations shared by every variant or a V x K
-    table, row a the K permutations of variant a. Every row takes the same
-    number of steps.
+    variants (one Instance, or V of one kind, N and D, such as the
+    symmetries of an instance or different instances, of any M) and perms
+    fix the rows: perms is either K permutations shared by every variant or
+    a V x K table, row a the K permutations of variant a (each of its own
+    M). M and row_steps hold each row's route and step counts; n_steps, the
+    batch's step count, is the largest, and a row past its own steps is
+    done (from step first_done on, some row is).
     agent is each row's current agent, and node its candidate row of the
     current node (see decoder); at a single-depot kind's depot that is the
     current agent's slot, so a row's route holds a customer exactly when
@@ -43,10 +49,9 @@ class DecodeState:
 
     def __init__(self, variants, perms, rng=None):
         variants = [variants] if isinstance(variants, pb.Instance) else list(variants)
-        sizes = {(v.kind, v.N, v.D, v.M) for v in variants}
-        if len(sizes) != 1:
+        if len({(v.kind, v.N, v.D) for v in variants}) != 1:
             raise ValueError(f"a decode batch needs variants of one kind and size, "
-                             f"got {sorted(sizes)}")
+                             f"got {sorted({(v.kind, v.N, v.D, v.M) for v in variants})}")
         ins, V = variants[0], len(variants)
         shared = len(perms) and len(perms[0]) and np.ndim(perms[0][0]) == 0
         table = [perms] * V if shared else list(perms)
@@ -55,20 +60,25 @@ class DecodeState:
         if K == 0 or len(table) != V or any(len(row) != K for row in table):
             raise ValueError(f"need K permutations for each of the {V} variants, "
                              f"got {[len(row) for row in table]}")
-        for o in (o for row in table for o in row):
-            if sorted(o) != list(range(ins.M)):
-                raise ValueError(f"permutation {o} is not a bijection on 0..{ins.M - 1}")
+        for v, o in ((v, o) for v, row in zip(variants, table) for o in row):
+            if sorted(o) != list(range(v.M)):
+                raise ValueError(f"permutation {o} is not a bijection on 0..{v.M - 1}")
         self.variants = variants
-        self.kind, self.N, self.M, self.n_pairs = ins.kind, ins.N, ins.M, ins.n_pairs
+        self.kind, self.N, self.n_pairs = ins.kind, ins.N, ins.n_pairs
         self.multi = ins.kind in pb.MULTI_DEPOT_KINDS
-        self.n_slots = ins.D if self.multi else ins.M
-        self.n_steps = ins.N + (2 if self.multi else 1) * ins.M
-        self.consts = de.DecodeConstants(variants)
         R = V * K
         self.rows = np.arange(R)
         self.variant = self.rows // K
+        self.M = np.array([v.M for v in variants])[self.variant]
+        M = int(self.M.max())
+        self.n_slots = ins.D if self.multi else M
+        self.row_steps = ins.N + (2 if self.multi else 1) * self.M
+        self.n_steps = int(self.row_steps.max())
+        self.first_done = int(self.row_steps.min())
+        self.consts = de.DecodeConstants(variants)
         # the agent order, with the last agent repeated for a finished row
-        self.o = np.array([o + o[-1:] for row in table for o in row], dtype=np.intp)
+        self.o = np.array([o + o[-1:] * (M + 1 - len(o)) for row in table for o in row],
+                          dtype=np.intp)
         self.pos = np.zeros(R, dtype=np.intp)
         self.agent = self.o[:, 0].copy()
         self.route_len = np.zeros(R)
@@ -100,6 +110,11 @@ class DecodeState:
         return self.t >= self.n_steps
 
     @property
+    def done(self):
+        """R bools: the row's episode has ended."""
+        return self.t >= self.row_steps
+
+    @property
     def actions(self):
         """R x t array of the actions taken so far."""
         return np.array(self.log, dtype=np.intp).reshape(-1, len(self.rows)).T
@@ -107,7 +122,8 @@ class DecodeState:
 
 def step(state, actions, mask=None):
     """Apply one action per row in place; raises on masked or post-terminal
-    actions.
+    actions. A done row's one legal action, its last action again, changes
+    nothing but the log.
 
     mask is the state's R x C feasibility when the caller already holds it;
     None computes it here.
@@ -129,11 +145,15 @@ def step(state, actions, mask=None):
     state.taken[rows, actions] = True
     state.n_unvisited -= cust
     closing = ~(cust | state.needs_start) if state.multi else ~cust
+    done = state.done if state.t >= state.first_done else None
+    if done is not None:  # a done row's no-op closes no route
+        closing &= ~done
     state.pos += closing
     state.agent = state.o[rows, state.pos]
     if state.multi:
         state.start_depot = np.where(state.needs_start, actions, state.start_depot)
-        state.needs_start = closing
+        # a done row keeps waiting for a start it never takes
+        state.needs_start = closing if done is None else closing | done
         state.node = actions
     else:
         # a closed route hands over to the next agent's slot; after the
@@ -153,14 +173,15 @@ def step(state, actions, mask=None):
 
 
 def finish(state):
-    """One RouteSet per row, read from the row's actions."""
+    """One RouteSet per row, read from the row's actions before its no-op
+    steps."""
     if not state.terminal:
         raise RuntimeError("finish on a non-terminal state")
     n_slots, multi = state.n_slots, state.multi
     out = []
-    for row in state.actions.tolist():
+    for row, n in zip(state.actions.tolist(), state.row_steps.tolist()):
         routes, starts, ends, current = [], [], [], []
-        for a in row:
+        for a in row[:n]:
             if a >= n_slots:
                 current.append(a - n_slots)
             elif multi and len(starts) == len(routes):
@@ -221,28 +242,31 @@ SCORE_CELLS = 1 << 18
 
 def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
                  forced=None):
-    """Roll out K permutations of each of V same-size instances in lockstep.
+    """Roll out K permutations of each of V instances in lockstep.
 
-    instances is one Instance or V of one kind and size: the variants of an
-    instance (such as its augment8 symmetries), different instances, or
-    both. perms is K permutations shared by every variant or a V x K table
-    (see DecodeState). One encoder pass covers every variant, and one decode
-    step serves all R = V x K rollouts; each row's result is bitwise the one
-    a batch of its variant alone gives. rng draws the sampled actions
-    (sample_rows: one draw per row, in row order) and the multi-depot
-    pre-start nodes (see DecodeState, which also takes one Generator per
-    variant). forced, when given, is one action sequence per row and
-    overrides both decoding modes (teacher forcing).
+    instances is one Instance or V of one kind, N and D, of any M (padded
+    as the module docstring says): the variants of an instance (such as its
+    augment8 symmetries), different instances, or both. perms is K
+    permutations shared by every variant or a V x K table (see
+    DecodeState). One encoder pass covers every variant, and one decode
+    step serves all R = V x K rollouts for the T steps of the longest row;
+    a done row's no-op steps add exactly 0 to its log-prob sum. rng draws
+    the sampled actions (sample_rows: one draw per row, in row order) and
+    the multi-depot pre-start nodes (see DecodeState, which also takes one
+    Generator per variant). forced, when given, is one action sequence per
+    row, of the row's own steps in its instance's own candidate indexing
+    (actions_from_solution), and overrides both decoding modes (teacher
+    forcing).
 
     Returns (list of R RouteSets in row order a * K + k, log-prob sums as a
-    V x K x 1 Tensor, policy entropies as an R x T array: row a * K + k,
-    column t the entropy of that rollout's step t). Under no_grad without
-    forced actions nothing is scored, and both are None. Otherwise the step
-    loop runs the model head without a graph, and one scoring pass after it
-    runs the head over all T steps' rows at once, so a decode records one
-    graph; a forced decode calls the model only there. Where that pass
-    would hold more than SCORE_CELLS attention weights, the loop records
-    the graph step by step instead and there is no pass.
+    V x K x 1 Tensor, policy entropies as one array of every real step:
+    row a * K + k's steps in order, then the next row's). Under no_grad
+    without forced actions nothing is scored, and both are None. Otherwise
+    the step loop runs the model head without a graph, and one scoring pass
+    after it runs the head over all T steps' rows at once, so a decode
+    records one graph; a forced decode calls the model only there. Where
+    that pass would hold more than SCORE_CELLS attention weights, the loop
+    records the graph step by step instead and there is no pass.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -251,18 +275,29 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
         raise ValueError("sampled decoding needs an rng")
     state = DecodeState(instances, perms, rng)
     R, V, T = len(state.rows), len(state.variants), state.n_steps
-    if forced is not None and (len(forced) != R or any(len(seq) != T for seq in forced)):
-        raise ValueError(f"forced needs {R} action sequences of {T} steps, "
-                         f"got lengths {[len(seq) for seq in forced]}")
+    if forced is not None:
+        lengths, own = [len(seq) for seq in forced], state.row_steps.tolist()
+        if lengths != own:
+            want = T if min(own) == T else own
+            raise ValueError(f"forced needs {R} action sequences of {want} steps, "
+                             f"got lengths {lengths}")
+        # into the batch's indexing, each sequence repeating its last
+        # action, the no-op, up to T steps
+        forced = np.array([list(seq) + list(seq[-1:]) * (T - len(seq)) for seq in forced],
+                          dtype=np.intp)
+        if not state.multi:
+            M = state.M[:, None]
+            forced += (forced >= M) * (state.n_slots - M)
     emb = en.encode(state.variants, cfg, params)
     cand = de.candidate_rows(emb)
     pooled = de.pooled_graph(emb, params)
     kv = de.glimpse_kv(cand, cfg, params)
+    bias = de.candidate_bias(emb)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
 
     def head(inputs):
         ctx = de.context(inputs, emb.H_a, cand, pooled, params)
-        q = de.glimpse(ctx, kv, cfg, params)
+        q = de.glimpse(ctx, kv, cfg, params, bias)
         return de.logits(q, cand_proj_t, inputs.exp_rows, inputs.masks, params,
                          cfg.d_model)
 
@@ -283,7 +318,7 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
             if forced is None or per_step:
                 logp = head(inputs)
             if forced is not None:
-                chosen = np.array([seq[state.t] for seq in forced], dtype=np.intp)
+                chosen = forced[:, state.t]
             else:
                 rows = logp.data.reshape(R, -1)
                 chosen = sample_rows(rng, rows) if sampling else rows.argmax(axis=1)
@@ -300,8 +335,8 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
                                     for parts in zip(*steps))))
         score(logp, state.actions.reshape(V, -1, T).transpose(0, 2, 1))
     total = dc.sum_row_blocks(dc.concat_rows(picked), T)
-    entropy = np.concatenate(entropy, axis=1).transpose(0, 2, 1)
-    return finish(state), total, entropy.reshape(R, T)
+    entropy = np.concatenate(entropy, axis=1).transpose(0, 2, 1).reshape(R, T)
+    return finish(state), total, entropy[np.arange(T) < state.row_steps[:, None]]
 
 
 def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
@@ -313,13 +348,14 @@ def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
             None if total is None else float(total.data[0, 0, 0]))
 
 
-def size_groups(instances):
-    """The instances' indexes grouped by size (N, M, D), in ascending order
-    of size and, within a group, in input order: each group can share one
-    decode_batch."""
+def size_groups(instances, sizes=("N", "M", "D")):
+    """The instances' indexes grouped by the named sizes, in ascending order
+    of them and, within a group, in input order. Each (N, M, D) group can
+    share one infer call; each ("N", "D") group one decode_batch, which
+    pads a group's mixed M."""
     groups = {}
     for i, ins in enumerate(instances):
-        groups.setdefault((ins.N, ins.M, ins.D), []).append(i)
+        groups.setdefault(tuple(getattr(ins, s) for s in sizes), []).append(i)
     return [groups[size] for size in sorted(groups)]
 
 
@@ -330,8 +366,9 @@ def infer(instances, cfg, params, n_per=1, use_aug8=False, seed=0):
     """Best greedy solution over n_per permutations x (8 symmetries if on).
 
     instances is one Instance (returns one InferResult) or a list of
-    same-size instances (returns a list, in order), all decoded in one
-    decode_batch. Each instance's result depends on that instance alone:
+    instances of one kind and size N, M, D (returns a list, in order), all
+    decoded in one decode_batch with no padding. Each instance's result
+    depends on that instance alone:
     its permutation list comes from (seed, uid, 1), is prefix-stable in
     n_per and starts with the identity, and its symmetry a draws its
     multi-depot pre-start nodes from (seed, uid, 2, a). Ties within 1e-12
@@ -345,6 +382,9 @@ def infer(instances, cfg, params, n_per=1, use_aug8=False, seed=0):
     instances = [instances] if single else list(instances)
     if not instances:
         return []
+    sizes = sorted({(ins.kind, ins.N, ins.D, ins.M) for ins in instances})
+    if len(sizes) > 1:
+        raise ValueError(f"infer needs instances of one kind and size, got {sizes}")
     variants, table, node_rngs, perm_lists = [], [], [], []
     for ins in instances:
         perm_rng = np.random.default_rng((seed, ins.uid, 1))

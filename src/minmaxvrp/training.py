@@ -104,15 +104,16 @@ def aps_loss(instances, cfg, params, K, rng):
     """Surrogate loss over a batch: mean of (f - baseline) * log-prob.
 
     rng first draws the K permutations of every instance in batch order;
-    then each size group (rollout.size_groups: ascending (N, M, D), which in
-    training is (M, D)) is decoded in one sampled decode_batch from the same
-    rng and adds one surrogate term. Advantages are plain floats, so no
-    gradient ever reaches the objectives or the baseline. Returns (loss
-    node, best-of-K objective per instance, baseline per instance,
-    advantages, step entropies). The objectives and baselines are in batch
-    order, the advantages array holds each instance's K advantages in
-    batch order, and the step entropies array holds the policy entropy of
-    every decode step of every rollout.
+    then each group of one N and D (rollout.size_groups, ascending; in
+    training one group per D, so a single-depot batch is one group whatever
+    its M) is decoded in one sampled decode_batch from the same rng and
+    adds one surrogate term. Advantages are plain floats, so no gradient
+    ever reaches the objectives or the baseline. Returns (loss node,
+    best-of-K objective per instance, baseline per instance, advantages,
+    step entropies). The objectives and baselines are in batch order, the
+    advantages array holds each instance's K advantages in batch order, and
+    the step entropies array holds the policy entropy of every real decode
+    step of every rollout (no padded no-op step).
     """
     perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     total = None
@@ -120,7 +121,7 @@ def aps_loss(instances, cfg, params, K, rng):
     baselines = [None] * len(instances)
     advantages = np.empty((len(instances), K))
     entropies = []
-    for group in ro.size_groups(instances):
+    for group in ro.size_groups(instances, ("N", "D")):
         solutions, logp, entropy = ro.decode_batch(
             [instances[i] for i in group], [perms[i] for i in group], cfg, params,
             mode="sample", rng=rng)
@@ -129,7 +130,7 @@ def aps_loss(instances, cfg, params, K, rng):
                     for rs in solutions[g * K:(g + 1) * K]]
             best[i], baselines[i] = min(objs), aps_baseline(objs)
             advantages[i] = np.array(objs) - baselines[i]
-        entropies.append(entropy.reshape(-1))
+        entropies.append(entropy)
         term = surrogate_term(logp, advantages[group])
         total = term if total is None else dc.add(total, term)
     loss = dc.scale(total, 1.0 / (len(instances) * K))

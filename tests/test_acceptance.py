@@ -77,6 +77,29 @@ def _surrogate_case(seed):
     return f, params
 
 
+def _padded_surrogate_case(seed):
+    """A frozen REINFORCE surrogate over one decode of two instances of
+    M=2 and M=3, the first padded to the second's agent slots."""
+    kind = ALL_KINDS[seed % len(ALL_KINDS)]
+    cfg = tiny_cfg(kind)
+    N = 6 if kind == "MPDP" else 5
+    D = 2 if cfg.multi_depot else 1
+    instances = [pb.gen_uniform(kind, N, D, M, seed=seed + M) for M in (2, 3)]
+    params = params64(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    perms = [ro.sample_permutations(ins.M, 2, rng) for ins in instances]
+    solutions, _, _ = ro.decode_batch(instances, perms, cfg, params, mode="sample",
+                                      rng=rng)
+    forced, advantages = [], []
+    for i, ins in enumerate(instances):
+        rows = solutions[2 * i:2 * i + 2]
+        objs = [pb.minmax_objective(rs, ins) for rs in rows]
+        forced += [ro.actions_from_solution(rs, o, ins) for rs, o in zip(rows, perms[i])]
+        advantages += [o - tr.aps_baseline(objs) for o in objs]
+    f = tr.frozen_surrogate(instances, perms, forced, advantages, cfg, seed=seed + 1000)
+    return f, params
+
+
 def test_criterion_1_gradient_fidelity(capsys):
     d, d_k, n_heads = 16, 8, 2
     cfg = tiny_cfg("MTSP")
@@ -96,6 +119,11 @@ def test_criterion_1_gradient_fidelity(capsys):
         p = _attn_params64(rng, "blk", d, d_k, n_heads)
         check("mha", lambda pp: dc.sum_all(dc.tanh(
             en.mha(X, C, pp, "blk", n_heads))), p, 4, seed)
+
+        p = _attn_params64(rng, "blk", d, d_k, n_heads)
+        keep = np.arange(6)[None, :] < 3 + seed % 3  # the last keys are padding
+        check("mha-key-pad", lambda pp: dc.sum_all(dc.tanh(en._mh_attention(
+            X, C, pp, "blk", n_heads, True, bias=en.key_bias(keep)))), p, 4, seed)
 
         p = _attn_params64(rng, "blk", d, d_k, n_heads)
         check("mhsa", lambda pp: dc.sum_all(dc.tanh(
@@ -144,6 +172,9 @@ def test_criterion_1_gradient_fidelity(capsys):
 
         f, params = _surrogate_case(seed)
         check("full-surrogate", f, params, 1, seed)
+
+        f, params = _padded_surrogate_case(seed)
+        check("padded-surrogate", f, params, 1, seed)
 
     elapsed = time.perf_counter() - start
     top = max(worst.values())

@@ -118,12 +118,17 @@ OPS = [
     ("concat_rows", lambda p: dc.sum_all(dc.tanh(dc.concat_rows([p["a"], p["c"]])))),
     ("concat_cols", lambda p: dc.sum_all(dc.tanh(dc.concat_cols([p["a"], p["c"]])))),
     ("mean_rows", lambda p: dc.sum_all(dc.tanh(dc.mean_rows(p["a"])))),
+    ("mean_rows_keep", lambda p: dc.sum_all(dc.tanh(dc.mean_rows(
+        p["a"], np.arange(p["a"].shape[-2])[:, None] % 3 != 1)))),
     ("relu", lambda p: dc.sum_all(dc.relu(p["a"]))),
     ("tanh", lambda p: dc.sum_all(dc.tanh(p["a"]))),
     ("attention_scaled", lambda p: _weighted(dc.attention(
         p["a"], p["b"], dc.transpose(p["b"]), 0.7)[0])),
     ("attention_sharp", lambda p: _weighted(dc.attention(
         p["a"], p["b"], dc.transpose(p["b"]))[0])),
+    ("attention_key_bias", lambda p: _weighted(dc.attention(
+        p["a"], p["b"], dc.transpose(p["b"]), 0.7,
+        np.where(np.arange(p["b"].shape[-1]) % 2 == 1, dc.MASK_VALUE, 0.0))[0])),
     ("masked_logits", lambda p: _weighted(_masked(p, p["a"], p["b"]))),
     ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["a"], p["c"]]), 2))),
     ("merge_heads", lambda p: _weighted(dc.merge_heads(
@@ -320,23 +325,31 @@ def test_forward_deterministic():
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), V=st.integers(1, 3), n=st.integers(1, 5),
        m=st.integers(1, 5), k=st.integers(1, 6), scaled=st.booleans(),
-       dtype=st.sampled_from([np.float32, F64]))
-def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled, dtype):
+       biased=st.booleans(), dtype=st.sampled_from([np.float32, F64]))
+def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled, biased,
+                                                       dtype):
     """Forward and backward of each fused node are bitwise the NumPy
-    expressions of the op chain it replaced: matmul, scale, softmax and
-    matmul; matmul, scale, distance bias, add, tanh, clip scale, mask add
-    and log-softmax."""
+    expressions of the op chain it replaced: matmul, scale, key bias,
+    softmax and matmul; matmul, scale, distance bias, add, tanh, clip
+    scale, mask add and log-softmax."""
     rng = np.random.default_rng(seed)
     q, cand_t, val = (rng.standard_normal(shape).astype(dtype)
                       for shape in ((V, n, m), (V, m, k), (V, k, m)))
     g_out, g = (rng.standard_normal(shape).astype(dtype) for shape in ((V, n, m), (V, n, k)))
     c = 1.0 / math.sqrt(m) if scaled else None
+    bias = None
+    if biased:  # key padding: key 0 stays, the others may be padded
+        bias = np.where(rng.random((V, 1, k)) < 0.4, dc.MASK_VALUE, 0.0)
+        bias[:, :, 0] = 0.0
 
     tq, tk, tv = (dc.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, cand_t, val))
-    out, logits, soft = dc.attention(tq, tk, tv, c)
+    out, logits, soft = dc.attention(tq, tk, tv, c, bias)
     dc.backward(dc.sum_all(dc.mul(out, dc.constant(g_out, dtype=dtype))))
     raw = q @ cand_t
     ref_logits = raw if c is None else raw * c
+    if biased:
+        ref_logits = ref_logits + bias.astype(dtype)
+        assert (soft[np.broadcast_to(bias, soft.shape) < 0] == 0.0).all()
     e = np.exp(ref_logits - ref_logits.max(axis=-1, keepdims=True))
     ref_soft = e / e.sum(axis=-1, keepdims=True)
     assert np.array_equal(logits, ref_logits) and np.array_equal(soft, ref_soft)
@@ -348,7 +361,7 @@ def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled,
     assert np.array_equal(tq.grad, g_raw @ cand_t.mT)
     assert np.array_equal(tk.grad, q.mT @ g_raw)
 
-    # the distance factors and the mask enter as float32 constants
+    # the distance factors and the mask enter as constants at q's dtype
     exp_rows = np.exp(rng.uniform(0.0, 1.0, (V, n, k)))
     penal = np.where(rng.random((V, n, k)) < 0.3, -1e9, 0.0)
     penal[:, :, 0] = 0.0
@@ -356,17 +369,33 @@ def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled,
     tq, tk = (dc.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, cand_t))
     logp = dc.masked_logits(tq, tk, 0.4, exp_rows, alpha, 50.0, penal)
     dc.backward(dc.sum_all(dc.mul(logp, dc.constant(g, dtype=dtype))))
-    e32, p32 = exp_rows.astype(np.float32), penal.astype(np.float32)
-    th = np.tanh((q @ cand_t) * 0.4 + e32 * alpha.data[0, 0])
-    z = th * 50.0 + p32
+    e_q, p_q = exp_rows.astype(dtype), penal.astype(dtype)
+    th = np.tanh((q @ cand_t) * 0.4 + e_q * alpha.data[0, 0])
+    z = th * 50.0 + p_q
     shifted = z - z.max(axis=-1, keepdims=True)
     ref = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     assert np.array_equal(logp.data, ref)
     g_pre = (g - np.exp(ref) * g.sum(axis=-1, keepdims=True)) * 50.0 * (1.0 - th * th)
-    assert np.array_equal(alpha.grad, np.array([[np.sum(g_pre * e32, dtype=np.float64)]],
-                                               dtype=np.float32))
+    assert np.array_equal(alpha.grad, np.array([[np.sum(g_pre * e_q, dtype=np.float64)]],
+                                               dtype=dtype))
     assert np.array_equal(tq.grad, (g_pre * 0.4) @ cand_t.mT)
     assert np.array_equal(tk.grad, q.mT @ (g_pre * 0.4))
+
+
+def test_masked_logits_gives_a_float64_alpha_a_float64_gradient():
+    """The distance factors are not rounded to float32 in a float64 model,
+    so dec.alpha_dist's gradient is the float64 sum."""
+    rng = np.random.default_rng(3)
+    q, cand_t = t64(rng.standard_normal((2, 3))), t64(rng.standard_normal((3, 4)))
+    exp_rows = np.exp(rng.uniform(0.0, 1.0, (2, 4)))
+    alpha = t64([[-0.8]])
+    logp = dc.masked_logits(q, cand_t, 0.5, exp_rows, alpha, 50.0, np.zeros((2, 4)))
+    dc.backward(dc.sum_all(dc.mul(logp, dc.constant(np.eye(2, 4), dtype=F64))))
+    th = np.tanh((q.data @ cand_t.data) * 0.5 + exp_rows * -0.8)
+    g = np.eye(2, 4)
+    g_pre = (g - np.exp(logp.data) * g.sum(axis=-1, keepdims=True)) * 50.0 * (1.0 - th * th)
+    assert alpha.grad.dtype == F64
+    assert alpha.grad[0, 0] == np.sum(g_pre * exp_rows, dtype=np.float64)
 
 
 def test_masked_logits_checks_shapes_and_finite_values():

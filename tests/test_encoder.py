@@ -408,11 +408,38 @@ def test_batched_encode_matches_one_variant_encodes(kind, change):
 
 
 def test_encode_rejects_mixed_variants():
+    """Variants of another N (or D) fail; another M is padded instead."""
     cfg = CFGS["MTSP"]
     params = en.init_params(cfg, np.random.default_rng(0))
-    other = pb.gen_uniform("MTSP", N=7, D=1, M=2, seed=1)
+    other = pb.gen_uniform("MTSP", N=6, D=1, M=3, seed=1)
     with pytest.raises(ValueError, match="variants of one size"):
         en.encode([INS["MTSP"], other], cfg, params)
+
+
+@pytest.mark.parametrize("kind", sorted(CFGS))
+def test_mixed_m_encode_pads_agent_rows_and_keeps_them_out(kind):
+    """In one encode of variants of M = 1, 3 and 2, each variant's real
+    rows equal its own encode within rounding: its padded agent rows are
+    no attention key. Variants of one M build no keep mask."""
+    cfg = CFGS[kind]
+    params = params64(cfg, 5)
+    ins = INS[kind]
+    variants = [pb.Instance(kind=kind, coords=ins.coords, depot_coords=ins.depot_coords,
+                            M=M, uid=M) for M in (1, 3, 2)]
+    batched = en.encode(variants, cfg, params)
+    assert batched.H_a.shape == (3, 3, cfg.d_model)
+    assert batched.agent_keep.tolist() == [[True, False, False], [True] * 3,
+                                           [True, True, False]]
+    for a, var in enumerate(variants):
+        one = en.encode([var], cfg, params)
+        assert one.agent_keep is None
+        np.testing.assert_allclose(batched.H_a.data[a, :var.M], one.H_a.data[0],
+                                   rtol=1e-9, atol=1e-9)
+        for stream in ("H_c", "H_d"):
+            if getattr(one, stream) is not None:
+                np.testing.assert_allclose(getattr(batched, stream).data[a],
+                                           getattr(one, stream).data[0],
+                                           rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

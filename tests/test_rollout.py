@@ -268,7 +268,7 @@ def test_scoring_pass_matches_the_decode_without_a_graph(kind, M, K, V, seed):
     for (sols, total, entropy), g in zip(runs, rngs[1:]):
         assert sols == sols_free
         assert g.bit_generator.state == rngs[0].bit_generator.state
-        assert total.shape == (V, K, 1) and entropy.shape == (V * K, steps)
+        assert total.shape == (V, K, 1) and entropy.shape == (V * K * steps,)
         dc.backward(dc.sum_all(total))
         grads.append({name: p.grad for name, p in params.items()})
         for p in params.values():
@@ -327,7 +327,7 @@ def test_sample_rows_matches_per_row_choice(seed, R, C, dtype):
     legal = gen.random((R, C)) < 0.5
     legal[np.arange(R), gen.integers(C, size=R)] = True
     legal[0] = np.arange(C) == gen.integers(C)  # one legal action only
-    z = np.where(legal, gen.normal(scale=3.0, size=(R, C)), de.MASK_VALUE).astype(dtype)
+    z = np.where(legal, gen.normal(scale=3.0, size=(R, C)), dc.MASK_VALUE).astype(dtype)
     shifted = z - z.max(axis=1, keepdims=True)
     rows = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -452,6 +452,85 @@ def test_mixed_instance_batch_rows_match_their_own_decodes(kind, M, K, n, aug8, 
                 for ins in instances])
 
 
+class ReplayedDraws:
+    """Stands in for the Generator that draws a multi-depot decode's
+    pre-start nodes, returning given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def integers(self, high):
+        return self.values.pop(0)
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(ALL_KINDS), K=st.integers(2, 3), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_mixed_m_batch_rows_match_their_own_single_m_decodes(kind, K, seed, data):
+    """In one sampled decode_batch over instances of one kind, N and D whose
+    M differs, each row is its own single-M decode: replaying its actions
+    (forced) in a batch of its instance alone gives the same RouteSet, a
+    log-prob sum within 1e-5 relative (absolute below 1) and the same step
+    entropies. The entropy array holds exactly the real steps, and every
+    no-op step of a finished row adds exactly 0.0."""
+    Ms = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)
+                   .filter(lambda ms: len(set(ms)) > 1), label="Ms")
+    units = data.draw(st.integers(max(Ms), 3 if kind == "MPDP" else 5), label="N")
+    N = 2 * units if kind == "MPDP" else units
+    multi = kind in ("MDVRP", "FMDVRP")
+    D = data.draw(st.integers(1, 3), label="D") if multi else 1
+    rng = np.random.default_rng(seed)
+    depots = rng.uniform(0, 1, (D, 2))
+    instances = [pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                             depot_coords=depots, M=M, uid=i) for i, M in enumerate(Ms)]
+    perms = [ro.sample_permutations(M, K, rng) for M in Ms]
+    steps = [N + (2 if multi else 1) * M for M in Ms]
+    T = max(steps)
+    cfg, params = MODELS[kind]
+    picked = []
+
+    def take_per_row(a, indexes, _real=dc.take_per_row):
+        out = _real(a, indexes)
+        picked.append(out.data.copy())
+        return out
+
+    draws = np.random.default_rng(seed)
+    with mock.patch.object(dc, "take_per_row", take_per_row):
+        sols, total, entropy = ro.decode_batch(instances, perms, cfg, params,
+                                               mode="sample", rng=draws)
+    # the scoring pass: row t * K + k of variant i is step t of rollout (i, k)
+    (chosen,) = picked
+    chosen = chosen.reshape(len(Ms), T, K)
+    assert entropy.shape == (K * sum(steps),)
+    # the graph recorded step by step scores the same decode
+    with mock.patch.object(ro, "SCORE_CELLS", 0):
+        sols0, total0, entropy0 = ro.decode_batch(instances, perms, cfg, params,
+                                                  mode="sample",
+                                                  rng=np.random.default_rng(seed))
+    assert sols0 == sols
+    np.testing.assert_allclose(total0.data, total.data, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(entropy0, entropy, rtol=1e-5, atol=1e-5)
+    # the pre-start nodes the batch drew, K per variant in row order
+    nodes = ro.DecodeState(instances, perms, rng=np.random.default_rng(seed)).node.tolist()
+    at = 0
+    for i, ins in enumerate(instances):
+        assert (chosen[i, steps[i]:] == 0.0).all()
+        forced = [ro.actions_from_solution(rs, o, ins)
+                  for rs, o in zip(sols[i * K:(i + 1) * K], perms[i])]
+        own = ReplayedDraws(nodes[i * K:(i + 1) * K]) if multi else None
+        sols1, total1, entropy1 = ro.decode_batch(ins, perms[i], cfg, params,
+                                                  forced=forced, rng=own)
+        assert sols1 == sols[i * K:(i + 1) * K]
+        for rs in sols1:
+            assert pb.validate(rs, ins) is None
+        want = total1.data[0, :, 0].astype(np.float64)
+        got = total.data[i, :, 0].astype(np.float64)
+        assert (np.abs(got - want) <= 1e-5 * np.maximum(np.abs(want), 1.0)).all()
+        np.testing.assert_allclose(entropy[at:at + K * steps[i]], entropy1,
+                                   rtol=1e-5, atol=1e-5)
+        at += K * steps[i]
+
+
 def test_infer_decodes_every_symmetry_in_one_loop(monkeypatch):
     calls = Counter()
     for mod, name in ((de, "logits"), (de, "feasibility_mask"), (en, "encode")):
@@ -513,10 +592,51 @@ def test_infer_every_point_on_the_depot(kind):
 
 
 def test_decode_state_rejects_variants_of_mixed_sizes():
+    """Mixed N, D or kind fails as one line; mixed M is padded instead, but
+    infer, whose results depend on each instance alone, takes one M."""
+    for variants, sizes in (
+            ([make("MTSP", N=6), make("MTSP", N=7)], "('MTSP', 6, 1, 2), ('MTSP', 7, 1, 2)"),
+            ([make("MDVRP", D=2), make("MDVRP", D=3)],
+             "('MDVRP', 6, 2, 2), ('MDVRP', 6, 3, 2)"),
+            ([make("MDVRP"), make("FMDVRP", M=3)],
+             "('FMDVRP', 6, 2, 3), ('MDVRP', 6, 2, 2)")):
+        with pytest.raises(ValueError) as exc:
+            ro.DecodeState(variants, [(0, 1)])
+        assert str(exc.value) == f"a decode batch needs variants of one kind and size, got [{sizes}]"
+    state = ro.DecodeState([make("MTSP", M=2), make("MTSP", M=3)], [[(1, 0)], [(2, 0, 1)]])
+    assert state.M.tolist() == [2, 3] and state.row_steps.tolist() == [8, 9]
+    assert (state.n_slots, state.n_steps) == (3, 9)
+    assert state.o.tolist() == [[1, 0, 0, 0], [2, 0, 1, 1]]
+    cfg, params = tiny_model("MTSP")
     with pytest.raises(ValueError) as exc:
-        ro.DecodeState([make("MTSP", N=6), make("MTSP", N=7)], [(0, 1)])
-    assert str(exc.value) == ("a decode batch needs variants of one kind and size, "
-                              "got [('MTSP', 6, 1, 2), ('MTSP', 7, 1, 2)]")
+        ro.infer([make("MTSP", M=3), make("MTSP", M=2)], cfg, params)
+    assert str(exc.value) == ("infer needs instances of one kind and size, "
+                              "got [('MTSP', 6, 1, 2), ('MTSP', 6, 1, 3)]")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_done_rows_repeat_their_last_action_and_change_nothing(kind):
+    """In a batch of M = 2, 4 and 3, a row past its own steps may only
+    repeat its last action, and that step leaves its state as it was; no
+    row may take a padded slot."""
+    variants = [make(kind, N=8, M=M, D=2, seed=M) for M in (2, 4, 3)]
+    s = ro.DecodeState(variants, [[(0, 1)], [(2, 0, 3, 1)], [(1, 0, 2)]],
+                       rng=np.random.default_rng(0))
+    multi = kind in ("MDVRP", "FMDVRP")
+    fields = ("pos", "agent", "node", "route_len", "needs_start", "n_unvisited")
+    frozen = {}
+    while not s.terminal:
+        mask = de.feasibility_mask(s)
+        for r in np.flatnonzero(s.done):
+            assert np.flatnonzero(mask[r]).tolist() == [s.actions[r, -1]]
+            frozen.setdefault(r, [getattr(s, f)[r].copy() for f in fields])
+            assert [getattr(s, f)[r] for f in fields] == frozen[r]
+        if not multi:
+            assert not mask[0, 2:4].any() and not mask[2, 3]
+        ro.step(s, mask.argmax(axis=1), mask)
+    assert s.row_steps.tolist() == [8 + (2 if multi else 1) * M for M in (2, 4, 3)]
+    for rs, ins in zip(ro.finish(s), variants):
+        assert pb.validate(rs, ins) is None
 
 
 def test_decode_state_rejects_a_wrong_count_of_permutations():
@@ -545,6 +665,11 @@ def test_decode_batch_rejects_forced_sequences_of_the_wrong_shape():
         with pytest.raises(ValueError) as exc:
             ro.decode_batch(ins, perms, cfg, params, forced=forced)
         assert str(exc.value) == f"forced needs 2 action sequences of 8 steps, got lengths {lengths}"
+    # with mixed M each row's sequence has its own row's steps
+    with pytest.raises(ValueError) as exc:
+        ro.decode_batch([ins, make("MDVRP", N=4, M=3)], [[(0, 1)], [(0, 1, 2)]], cfg, params,
+                        forced=[[0] * 8, [0] * 8])
+    assert str(exc.value) == "forced needs 2 action sequences of [8, 10] steps, got lengths [8, 8]"
 
 
 def test_infer_of_no_instances_is_empty():

@@ -133,10 +133,11 @@ def test_identical_objectives_give_zero_loss_and_zero_step():
 
 def test_loss_matches_manual_recomputation():
     """The rng draws every instance's permutations in batch order, then
-    decodes the size groups in ascending order: here M=2 before M=3."""
-    cfg, params = tiny_model("MTSP", seed=1)
-    instances = [pb.gen_uniform("MTSP", N=5, D=1, M=M, seed=s)
-                 for s, M in ((0, 3), (1, 2))]
+    decodes the (N, D) groups in ascending order: here the D=1 instance
+    before the two D=2 ones, whose M=3 and M=2 share one padded decode."""
+    cfg, params = tiny_model("MDVRP", seed=1)
+    instances = [pb.gen_uniform("MDVRP", N=5, D=D, M=M, seed=s)
+                 for s, D, M in ((0, 2, 3), (1, 1, 2), (2, 2, 2))]
     K = 3
     loss, best, baselines, _, _ = tr.aps_loss(instances, cfg, params, K,
                                               rng=np.random.default_rng(42))
@@ -144,15 +145,17 @@ def test_loss_matches_manual_recomputation():
     rng = np.random.default_rng(42)
     perms = [ro.sample_permutations(ins.M, K, rng) for ins in instances]
     manual = 0.0
-    for i in (1, 0):
-        ins = instances[i]
-        solutions, logp, _ = ro.decode_batch(ins, perms[i], cfg, params,
+    for group in ([1], [0, 2]):
+        solutions, logp, _ = ro.decode_batch([instances[i] for i in group],
+                                             [perms[i] for i in group], cfg, params,
                                              mode="sample", rng=rng)
-        objs = np.array([pb.minmax_objective(rs, ins) for rs in solutions])
-        manual += float(((objs - objs.mean())[:, None]
-                         * logp.data.astype(np.float64)).sum())
-        assert abs(baselines[i] - objs.mean()) < 1e-12
-        assert abs(best[i] - objs.min()) < 1e-12
+        for g, i in enumerate(group):
+            objs = np.array([pb.minmax_objective(rs, instances[i])
+                             for rs in solutions[g * K:(g + 1) * K]])
+            manual += float(((objs - objs.mean())[:, None]
+                             * logp.data[g].astype(np.float64)).sum())
+            assert abs(baselines[i] - objs.mean()) < 1e-12
+            assert abs(best[i] - objs.min()) < 1e-12
     manual /= len(instances) * K
     assert abs(float(loss.data[0, 0]) - manual) < 1e-5
 
