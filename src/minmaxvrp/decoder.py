@@ -8,9 +8,9 @@ of fewer routes pads its slots. Functions here take the rollout's
 DecodeState by duck type so the two modules stay import-acyclic. The state
 holds R = V x K rows (V variants, K permutations each), and the tensors
 carry the V variants on a leading batch axis. step_inputs reads what the
-model head needs of one decode step's state; the head (context, glimpse,
-logits) runs on those arrays, so one call serves one step's K rows per
-variant or all T steps' T x K rows at once.
+model head needs of one decode step's state, and the head (context,
+glimpse, logits) runs on those arrays: one call per step, K rows per
+variant.
 """
 
 import math
@@ -166,8 +166,8 @@ def _agent_keep_then(emb, n_rows):
 
 
 class StepInputs(namedtuple("StepInputs", "agent node fracs feats exp_rows masks")):
-    """What the model head reads of the V x Q decode rows it scores, each
-    V x Q (x features): agent and node index the agent rows and the
+    """What the model head reads of one decode step's V x K rows, each
+    V x K (x features): agent and node index the agent rows and the
     candidate rows, fracs and feats are scalar_features, exp_rows is
     dist_exp_row and masks feasibility_mask."""
 
@@ -186,10 +186,10 @@ def step_inputs(state):
 
 
 def context(inputs, H_a, cand, pooled, params):
-    """The V x Q x d context rows of the V x Q rows of inputs (StepInputs):
+    """The V x K x d context rows of the V x K rows of inputs (StepInputs):
     pooled graph + step + length.
 
-    Row (a, q) joins its agent row of H_a[a], its current node's row of the
+    Row (a, k) joins its agent row of H_a[a], its current node's row of the
     candidate rows cand[a] and its scalar features; the pooled-graph term
     pooled[a] (pooled_graph) is shared by every row of variant a.
     """
@@ -233,10 +233,10 @@ def glimpse(H_ctx, kv, cfg, params, bias=None):
 
 
 def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
-    """Masked log-probabilities, V x Q x C.
+    """Masked log-probabilities, V x K x C.
 
-    q: V x Q x d glimpse output; cand_proj_t: (candidates @ W_L)
-    transposed, V x d x C; exp_rows/masks: V x Q x C numpy (distance
+    q: V x K x d glimpse output; cand_proj_t: (candidates @ W_L)
+    transposed, V x d x C; exp_rows/masks: V x K x C numpy (distance
     factors and feasibility).
     """
     if not masks.any(axis=-1).all():

@@ -16,7 +16,6 @@ each row bitwise as a batch of its variant alone would; in a batch of
 mixed M a row's policy is its own decode's within rounding.
 """
 
-import contextlib
 from collections import namedtuple
 
 import numpy as np
@@ -121,9 +120,9 @@ class DecodeState:
 
 
 def step(state, actions, mask=None):
-    """Apply one action per row in place; raises on masked or post-terminal
-    actions. A done row's one legal action, its last action again, changes
-    nothing but the log.
+    """Apply one action per row in place; raises on an action outside the
+    candidates 0..C-1, a masked action or a post-terminal step. A done row's
+    one legal action, its last action again, changes nothing but the log.
 
     mask is the state's R x C feasibility when the caller already holds it;
     None computes it here.
@@ -134,6 +133,10 @@ def step(state, actions, mask=None):
         mask = de.feasibility_mask(state)
     rows, n_slots = state.rows, state.n_slots
     actions = np.array(actions, dtype=np.intp).reshape(len(rows))
+    outside = (actions < 0) | (actions >= mask.shape[1])
+    if outside.any():
+        raise ValueError(f"action {actions[outside][0]} is not a candidate "
+                         f"0..{mask.shape[1] - 1} at step {state.t}")
     legal = mask[rows, actions]
     if not legal.all():
         raise ValueError(f"action {actions[~legal][0]} is masked at step {state.t}")
@@ -230,16 +233,6 @@ def sample_rows(rng, rows):
     return (cdf / cdf[:, -1:] <= rng.random((len(rows), 1))).sum(axis=1)
 
 
-# The most attention weights (rows x steps x candidates x heads) that one
-# scoring pass over all steps of a decode_batch may hold. Below it, the
-# pass's fewer graph nodes save more time than its stacked arrays cost;
-# above it, recording the graph step by step is faster: with the fused
-# attention and logits nodes, a default MTSP N=50 M=5 batch (B=32, K=8;
-# 3.1M weights) trains in 107 ms step by step and 129 ms through the pass
-# (2 vCPUs, BENCH_pr18.json).
-SCORE_CELLS = 1 << 18
-
-
 def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
                  forced=None):
     """Roll out K permutations of each of V instances in lockstep.
@@ -260,13 +253,10 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
 
     Returns (list of R RouteSets in row order a * K + k, log-prob sums as a
     V x K x 1 Tensor, policy entropies as one array of every real step:
-    row a * K + k's steps in order, then the next row's). Under no_grad
-    without forced actions nothing is scored, and both are None. Otherwise
-    the step loop runs the model head without a graph, and one scoring pass
-    after it runs the head over all T steps' rows at once, so a decode
-    records one graph; a forced decode calls the model only there. Where
-    that pass would hold more than SCORE_CELLS attention weights, the loop
-    records the graph step by step instead and there is no pass.
+    row a * K + k's steps in order, then the next row's). Each step runs the
+    model head once over all R rows and records its graph while gradients
+    are on; under no_grad without forced actions nothing is scored, and
+    both are None.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -294,48 +284,29 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     kv = de.glimpse_kv(cand, cfg, params)
     bias = de.candidate_bias(emb)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
-
-    def head(inputs):
+    scoring = forced is not None or dc.grad_enabled()
+    picked, entropy = [], []
+    while not state.terminal:
+        inputs = de.step_inputs(state)
         ctx = de.context(inputs, emb.H_a, cand, pooled, params)
         q = de.glimpse(ctx, kv, cfg, params, bias)
-        return de.logits(q, cand_proj_t, inputs.exp_rows, inputs.masks, params,
+        logp = de.logits(q, cand_proj_t, inputs.exp_rows, inputs.masks, params,
                          cfg.d_model)
-
-    scoring = forced is not None or dc.grad_enabled()
-    per_step = scoring and R * T * cand.shape[1] * cfg.n_heads > SCORE_CELLS
-    steps, picked, entropy = [], [], []
-
-    def score(logp, actions):
-        """Keep the chosen log-probs and the entropies of logp, V x n*K rows
-        of n steps; actions holds their n x K chosen actions per variant."""
-        picked.append(dc.take_per_row(logp, actions.reshape(V, -1)))
-        lp = logp.data.astype(np.float64)
-        entropy.append(-(np.exp(lp) * lp).sum(axis=-1).reshape(V, -1, R // V))
-
-    with contextlib.nullcontext() if per_step else dc.no_grad():
-        while not state.terminal:
-            inputs = de.step_inputs(state)
-            if forced is None or per_step:
-                logp = head(inputs)
-            if forced is not None:
-                chosen = forced[:, state.t]
-            else:
-                rows = logp.data.reshape(R, -1)
-                chosen = sample_rows(rng, rows) if sampling else rows.argmax(axis=1)
-            if per_step:
-                score(logp, chosen)
-            elif scoring:
-                steps.append(inputs)
-            step(state, chosen, inputs.masks.reshape(R, -1))
+        if forced is not None:
+            chosen = forced[:, state.t]
+        else:
+            rows = logp.data.reshape(R, -1)
+            chosen = sample_rows(rng, rows) if sampling else rows.argmax(axis=1)
+        # step first: it rejects a forced action that is no candidate
+        step(state, chosen, inputs.masks.reshape(R, -1))
+        if scoring:
+            picked.append(dc.take_per_row(logp, chosen.reshape(V, -1)))
+            lp = logp.data.astype(np.float64)
+            entropy.append(-(np.exp(lp) * lp).sum(axis=-1))
     if not scoring:
         return finish(state), None, None
-    if not per_step:
-        # row t * K + k of variant a is step t of rollout (a, k)
-        logp = head(de.StepInputs(*(np.concatenate(parts, axis=1)
-                                    for parts in zip(*steps))))
-        score(logp, state.actions.reshape(V, -1, T).transpose(0, 2, 1))
     total = dc.sum_row_blocks(dc.concat_rows(picked), T)
-    entropy = np.concatenate(entropy, axis=1).transpose(0, 2, 1).reshape(R, T)
+    entropy = np.stack(entropy, axis=-1).reshape(R, T)
     return finish(state), total, entropy[np.arange(T) < state.row_steps[:, None]]
 
 

@@ -173,6 +173,25 @@ def test_decode_batch_rejects_masked_forced_action():
         ro.decode_batch(ins, [(0, 1)], cfg, params, forced=[[0] * 6])
 
 
+def test_step_rejects_an_action_outside_the_candidates():
+    """-1 would wrap round to the last candidate and C index past the mask;
+    both fail as one ValueError naming the action and the step, and leave
+    the state as it was. A forced sequence reaches step the same way."""
+    ins = make("MTSP", N=4, M=2)
+    C = ins.M + ins.N
+    for bad in (-1, C):
+        s = ro.DecodeState(ins, [(0, 1)])
+        with pytest.raises(ValueError, match=rf"action {bad} is not a candidate 0\.\.{C - 1} "
+                                             r"at step 0"):
+            ro.step(s, [bad])
+        assert s.t == 0 and s.log == [] and not s.taken.any()
+    cfg, params = tiny_model("MTSP")
+    forced = ro.actions_from_solution(pb.RouteSet(routes=[[0, 1], [2, 3]]), (0, 1), ins)
+    forced[2] = -1  # in place of closing the first route
+    with pytest.raises(ValueError, match="action -1 is not a candidate .* at step 2"):
+        ro.decode_batch(ins, [(0, 1)], cfg, params, forced=[forced])
+
+
 def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
     real = de.feasibility_mask
     calls = Counter()
@@ -193,10 +212,8 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
 
 
 def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
-    """Without a graph the loop runs one context per step. With gradients
-    on it adds one scoring pass over every step's rows; a forced decode
-    runs only that pass. Past SCORE_CELLS both run one context per step,
-    recording the graph there."""
+    """One context per step over every row: under no_grad, with the graph
+    recorded, and with forced actions."""
     real_consts, real_context = de.DecodeConstants, de.context
     calls = Counter()
 
@@ -220,31 +237,21 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
         with dc.no_grad():
             sols, _, _ = ro.decode_batch(ins, perms, cfg, params)
         assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
-        calls.clear()
-        ro.decode_batch(ins, perms, cfg, params)
-        assert calls == {"consts": 1, "context": steps + 1, "rows": 6 * steps}
-        calls.clear()
         forced = [ro.actions_from_solution(rs, o, ins) for rs, o in zip(sols, perms)]
-        ro.decode_batch(ins, perms, cfg, params, forced=forced)
-        assert calls == {"consts": 1, "context": 1, "rows": 3 * steps}
-        # past SCORE_CELLS the loop records the graph instead: no extra pass
-        with monkeypatch.context() as m:
-            m.setattr(ro, "SCORE_CELLS", 0)
-            for kw in ({}, {"forced": forced}):
-                calls.clear()
-                ro.decode_batch(ins, perms, cfg, params, **kw)
-                assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
+        for kw in ({}, {"forced": forced}):
+            calls.clear()
+            ro.decode_batch(ins, perms, cfg, params, **kw)
+            assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
 
 
 @settings(max_examples=40)
 @given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3), K=st.integers(1, 3),
        V=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-def test_scoring_pass_matches_the_decode_without_a_graph(kind, M, K, V, seed):
+def test_graph_decode_matches_the_decode_without_a_graph(kind, M, K, V, seed):
     """A sampled decode takes the same actions, rng draws and RouteSets
-    under no_grad, which scores nothing, with one scoring pass over all
-    steps, and with the graph recorded step by step (SCORE_CELLS 0). The
-    two graphs give the same log-prob sums, entropies and gradients within
-    1e-5."""
+    under no_grad, which scores nothing, and with the graph recorded.
+    Replaying those actions (forced) under no_grad scores them bitwise as
+    the graph decode did."""
     N = 2 * M + 2 if kind == "MPDP" else M + 3
     D = 2 if kind in ("MDVRP", "FMDVRP") else 1
     rng = np.random.default_rng(seed)
@@ -254,33 +261,27 @@ def test_scoring_pass_matches_the_decode_without_a_graph(kind, M, K, V, seed):
     perms = [ro.sample_permutations(M, K, rng) for _ in instances]
     cfg = tiny_cfg(kind)
     params = params64(cfg, seed=seed % 5)
-    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
     with dc.no_grad():
         sols_free, *unscored = ro.decode_batch(instances, perms, cfg, params,
                                                mode="sample", rng=rngs[0])
     assert unscored == [None, None]
-    runs = [ro.decode_batch(instances, perms, cfg, params, mode="sample", rng=rngs[1])]
-    with mock.patch.object(ro, "SCORE_CELLS", 0):
-        runs.append(ro.decode_batch(instances, perms, cfg, params, mode="sample",
-                                    rng=rngs[2]))
+    sols, total, entropy = ro.decode_batch(instances, perms, cfg, params,
+                                           mode="sample", rng=rngs[1])
+    assert sols == sols_free
+    assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
     steps = N + (2 if D == 2 else 1) * M
-    grads = []
-    for (sols, total, entropy), g in zip(runs, rngs[1:]):
-        assert sols == sols_free
-        assert g.bit_generator.state == rngs[0].bit_generator.state
-        assert total.shape == (V, K, 1) and entropy.shape == (V * K * steps,)
-        dc.backward(dc.sum_all(total))
-        grads.append({name: p.grad for name, p in params.items()})
-        for p in params.values():
-            p.zero_grad()
-    (_, stacked, h_stacked), (_, stepwise, h_stepwise) = runs
-    np.testing.assert_allclose(stacked.data, stepwise.data, rtol=0, atol=1e-5)
-    np.testing.assert_allclose(h_stacked, h_stepwise, rtol=0, atol=1e-5)
-    for name, g in grads[0].items():
-        if g is None:
-            assert grads[1][name] is None
-        else:
-            np.testing.assert_allclose(g, grads[1][name], rtol=1e-5, atol=1e-5)
+    assert total.shape == (V, K, 1) and entropy.shape == (V * K * steps,)
+    forced = [ro.actions_from_solution(rs, o, ins)
+              for i, ins in enumerate(instances)
+              for rs, o in zip(sols[i * K:(i + 1) * K], perms[i])]
+    with dc.no_grad():
+        sols1, total1, entropy1 = ro.decode_batch(instances, perms, cfg, params,
+                                                  forced=forced,
+                                                  rng=np.random.default_rng(seed))
+    assert sols1 == sols
+    assert np.array_equal(total1.data, total.data)
+    assert np.array_equal(entropy1, entropy)
 
 
 @settings(max_examples=60)
@@ -498,18 +499,10 @@ def test_mixed_m_batch_rows_match_their_own_single_m_decodes(kind, K, seed, data
     with mock.patch.object(dc, "take_per_row", take_per_row):
         sols, total, entropy = ro.decode_batch(instances, perms, cfg, params,
                                                mode="sample", rng=draws)
-    # the scoring pass: row t * K + k of variant i is step t of rollout (i, k)
-    (chosen,) = picked
-    chosen = chosen.reshape(len(Ms), T, K)
+    # one V x K x 1 output per step: chosen[i, t, k] is step t of rollout (i, k)
+    assert len(picked) == T
+    chosen = np.stack(picked, axis=1).reshape(len(Ms), T, K)
     assert entropy.shape == (K * sum(steps),)
-    # the graph recorded step by step scores the same decode
-    with mock.patch.object(ro, "SCORE_CELLS", 0):
-        sols0, total0, entropy0 = ro.decode_batch(instances, perms, cfg, params,
-                                                  mode="sample",
-                                                  rng=np.random.default_rng(seed))
-    assert sols0 == sols
-    np.testing.assert_allclose(total0.data, total.data, rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(entropy0, entropy, rtol=1e-5, atol=1e-5)
     # the pre-start nodes the batch drew, K per variant in row order
     nodes = ro.DecodeState(instances, perms, rng=np.random.default_rng(seed)).node.tolist()
     at = 0

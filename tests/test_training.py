@@ -207,14 +207,11 @@ def reference_backward(loss):
             node._backward(node.grad, node)
 
 
-@pytest.mark.parametrize("kind,per_step", [("MTSP", False), ("MDVRP", True)])
-def test_backward_frees_the_graph_and_keeps_leaf_gradients(kind, per_step, monkeypatch):
-    """On a training loss (the scoring pass, or the graph recorded step by
-    step), the freeing walk leaves every leaf gradient bitwise what a walk
-    that keeps the graph gives, and no other node holds a gradient, a
-    closure or parents."""
-    if per_step:
-        monkeypatch.setattr(ro, "SCORE_CELLS", 0)
+@pytest.mark.parametrize("kind", ["MTSP", "MDVRP"])
+def test_backward_frees_the_graph_and_keeps_leaf_gradients(kind):
+    """On a training loss, the freeing walk leaves every leaf gradient
+    bitwise what a walk that keeps the graph gives, and no other node holds
+    a gradient, a closure or parents."""
     grads = []
     for walk in (reference_backward, dc.backward):
         cfg, params = tiny_model(kind, seed=2)
@@ -232,20 +229,6 @@ def test_backward_frees_the_graph_and_keeps_leaf_gradients(kind, per_step, monke
     for name, g in grads[0].items():
         assert g is not None and g.dtype == grads[1][name].dtype, name
         assert np.array_equal(g, grads[1][name]), name
-
-
-@pytest.mark.parametrize("kind", ["MTSP", "MDVRP"])
-def test_aps_loss_records_one_graph_per_batch(kind):
-    """Doubling N doubles the decode steps but not the graph: the loop
-    records nothing, and one scoring pass covers every step."""
-    cfg, params = tiny_model(kind, seed=1)
-    D = 2 if kind == "MDVRP" else 1
-    counts = []
-    for N in (5, 10):
-        batch = [pb.gen_uniform(kind, N, D, 3, seed=s) for s in range(3)]
-        loss, *_ = tr.aps_loss(batch, cfg, params, 4, np.random.default_rng(0))
-        counts.append(len(graph_tensors(loss)))
-    assert counts[0] == counts[1]
 
 
 def test_aps_loss_returns_every_advantage_and_step_entropy():
