@@ -8,9 +8,10 @@ of fewer routes pads its slots. Functions here take the rollout's
 DecodeState by duck type so the two modules stay import-acyclic. The state
 holds R = V x K rows (V variants, K permutations each), and the tensors
 carry the V variants on a leading batch axis. step_inputs reads what the
-model head needs of one decode step's state, and the head (context,
-glimpse, logits) runs on those arrays: one call per step, K rows per
-variant.
+model head needs of one decode step's state, and the head runs on those
+arrays: one call per step, K rows per variant. The head's context, glimpse
+and logits are one fused diffcore node each (context_query, attention,
+masked_logits); with the rollout's take_per_row a step records 4 nodes.
 """
 
 import math
@@ -186,19 +187,14 @@ def step_inputs(state):
 
 
 def context(inputs, H_a, cand, pooled, params):
-    """The V x K x d context rows of the V x K rows of inputs (StepInputs):
-    pooled graph + step + length.
-
-    Row (a, k) joins its agent row of H_a[a], its current node's row of the
+    """The V x K x d glimpse queries, (pooled graph + step + length) @
+    dec.glimpse.q, of the V x K rows of inputs (StepInputs), one node. Row
+    (a, k) joins its agent row of H_a[a], its current node's row of the
     candidate rows cand[a] and its scalar features; the pooled-graph term
-    pooled[a] (pooled_graph) is shared by every row of variant a.
-    """
-    agents = dc.gather_rows(H_a, inputs.agent)
-    nodes = dc.gather_rows(cand, inputs.node)
-    step = dc.matmul(dc.concat_cols([agents, nodes, dc.constant(inputs.fracs)]),
-                     params["dec.step"])
-    length = dc.matmul(dc.constant(inputs.feats), params["dec.length"])
-    return dc.add(dc.add(step, pooled), length)
+    pooled[a] (pooled_graph) is shared by every row of variant a."""
+    return dc.context_query(H_a, inputs.agent, cand, inputs.node, inputs.fracs,
+                            inputs.feats, pooled, params["dec.step"],
+                            params["dec.length"], params["dec.glimpse.q"])
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +215,15 @@ def candidate_bias(emb):
     return en.key_bias(_agent_keep_then(emb, emb.H_c.shape[-2]))
 
 
-def glimpse_kv(cand, cfg, params):
-    """Head-split transposed keys and values of the fixed candidate rows,
-    (V*H) x d_head x C and (V*H) x C x d_head."""
-    return en.keys_values(cand, params, "dec.glimpse", cfg.n_heads)
+def glimpse_kv(cand, params):
+    """Transposed keys and values of the candidate rows (encoder.keys_values)."""
+    return en.keys_values(cand, params, "dec.glimpse")
 
 
-def glimpse(H_ctx, kv, cfg, params, bias=None):
-    """Scaled multi-head attention of the context rows over candidates;
-    bias is candidate_bias."""
-    return en.attend(dc.matmul(H_ctx, params["dec.glimpse.q"]), *kv, cfg.n_heads,
-                     True, params["dec.glimpse.proj"], bias=bias)
+def glimpse(q, kv, cfg, params, bias=None):
+    """Scaled multi-head attention of the glimpse queries (context) over
+    candidates, one dc.attention node; bias is candidate_bias."""
+    return en.attend(q, *kv, cfg.n_heads, True, params["dec.glimpse.proj"], bias=bias)
 
 
 def logits(q, cand_proj_t, exp_rows, masks, params, d_model):

@@ -2,12 +2,13 @@
 
 Everything is a matrix: scalars are 1x1, vectors are 1xd. Most ops also take
 a batch of matrices, V x rows x cols (the variants of an instance that the
-encoder and decoder run together, or attention heads via split_heads; rows
-are the second-to-last axis), and a 2-D parameter used with one broadcasts
-over the batch axis (its gradient sums over that axis). Ops record their
-backward closure on the output tensor; ``backward`` on a scalar loss walks
-the implicit graph in reverse topological order once, freeing it as it
-goes. Attention and the decoder's masked logits are one fused node each.
+encoder and decoder run together; rows are the second-to-last axis), and a
+2-D parameter used with one broadcasts over the batch axis (its gradient
+sums over that axis). Ops record their backward closure on the output
+tensor; ``backward`` on a scalar loss walks the implicit graph in reverse
+topological order once, freeing it as it goes. The decoder's context query,
+multi-head attention and the decoder's masked logits are one fused node
+each, running the NumPy expressions of the op chain they replace.
 Parameters default to float32; float64 is available (gradient checks run
 there, on the same code paths). Reductions that feed route lengths and
 means accumulate in float64.
@@ -211,56 +212,18 @@ def mul(a, b):
     return _make(out_data, (a, b), backward)
 
 
-def _concat(tensors, axis, name):
-    if len({t.shape[:axis] + t.shape[axis:][1:] for t in tensors}) != 1:
-        raise ValueError(f"{name} shape mismatch: {[t.shape for t in tensors]}")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    edges = list(itertools.accumulate(t.shape[axis] for t in tensors))[:-1]
+def concat_rows(tensors):
+    """The tensors' rows one after another, per matrix of a batch."""
+    if len({t.shape[:-2] + t.shape[-1:] for t in tensors}) != 1:
+        raise ValueError(f"concat_rows shape mismatch: {[t.shape for t in tensors]}")
+    out_data = np.concatenate([t.data for t in tensors], axis=-2)
+    edges = list(itertools.accumulate(t.shape[-2] for t in tensors))[:-1]
 
     def backward(g, out):
-        for t, part in zip(tensors, np.split(g, edges, axis=axis)):
+        for t, part in zip(tensors, np.split(g, edges, axis=-2)):
             _accum(t, part)
 
     return _make(out_data, tuple(tensors), backward)
-
-
-def concat_rows(tensors):
-    return _concat(tensors, -2, "concat_rows")
-
-
-def concat_cols(tensors):
-    return _concat(tensors, -1, "concat_cols")
-
-
-def _split(arr, n_heads):
-    rows, d = arr.shape[-2:]
-    heads = arr.reshape(-1, rows, n_heads, d // n_heads).swapaxes(1, 2)
-    return heads.reshape(-1, rows, d // n_heads)
-
-
-def _merge(arr, shape):
-    heads = arr.reshape(-1, shape[-1] // arr.shape[-1], *arr.shape[1:])
-    return heads.swapaxes(1, 2).reshape(shape)
-
-
-def split_heads(a, n_heads):
-    """rows x d, or V x rows x d, -> (V * n_heads) x rows x d/n_heads: head
-    h of matrix v is entry v * n_heads + h and holds columns h*d_k..(h+1)*d_k."""
-    if a.shape[-1] % n_heads:
-        raise ValueError(f"split_heads: {n_heads} heads do not divide {a.shape}")
-    shape = a.shape
-    return _make(_split(a.data, n_heads), (a,),
-                 lambda g, out: _accum(a, _merge(g, shape)))
-
-
-def merge_heads(a, shape):
-    """The inverse of split_heads: (V * H) x rows x d_k back to shape."""
-    if (a.data.ndim != 3 or shape[-2] != a.shape[1] or shape[-1] % a.shape[-1]
-            or a.data.size != math.prod(shape)):
-        raise ValueError(f"merge_heads cannot make {shape} from {a.shape}")
-    n_heads = shape[-1] // a.shape[-1]
-    return _make(_merge(a.data, shape), (a,),
-                 lambda g, out: _accum(a, _split(g, n_heads)))
 
 
 def mean_rows(a, keep=None):
@@ -280,26 +243,6 @@ def mean_rows(a, keep=None):
 
         def backward(g, out):
             _accum(a, g * (keep / keep.sum(axis=-2, keepdims=True)).astype(a.dtype))
-
-    return _make(out_data, (a,), backward)
-
-
-def gather_rows(a, indexes):
-    """Rows of a V x rows x d a by index (repeats allowed): row v of the
-    V x K indexes picks from a[v], giving V x K x d; backward scatters."""
-    idx = np.asarray(indexes, dtype=np.intp)
-    if a.data.ndim != 3 or idx.ndim != 2 or len(idx) != a.shape[0]:
-        raise ValueError(f"gather_rows needs one index list per matrix, got "
-                         f"{idx.shape} for {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-2]):
-        raise IndexError(f"gather_rows index out of range for {a.shape[-2]} rows")
-    idx = (np.arange(len(idx))[:, None], idx)
-    out_data = a.data[idx]
-
-    def backward(g, out):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        _accum(a, acc)
 
     return _make(out_data, (a,), backward)
 
@@ -370,36 +313,100 @@ def tanh(a):
 
 
 # ---------------------------------------------------------------------------
-# fused nodes: attention and the decoder's masked logits
+# fused nodes: the decoder's context query, attention and masked logits
 # ---------------------------------------------------------------------------
 
-def attention(q, k_t, v, c=None, bias=None):
-    """softmax_rows(q @ k_t * c + bias) @ v as one node, per batch entry: q
-    is rows x d_k, k_t d_k x C and v C x d_v (a 2-D k_t or v is shared as
-    in matmul); c=None leaves the logits unscaled (the sharp variant). bias,
-    an array that broadcasts to the logits (such as 1 x C per entry), is a
-    constant at q's dtype: a key-padding bias of MASK_VALUE gives its keys
-    a softmax weight of exactly 0. The row softmax subtracts the row max.
-    Returns (the output Tensor, the logits and the softmax weights as
-    arrays)."""
-    raw = _matmul(q.data, k_t.data)
-    logits = raw if c is None else raw * c
-    if bias is not None:
-        logits = logits + np.asarray(bias, dtype=q.dtype)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    soft = e / e.sum(axis=-1, keepdims=True)
-    out_data = _matmul(soft, v.data)
+def context_query(H_a, agent, cand, node, fracs, feats, pooled, w_step, w_length, w_q):
+    """(([H_a[agent] | cand[node] | fracs] @ w_step + pooled) + feats @ w_length)
+    @ w_q as one node, per matrix: the decoder's step context and its glimpse
+    query, V x K x d. H_a and cand are V x rows x d, agent and node V x K row
+    indexes (repeats allowed), pooled V x 1 x d; fracs and feats, V x K x
+    features, are constants at H_a's dtype. Backward sums the gradients of
+    repeated rows by a one-hot matmul."""
+    agent, node = (np.asarray(i, dtype=np.intp) for i in (agent, node))
+    if (agent.ndim != 2 or agent.shape != node.shape or H_a.data.ndim != 3
+            or len({len(agent), H_a.shape[0], cand.shape[0]}) > 1):
+        raise ValueError(f"context_query needs one index list per matrix, got "
+                         f"{agent.shape} and {node.shape} for {H_a.shape} and {cand.shape}")
+    for idx, a in ((agent, H_a), (node, cand)):  # NumPy would wrap a negative index
+        if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+            raise IndexError(f"context_query index out of range for {a.shape[1]} rows")
+    lane = np.arange(len(agent))[:, None]
+    fracs, feats = (np.asarray(x, dtype=H_a.dtype) for x in (fracs, feats))
+    joined = np.concatenate([H_a.data[lane, agent], cand.data[lane, node], fracs], axis=-1)
+    ctx = (_matmul(joined, w_step.data) + pooled.data) + _matmul(feats, w_length.data)
+    out_data = _matmul(ctx, w_q.data)
 
     def backward(g, out):
-        g_soft, g_v = _matmul_grads(soft, v.data, g)
-        _accum(v, g_v)
-        g_logits = soft * (g_soft - np.sum(g_soft * soft, axis=-1, keepdims=True))
-        g_q, g_k_t = _matmul_grads(q.data, k_t.data,
-                                   g_logits if c is None else g_logits * c)
-        _accum(q, g_q)
-        _accum(k_t, g_k_t)
+        g_ctx, g_q = _matmul_grads(ctx, w_q.data, g)
+        _accum(w_q, g_q)
+        _accum(pooled, g_ctx.sum(axis=-2, keepdims=True))
+        _accum(w_length, _matmul_grads(feats, w_length.data, g_ctx)[1])
+        g_joined, g_step = _matmul_grads(joined, w_step.data, g_ctx)
+        _accum(w_step, g_step)
+        d = H_a.shape[-1]
+        for a, idx, g_rows in ((H_a, agent, g_joined[..., :d]),
+                               (cand, node, g_joined[..., d:2 * d])):
+            if a.requires_grad:  # onehot[v, r, k] = 1 where idx[v, k] is row r
+                onehot = idx[:, None, :] == np.arange(a.shape[1])[:, None]
+                _accum(a, onehot.astype(g.dtype) @ g_rows)
 
-    return _make(out_data, (q, k_t, v), backward), logits, soft
+    return _make(out_data, (H_a, cand, w_step, w_length, pooled, w_q), backward)
+
+
+def _split(arr, n_heads):
+    """(V x) rows x d -> (V*H) x rows x d/H: head h of matrix v is entry v*H + h."""
+    rows, d = arr.shape[-2:]
+    heads = arr.reshape(-1, rows, n_heads, d // n_heads).swapaxes(1, 2)
+    return heads.reshape(-1, rows, d // n_heads)
+
+
+def _merge(arr, shape):
+    """The inverse of _split: (V * H) x rows x d_k back to shape."""
+    heads = arr.reshape(-1, shape[-1] // arr.shape[-1], *arr.shape[1:])
+    return heads.swapaxes(1, 2).reshape(shape)
+
+
+def attention(q, k_t, v, proj, n_heads=1, c=None, bias=None):
+    """softmax_rows(q_h @ k_t_h * c + bias) @ v_h for each head h, merged
+    and times proj, as one node. q is (V x) rows x d, the transposed keys
+    k_t (V x) d x C and v (V x) C x d_v; head h holds columns h*d_k..(h+1)*d_k
+    of q and v and those rows of k_t. With one head a 2-D k_t or v is shared
+    as in matmul. c=None leaves the logits unscaled (the sharp variant).
+    bias, broadcast to each head's logits (such as V x 1 x C), is a constant
+    at q's dtype: a bias of MASK_VALUE gives its keys a weight of exactly 0.
+    Returns (the output Tensor, the logits and the softmax weights as arrays,
+    head h of matrix v in entry v * n_heads + h)."""
+    if q.shape[-1] % n_heads or k_t.shape[-2] % n_heads or v.shape[-1] % n_heads:
+        raise ValueError(f"attention: {n_heads} heads do not divide "
+                         f"{q.shape}, {k_t.shape}, {v.shape}")
+    qh, kh, vh = q.data, k_t.data, v.data
+    if n_heads > 1:
+        qh, vh = _split(qh, n_heads), _split(vh, n_heads)
+        kh = kh.reshape(-1, kh.shape[-2] // n_heads, kh.shape[-1])
+    raw = _matmul(qh, kh)
+    logits = raw if c is None else raw * c
+    if bias is not None:
+        bias = np.asarray(bias, dtype=q.dtype)
+        logits = logits + (np.repeat(bias, n_heads, axis=0) if bias.ndim == 3 else bias)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    heads = _matmul(soft, vh)
+    merged = heads if n_heads == 1 else _merge(heads, q.shape[:-1] + v.shape[-1:])
+    out_data = _matmul(merged, proj.data)
+
+    def backward(g, out):
+        g_merged, g_proj = _matmul_grads(merged, proj.data, g)
+        g_heads = g_merged if n_heads == 1 else _split(g_merged, n_heads)
+        g_soft, g_v = _matmul_grads(soft, vh, g_heads)
+        g_logits = soft * (g_soft - np.sum(g_soft * soft, axis=-1, keepdims=True))
+        g_q, g_k_t = _matmul_grads(qh, kh, g_logits if c is None else g_logits * c)
+        if n_heads > 1:
+            g_q, g_k_t, g_v = _merge(g_q, q.shape), g_k_t.reshape(k_t.shape), _merge(g_v, v.shape)
+        for t, grad in ((proj, g_proj), (v, g_v), (q, g_q), (k_t, g_k_t)):
+            _accum(t, grad)
+
+    return _make(out_data, (q, k_t, v, proj), backward), logits, soft
 
 
 def masked_logits(q, cand_proj_t, c, exp_rows, alpha, clip, penal):

@@ -281,29 +281,25 @@ def check_params(shapes, params, what="params"):
 # attention and feed-forward blocks
 # ---------------------------------------------------------------------------
 
-def keys_values(C, params, prefix, n_heads):
-    """Head-split keys, transposed, and values of context C:
-    (V*H) x d_k x C and (V*H) x C x d_k for a C or V x C context."""
-    k = dc.split_heads(dc.matmul(C, params[f"{prefix}.k"]), n_heads)
-    return dc.transpose(k), dc.split_heads(dc.matmul(C, params[f"{prefix}.v"]), n_heads)
+def keys_values(C, params, prefix):
+    """Transposed keys and values of context C, d x C and C x d per matrix
+    of a C or V x C context, heads side by side (dc.attention)."""
+    return (dc.transpose(dc.matmul(C, params[f"{prefix}.k"])),
+            dc.matmul(C, params[f"{prefix}.v"]))
 
 
 def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None, bias=None):
-    """Multi-head attention of the projected queries q (rows x d or
-    V x rows x d) over keys_values' k_t and v, all heads at once.
-
-    scaled=True divides logits by sqrt(d_k); scaled=False is the sharp
-    variant. bias (key_bias, V x 1 x C) is added to every head's logits of
-    its variant. The merged heads go through proj.
-    """
-    out, logits, soft = dc.attention(dc.split_heads(q, n_heads), k_t, v,
-                                     1.0 / math.sqrt(v.shape[-1]) if scaled else None,
-                                     None if bias is None else np.repeat(bias, n_heads, axis=0))
+    """Multi-head attention of the projected queries q over keys_values'
+    k_t and v, then proj: one dc.attention node. scaled=True divides logits
+    by sqrt(d_k), scaled=False is the sharp variant; bias (key_bias,
+    V x 1 x C) is added to every head's logits of its variant."""
+    c = 1.0 / math.sqrt(v.shape[-1] // n_heads) if scaled else None
+    out, logits, soft = dc.attention(q, k_t, v, proj, n_heads, c, bias)
     if probe is not None:
         layer, relation = probe_at
         for h in range(n_heads):
             probe.record(layer, relation, h, logits[h], soft[h])
-    return dc.matmul(dc.merge_heads(out, q.shape), proj)
+    return out
 
 
 def _mh_attention(X, C, params, prefix, n_heads, scaled,
@@ -319,7 +315,7 @@ def _mh_attention(X, C, params, prefix, n_heads, scaled,
         pick = dc.constant(np.broadcast_to(pickup_rows[:, None], X.shape))
         q = dc.add(dc.mul(dc.matmul(X, params[f"{prefix}.qp"]), pick),
                    dc.mul(dc.matmul(X, params[f"{prefix}.qd"]), dc.constant(1.0 - pick.data)))
-    k_t, v = keys_values(C, params, prefix, n_heads)
+    k_t, v = keys_values(C, params, prefix)
     return attend(q, k_t, v, n_heads, scaled, params[f"{prefix}.proj"],
                   probe=probe, probe_at=probe_at, bias=bias)
 

@@ -281,15 +281,15 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     emb = en.encode(state.variants, cfg, params)
     cand = de.candidate_rows(emb)
     pooled = de.pooled_graph(emb, params)
-    kv = de.glimpse_kv(cand, cfg, params)
+    kv = de.glimpse_kv(cand, params)
     bias = de.candidate_bias(emb)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
     scoring = forced is not None or dc.grad_enabled()
     picked, entropy = [], []
     while not state.terminal:
         inputs = de.step_inputs(state)
-        ctx = de.context(inputs, emb.H_a, cand, pooled, params)
-        q = de.glimpse(ctx, kv, cfg, params, bias)
+        q = de.glimpse(de.context(inputs, emb.H_a, cand, pooled, params), kv, cfg,
+                       params, bias)
         logp = de.logits(q, cand_proj_t, inputs.exp_rows, inputs.masks, params,
                          cfg.d_model)
         if forced is not None:

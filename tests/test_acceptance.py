@@ -153,7 +153,7 @@ def test_criterion_1_gradient_fidelity(capsys):
         ctx = dc.constant(rng.normal(0.0, 1.0, (3, d)), dtype=np.float64)
         cand = dc.constant(rng.normal(0.0, 1.0, (7, d)), dtype=np.float64)
         check("glimpse", lambda pp: dc.sum_all(dc.tanh(
-            de.glimpse(ctx, de.glimpse_kv(cand, cfg, pp), cfg, pp))),
+            de.glimpse(dc.matmul(ctx, pp["dec.glimpse.q"]), de.glimpse_kv(cand, pp), cfg, pp))),
             gp, 4, seed)
 
         lp = {"dec.logit": _t64(rng, (d, d)),

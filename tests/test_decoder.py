@@ -35,7 +35,7 @@ def batch_inputs(emb, cfg, params):
     embeddings."""
     cand = de.candidate_rows(emb)
     return (emb.H_a, cand, de.pooled_graph(emb, params),
-            de.glimpse_kv(cand, cfg, params),
+            de.glimpse_kv(cand, params),
             dc.transpose(dc.matmul(cand, params["dec.logit"])))
 
 

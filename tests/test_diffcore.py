@@ -41,7 +41,7 @@ def test_softmax_symmetry():
     """Equal attention logits give equal weights, so the output is the
     mean value row."""
     out, logits, soft = dc.attention(t64([[0.0, 0.0]]), t64(np.eye(2)),
-                                     t64([[1.0, 4.0], [3.0, 0.0]]), 0.5)
+                                     t64([[1.0, 4.0], [3.0, 0.0]]), _eye(2), c=0.5)
     assert np.array_equal(logits, [[0.0, 0.0]])
     assert np.allclose(soft, [[0.5, 0.5]])
     assert np.allclose(out.data, [[2.0, 2.0]])
@@ -62,7 +62,8 @@ def test_softmax_pick_backward():
     # attention logits x @ I over values [[1], [0]] give softmax(x)[0], so
     # at x = [0, 0] d/dx = [p0(1-p0), -p0*p1] = [0.25, -0.25]
     x = t64([[0.0, 0.0]])
-    out, _, _ = dc.attention(x, t64(np.eye(2), grad=False), t64([[1.0], [0.0]], grad=False))
+    out, _, _ = dc.attention(x, t64(np.eye(2), grad=False), t64([[1.0], [0.0]], grad=False),
+                             _eye(1))
     dc.backward(dc.sum_all(out))
     assert np.allclose(x.grad, [[0.25, -0.25]], atol=1e-12)
 
@@ -81,6 +82,11 @@ def test_tanh_linear_chain_matches_fd():
 # ---------------------------------------------------------------------------
 # per-op gradient property tests (100 seeds each, float64 central differences)
 # ---------------------------------------------------------------------------
+
+def _eye(n, dtype=F64):
+    """An n x n identity projection: attention's output is then its merged heads."""
+    return dc.constant(np.eye(n), dtype=dtype)
+
 
 def _weighted(t):
     """A scalar that tells the entries of t apart, so an op that moves
@@ -116,25 +122,63 @@ OPS = [
     ("scale_tensor", lambda p: dc.sum_all(dc.tanh(dc.scale(p["a"], p["alpha"])))),
     ("mul", lambda p: dc.sum_all(dc.tanh(dc.mul(p["a"], p["c"])))),
     ("concat_rows", lambda p: dc.sum_all(dc.tanh(dc.concat_rows([p["a"], p["c"]])))),
-    ("concat_cols", lambda p: dc.sum_all(dc.tanh(dc.concat_cols([p["a"], p["c"]])))),
     ("mean_rows", lambda p: dc.sum_all(dc.tanh(dc.mean_rows(p["a"])))),
     ("mean_rows_keep", lambda p: dc.sum_all(dc.tanh(dc.mean_rows(
         p["a"], np.arange(p["a"].shape[-2])[:, None] % 3 != 1)))),
     ("relu", lambda p: dc.sum_all(dc.relu(p["a"]))),
     ("tanh", lambda p: dc.sum_all(dc.tanh(p["a"]))),
     ("attention_scaled", lambda p: _weighted(dc.attention(
-        p["a"], p["b"], dc.transpose(p["b"]), 0.7)[0])),
+        p["a"], p["b"], dc.transpose(p["b"]), _eye(p["b"].shape[0]), c=0.7)[0])),
     ("attention_sharp", lambda p: _weighted(dc.attention(
-        p["a"], p["b"], dc.transpose(p["b"]))[0])),
+        p["a"], p["b"], dc.transpose(p["b"]), _eye(p["b"].shape[0]))[0])),
     ("attention_key_bias", lambda p: _weighted(dc.attention(
-        p["a"], p["b"], dc.transpose(p["b"]), 0.7,
-        np.where(np.arange(p["b"].shape[-1]) % 2 == 1, dc.MASK_VALUE, 0.0))[0])),
+        p["a"], p["b"], dc.transpose(p["b"]), _eye(p["b"].shape[0]), c=0.7,
+        bias=np.where(np.arange(p["b"].shape[-1]) % 2 == 1, dc.MASK_VALUE, 0.0))[0])),
     ("masked_logits", lambda p: _weighted(_masked(p, p["a"], p["b"]))),
-    ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["a"], p["c"]]), 2))),
-    ("merge_heads", lambda p: _weighted(dc.merge_heads(
-        dc.split_heads(dc.concat_cols([p["a"], p["c"]]), 2),
-        (p["a"].shape[0], 2 * p["a"].shape[1])))),
+    ("mha_scaled", lambda p: _mha(p["a"], p["c"], p["b"], 0.7)),
+    ("mha_sharp", lambda p: _mha(p["a"], p["c"], p["b"], None)),
+    ("mha_key_bias", lambda p: _mha(p["a"], p["c"], p["b"], 0.7, key_bias=True)),
+    ("context_query", lambda p: _context(p, _lift(p["a"]), _lift(p["c"]))),
 ]
+
+
+def _mha(q, keys, proj, c, key_bias=False):
+    """The attention node over keys (rows x d or V x rows x d) as keys and
+    values, with a trainable projection: 2 heads for an even d, else one
+    head per column; key_bias leaves every odd key out."""
+    n_keys, d = keys.shape[-2:]
+    bias = None
+    if key_bias:
+        bias = np.where(np.arange(n_keys) % 2 == 1, dc.MASK_VALUE, 0.0)
+        bias = np.broadcast_to(bias, keys.shape[:-2] + (1, n_keys))
+    out, _, _ = dc.attention(q, dc.transpose(keys), keys, proj, 2 if d % 2 == 0 else d, c, bias)
+    return _weighted(out)
+
+
+def _lift(t):
+    """A rows x d tensor as a 1 x rows x d batch (an identity matmul)."""
+    return dc.matmul(dc.constant(np.eye(t.shape[0])[None], dtype=F64), t)
+
+
+def _context(p, H_a, cand):
+    """context_query over V x rows x d H_a and cand, 3 rows per variant:
+    the first two gather one agent row and one node row, and the last agent
+    row is a padded slot that no row gathers."""
+    V, rows = H_a.shape[:2]
+    agent = np.tile([0, 0, max(rows - 2, 0)], (V, 1))
+    node = np.tile([rows - 1, rows - 1, 0], (V, 1))
+    scalars = np.linspace(-1.0, 1.0, V * 9).reshape(V, 3, 3)
+    return _weighted(dc.context_query(H_a, agent, cand, node, scalars[..., :1],
+                                      scalars[..., 1:], p["pooled"], p["w_step"],
+                                      p["w_length"], p["w_q"]))
+
+
+def _context_params(rng, V, d):
+    """The trainable inputs of _context besides H_a and cand: one fraction
+    and two length features, a context width of 3, a query width of 2."""
+    shapes = {"pooled": (V, 1, 3), "w_step": (2 * d + 1, 3), "w_length": (2, 3),
+              "w_q": (3, 2)}
+    return {name: t64(rng.standard_normal(shape)) for name, shape in shapes.items()}
 
 
 @pytest.mark.parametrize("name,f", OPS, ids=[o[0] for o in OPS])
@@ -148,6 +192,8 @@ def test_op_gradients_match_finite_differences(name, f):
             a = np.where(np.abs(a) < 0.05, 0.5, a)
         params = {"a": t64(a), "b": t64(b), "c": t64(c), "row": t64(row),
                   "alpha": t64([[0.7]])}
+        if name == "context_query":
+            params.update(_context_params(rng, 1, m))
         worst = max(worst, dc.grad_check(f, params, eps=1e-5))
     assert worst < 1e-3
 
@@ -159,17 +205,20 @@ BATCHED_OPS = [
     ("add_row_broadcast", lambda p: dc.sum_all(dc.tanh(dc.add(p["x"], p["row"])))),
     ("scale_tensor", lambda p: dc.sum_all(dc.tanh(dc.scale(p["x"], p["alpha"])))),
     ("attention_scaled", lambda p: _weighted(dc.attention(
-        p["x"], p["y"], dc.transpose(p["y"]), 0.7)[0])),
+        p["x"], p["y"], dc.transpose(p["y"]), _eye(p["y"].shape[-2]), c=0.7)[0])),
     ("attention_sharp", lambda p: _weighted(dc.attention(
-        p["x"], p["y"], dc.transpose(p["y"]))[0])),
+        p["x"], p["y"], dc.transpose(p["y"]), _eye(p["y"].shape[-2]))[0])),
     ("attention_shared", lambda p: _weighted(dc.attention(
-        p["x"], p["w"], dc.transpose(p["w"]), 0.7)[0])),
+        p["x"], p["w"], dc.transpose(p["w"]), _eye(p["w"].shape[0]), c=0.7)[0])),
     ("masked_logits", lambda p: _weighted(_masked(p, p["x"], p["y"]))),
     ("masked_logits_shared", lambda p: _weighted(_masked(p, p["x"], p["w"]))),
-    ("concat_cols", lambda p: dc.sum_all(dc.tanh(dc.concat_cols([p["x"], p["c"]])))),
-    ("split_heads", lambda p: _weighted(dc.split_heads(dc.concat_cols([p["x"], p["c"]]), 2))),
-    ("merge_heads", lambda p: _weighted(dc.merge_heads(
-        p["x"], (1, p["x"].shape[1], p["x"].shape[0] * p["x"].shape[2])))),
+    ("mha_scaled", lambda p: _mha(p["x"], p["c"], p["w"], 0.7)),
+    ("mha_sharp", lambda p: _mha(p["x"], p["c"], p["w"], None)),
+    ("mha_key_bias", lambda p: _mha(p["x"], p["c"], p["w"], 0.7, key_bias=True)),
+    # a 2-D k_t and v are shared by every batch entry with one head
+    ("mha_shared", lambda p: _weighted(dc.attention(
+        p["x"], p["w"], dc.transpose(p["w"]), p["w"], 1, 0.7)[0])),
+    ("context_query", lambda p: _context(p, p["x"], p["c"])),
     ("sum_row_blocks", lambda p: _weighted(dc.sum_row_blocks(
         dc.concat_rows([p["x"], dc.tanh(p["c"]), p["x"]]), 3))),
 ]
@@ -191,20 +240,31 @@ def test_batched_op_gradients_match_finite_differences(name, f):
     its per-matrix gradients."""
     worst = 0.0
     for seed in range(30):
-        params = _batched_case(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        params = _batched_case(rng)
+        if name == "context_query":
+            params.update(_context_params(rng, *params["x"].shape[::2]))
         worst = max(worst, dc.grad_check(f, params, eps=1e-5))
     assert worst < 1e-3
 
 
 def test_batched_gather_and_take_gradients():
+    """Rows gathered by the context query node, then one column per row."""
     for seed in range(30):
         rng = np.random.default_rng(2000 + seed)
         a = t64(rng.standard_normal((3, 5, 4)))
         idx = rng.integers(0, 5, size=(3, 2))
         cols = rng.integers(0, 4, size=(3, 2))
+        fixed = {"pooled": dc.constant(np.zeros((3, 1, 4)), dtype=F64),
+                 "w_length": dc.constant(np.zeros((1, 4)), dtype=F64),
+                 "w_q": _eye(4)}
 
         def f(p):
-            picked = dc.gather_rows(p["a"], idx)
+            # w_step passes the agent rows through and drops the others
+            w_step = dc.constant(np.vstack([np.eye(4), np.zeros((5, 4))]), dtype=F64)
+            picked = dc.context_query(p["a"], idx, p["a"], idx, np.zeros((3, 2, 1)),
+                                      np.zeros((3, 2, 1)), fixed["pooled"], w_step,
+                                      fixed["w_length"], fixed["w_q"])
             return dc.sum_all(dc.tanh(dc.take_per_row(picked, cols)))
 
         assert dc.grad_check(f, {"a": a}, eps=1e-5) < 1e-3
@@ -220,6 +280,16 @@ def test_batched_forward_matches_per_matrix_calls():
     row = rng.standard_normal((3, 1, 6)).astype(np.float32)
     idx = rng.integers(0, 4, size=(3, 2))
     X, Y, alpha = dc.constant(x), dc.constant(y), dc.constant([[0.3]])
+    scalars = rng.standard_normal((3, 2, 3))
+    w_step, w_length, w_q = (dc.constant(rng.standard_normal(shape))
+                             for shape in ((13, 5), (2, 5), (5, 4)))
+    pooled = rng.standard_normal((3, 1, 5))
+
+    def query(v):  # the context query of matrices v
+        return dc.context_query(dc.constant(x[v]), idx[v], dc.constant(x[v]), idx[v, ::-1],
+                                scalars[v, :, :1], scalars[v, :, 1:], dc.constant(pooled[v]),
+                                w_step, w_length, w_q)
+
     for v in range(3):
         xv = dc.constant(x[v])
         pairs = [
@@ -227,19 +297,17 @@ def test_batched_forward_matches_per_matrix_calls():
             (dc.matmul(X, Y), dc.matmul(xv, dc.constant(y[v]))),
             (dc.matmul(X, dc.transpose(X)), dc.matmul(xv, dc.transpose(xv))),
             (dc.add(X, dc.constant(row)), dc.add(xv, dc.constant(row[v]))),
-            (dc.attention(X, Y, dc.transpose(Y))[0],
-             dc.attention(xv, dc.constant(y[v]), dc.constant(y[v].T))[0]),
+            (dc.attention(X, Y, dc.transpose(Y), _eye(6, np.float32))[0],
+             dc.attention(xv, dc.constant(y[v]), dc.constant(y[v].T), _eye(6, np.float32))[0]),
             (dc.masked_logits(X, Y, 0.5, y[:, :4], alpha, 5.0, -x[:, :, :5]),
              dc.masked_logits(xv, dc.constant(y[v]), 0.5, y[v, :4], alpha, 5.0,
                               -x[v, :, :5])),
-            (dc.concat_cols([X, X]), dc.concat_cols([xv, xv])),
             (dc.take_per_row(X, idx[:, :1].repeat(4, axis=1)),
              dc.take_per_row(xv, idx[v, :1].repeat(4))),
         ]
         for batched, single in pairs:
             assert np.array_equal(batched.data[v], single.data)
-        assert np.array_equal(dc.gather_rows(X, idx).data[v],
-                              dc.gather_rows(dc.constant(x[v:v + 1]), idx[v:v + 1]).data[0])
+        assert np.array_equal(query(slice(None)).data[v], query(slice(v, v + 1)).data[0])
 
 
 def test_sum_row_blocks_adds_block_by_block():
@@ -259,21 +327,25 @@ def test_sum_row_blocks_adds_block_by_block():
 
 
 def test_split_and_merge_heads_layout():
-    """Head h of matrix v is entry v * H + h and holds columns
-    h*d_k..(h+1)*d_k; merge_heads undoes split_heads exactly."""
+    """In the attention node, head h of matrix v is entry v * H + h and
+    holds columns h*d_k..(h+1)*d_k of q and v and those rows of k_t; the
+    merge undoes the split exactly. Heads must divide every width."""
     x = np.arange(2 * 3 * 8, dtype=F64).reshape(2, 3, 8)
     for a in (x, x[0]):
-        heads = dc.split_heads(dc.constant(a, dtype=F64), 4)
+        heads = dc._split(a, 4)
         for v, mat in enumerate(a.reshape(-1, 3, 8)):
             for h in range(4):
-                assert np.array_equal(heads.data[v * 4 + h], mat[:, 2 * h:2 * h + 2])
-        assert np.array_equal(dc.merge_heads(heads, a.shape).data, a)
-    with pytest.raises(ValueError):
-        dc.split_heads(dc.constant(x), 3)
-    with pytest.raises(ValueError):
-        dc.merge_heads(dc.constant(x), (3, 8))  # 2 x 3 x 8 holds 48 entries
-    with pytest.raises(ValueError):
-        dc.merge_heads(dc.constant(x), (2, 4, 6))  # rows must stay
+                assert np.array_equal(heads[v * 4 + h], mat[:, 2 * h:2 * h + 2])
+        assert np.array_equal(dc._merge(heads, a.shape), a)
+    # head h's one-hot query picks its key 2h + h % 2, whose value is its
+    # own columns of that identity row
+    pick = np.array([[1.0, 0.0, 0.0, 1.0] * 2])
+    eye = dc.constant(np.eye(8), dtype=F64)
+    out, logits, _ = dc.attention(dc.constant(pick * 50.0, dtype=F64), eye, eye, eye, 4)
+    assert logits.shape == (4, 1, 8)
+    assert np.allclose(out.data, pick, atol=1e-12)
+    with pytest.raises(ValueError, match="heads do not divide"):
+        dc.attention(eye, eye, eye, eye, 3)
 
 
 def test_batched_shape_errors():
@@ -284,10 +356,34 @@ def test_batched_shape_errors():
         dc.matmul(t64(np.zeros((3, 4))), t64(np.zeros((2, 4, 2))))
     with pytest.raises(ValueError):
         dc.add(x, t64(np.zeros((1, 4))))  # one row per matrix, not one in all
-    with pytest.raises(ValueError):
-        dc.gather_rows(x, [0, 1])  # one index list per matrix
+    with pytest.raises(ValueError):  # one index list per matrix
+        dc.context_query(x, [0, 1], x, [0, 1], np.zeros((2, 1)), np.zeros((2, 1)),
+                         x, x, x, x)
     with pytest.raises(ValueError):
         dc.Tensor(np.zeros((1, 1, 1, 1)))
+
+
+def test_context_query_rejects_an_index_out_of_range():
+    """An agent or node index of -1 or of the row count raises, where NumPy
+    would wrap -1 round to the last row."""
+    H_a, cand = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((2, 5, 4)))
+    w_step, w_length, w_q = (dc.constant(np.zeros(shape)) for shape in ((9, 4), (1, 4), (4, 4)))
+    pooled, scalars = dc.constant(np.zeros((2, 1, 4))), np.zeros((2, 2, 1))
+    ok_agent, ok_node = np.array([[0, 2], [1, 2]]), np.array([[0, 4], [3, 4]])
+    dc.context_query(H_a, ok_agent, cand, ok_node, scalars, scalars, pooled,
+                     w_step, w_length, w_q)
+    for bad in (-1, 3):
+        agent = ok_agent.copy()
+        agent[1, 0] = bad
+        with pytest.raises(IndexError, match="out of range for 3 rows"):
+            dc.context_query(H_a, agent, cand, ok_node, scalars, scalars, pooled,
+                             w_step, w_length, w_q)
+    for bad in (-1, 5):
+        node = ok_node.copy()
+        node[0, 1] = bad
+        with pytest.raises(IndexError, match="out of range for 5 rows"):
+            dc.context_query(H_a, ok_agent, cand, node, scalars, scalars, pooled,
+                             w_step, w_length, w_q)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +397,7 @@ def test_softmax_rows_sum_to_one_and_positive():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = dc.Tensor(rng.standard_normal((3, 6)) * 10)
-        _, _, soft = dc.attention(x, eye, eye)
+        _, _, soft = dc.attention(x, eye, eye, eye)
         assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-6)
         assert (soft > 0).all()
         legal = rng.random((3, 6)) < 0.6
@@ -317,8 +413,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(7)
     x = dc.Tensor(rng.standard_normal((4, 4)))
     w = dc.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    a = dc.attention(dc.matmul(x, w), x, w)[0].data
-    b = dc.attention(dc.matmul(x, w), x, w)[0].data
+    a = dc.attention(dc.matmul(x, w), x, w, _eye(4, np.float32))[0].data
+    b = dc.attention(dc.matmul(x, w), x, w, _eye(4, np.float32))[0].data
     assert np.array_equal(a, b)
 
 
@@ -330,8 +426,12 @@ def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled,
                                                        dtype):
     """Forward and backward of each fused node are bitwise the NumPy
     expressions of the op chain it replaced: matmul, scale, key bias,
-    softmax and matmul; matmul, scale, distance bias, add, tanh, clip
-    scale, mask add and log-softmax."""
+    softmax and matmul (one head, identity projection); split_heads, the
+    same per head, merge_heads and matmul; two gathers, concat_cols, step
+    and length matmuls, two adds and the query matmul, whose gathered rows'
+    gradients, summed by a one-hot matmul in place of np.add.at, match to
+    1e-12 in float64; matmul, scale, distance bias, add, tanh, clip scale,
+    mask add and log-softmax."""
     rng = np.random.default_rng(seed)
     q, cand_t, val = (rng.standard_normal(shape).astype(dtype)
                       for shape in ((V, n, m), (V, m, k), (V, k, m)))
@@ -343,7 +443,7 @@ def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled,
         bias[:, :, 0] = 0.0
 
     tq, tk, tv = (dc.Tensor(a, requires_grad=True, dtype=dtype) for a in (q, cand_t, val))
-    out, logits, soft = dc.attention(tq, tk, tv, c, bias)
+    out, logits, soft = dc.attention(tq, tk, tv, _eye(m, dtype), 1, c, bias)
     dc.backward(dc.sum_all(dc.mul(out, dc.constant(g_out, dtype=dtype))))
     raw = q @ cand_t
     ref_logits = raw if c is None else raw * c
@@ -360,6 +460,73 @@ def test_fused_ops_equal_the_numpy_chains_they_replace(seed, V, n, m, k, scaled,
     assert np.array_equal(tv.grad, ref_soft.mT @ g_out)
     assert np.array_equal(tq.grad, g_raw @ cand_t.mT)
     assert np.array_equal(tk.grad, q.mT @ g_raw)
+
+    # two heads of width m and a projection to width k
+    H = 2
+    qm, kt_m, vm = (rng.standard_normal(shape).astype(dtype)
+                    for shape in ((V, n, H * m), (V, H * m, k), (V, k, H * m)))
+    proj, g_mh = rng.standard_normal((H * m, k)).astype(dtype), g.copy()
+    tq, tk, tv, tp = (dc.Tensor(a, requires_grad=True, dtype=dtype)
+                      for a in (qm, kt_m, vm, proj))
+    out, logits, soft = dc.attention(tq, tk, tv, tp, H, c, bias)
+    dc.backward(dc.sum_all(dc.mul(out, dc.constant(g_mh, dtype=dtype))))
+
+    def split(a):  # split_heads: V x rows x H*m -> (V*H) x rows x m
+        return a.reshape(V, -1, H, m).swapaxes(1, 2).reshape(V * H, -1, m)
+
+    def merge(a):  # merge_heads
+        return a.reshape(V, H, -1, m).swapaxes(1, 2).reshape(V, -1, H * m)
+
+    qh, kh, vh = split(qm), np.ascontiguousarray(split(kt_m.mT).mT), split(vm)
+    ref_logits = qh @ kh if c is None else (qh @ kh) * c
+    if biased:
+        ref_logits = ref_logits + np.repeat(bias, H, axis=0).astype(dtype)
+    e = np.exp(ref_logits - ref_logits.max(axis=-1, keepdims=True))
+    ref_soft = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(ref_soft @ vh)
+    assert np.array_equal(logits, ref_logits) and np.array_equal(soft, ref_soft)
+    assert np.array_equal(out.data, merged @ proj)
+    assert np.array_equal(tp.grad, merged.reshape(-1, H * m).T @ g_mh.reshape(-1, k))
+    g_heads = split(g_mh @ proj.mT)
+    g_soft = g_heads @ vh.mT
+    g_logits = ref_soft * (g_soft - np.sum(g_soft * ref_soft, axis=-1, keepdims=True))
+    g_raw = g_logits if c is None else g_logits * c
+    assert np.array_equal(tv.grad, merge(ref_soft.mT @ g_heads))
+    assert np.array_equal(tq.grad, merge(g_raw @ kh.mT))
+    assert np.array_equal(tk.grad, merge((qh.mT @ g_raw).mT).mT)
+
+    # the context query: k rows per variant over n + 1 agent rows, the last
+    # of them padding, and k + 1 node rows; rows 0 and 1 share an agent and
+    # a node, so the gradient scatter sums repeated indexes
+    agent, node = rng.integers(0, n, (V, k)), rng.integers(0, k + 1, (V, k))
+    agent[:, 1:2], node[:, 1:2] = agent[:, :1], node[:, :1]
+    fracs, feats = rng.random((V, k, 2)), rng.random((V, k, 3))
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in
+              ((V, n + 1, m), (V, k + 1, m), (2 * m + 2, m), (3, m), (V, 1, m), (m, n))]
+    H_a, cand, w_step, w_length, pooled, w_q = tensors = [
+        dc.Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+    g_q = rng.standard_normal((V, k, n)).astype(dtype)
+    out = dc.context_query(H_a, agent, cand, node, fracs, feats, pooled, w_step,
+                           w_length, w_q)
+    dc.backward(dc.sum_all(dc.mul(out, dc.constant(g_q, dtype=dtype))))
+    a_h, a_c, a_step, a_len, a_pool, a_q = arrays
+    lane = np.arange(V)[:, None]
+    joined = np.concatenate([a_h[lane, agent], a_c[lane, node], fracs.astype(dtype)], axis=-1)
+    ctx = (joined @ a_step + a_pool) + feats.astype(dtype) @ a_len
+    assert np.array_equal(out.data, ctx @ a_q)
+    g_ctx = g_q @ a_q.mT
+    g_joined = g_ctx @ a_step.mT
+    want = {"w_q": ctx.reshape(-1, m).T @ g_q.reshape(-1, n),
+            "pooled": g_ctx.sum(axis=-2, keepdims=True),
+            "w_length": feats.astype(dtype).reshape(-1, 3).T @ g_ctx.reshape(-1, m),
+            "w_step": joined.reshape(-1, 2 * m + 2).T @ g_ctx.reshape(-1, m)}
+    for name, t in zip(("w_step", "w_length", "pooled", "w_q"), tensors[2:]):
+        assert np.array_equal(t.grad, want[name])
+    for t, idx, part in ((H_a, agent, g_joined[..., :m]), (cand, node, g_joined[..., m:2 * m])):
+        acc = np.zeros_like(t.data)
+        np.add.at(acc, (lane, idx), part)
+        np.testing.assert_allclose(t.grad, acc, rtol=0, atol=1e-12 if dtype == F64 else 1e-5)
+    assert (H_a.grad[:, -1] == 0.0).all()  # the padded agent row
 
     # the distance factors and the mask enter as constants at q's dtype
     exp_rows = np.exp(rng.uniform(0.0, 1.0, (V, n, k)))

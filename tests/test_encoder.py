@@ -156,8 +156,9 @@ def test_fused_glimpse_matches_per_head_reference():
     rng = np.random.default_rng(3)
     ctx = rng.normal(size=(2, 3, 16))
     cand = rng.normal(size=(2, 7, 16))
-    kv = de.glimpse_kv(dc.constant(cand, dtype=np.float64), cfg, params)
-    got = de.glimpse(dc.constant(ctx, dtype=np.float64), kv, cfg, params).data
+    kv = de.glimpse_kv(dc.constant(cand, dtype=np.float64), params)
+    q = dc.matmul(dc.constant(ctx, dtype=np.float64), params["dec.glimpse.q"])
+    got = de.glimpse(q, kv, cfg, params).data
     want = per_head_reference(ctx, cand, params, "dec.glimpse", 4, True)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

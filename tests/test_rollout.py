@@ -244,6 +244,33 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
             assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
 
 
+def graph_nodes(loss):
+    """Tensors reachable from loss through recorded parents, counted as
+    the benchmark's tracer counts them."""
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_a_decode_step_records_four_graph_nodes():
+    """Context query, glimpse, masked logits and the chosen log-probs: one
+    more customer adds one decode step and exactly 4 nodes to the graph
+    behind the log-prob total."""
+    cfg, params = tiny_model("MTSP")
+    perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
+    counts = []
+    for N in (6, 7):
+        ins = make("MTSP", N=N, M=3, seed=4)
+        _, total, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
+                                      rng=np.random.default_rng(0))
+        counts.append(graph_nodes(total))
+    assert counts[1] - counts[0] == 4
+
+
 @settings(max_examples=40)
 @given(kind=st.sampled_from(ALL_KINDS), M=st.integers(1, 3), K=st.integers(1, 3),
        V=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
