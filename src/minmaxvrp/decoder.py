@@ -7,15 +7,14 @@ multi-depot kinds; in a batch of mixed M, M is the largest, and a variant
 of fewer routes pads its slots. Functions here take the rollout's
 DecodeState by duck type so the two modules stay import-acyclic. The state
 holds R = V x K rows (V variants, K permutations each), and the tensors
-carry the V variants on a leading batch axis. step_inputs reads what the
-model head needs of one decode step's state, and the head runs on those
-arrays: one call per step, K rows per variant. The head's context, glimpse
-and logits are one fused diffcore node each (context_query, attention,
-masked_logits); with the rollout's take_per_row a step records 4 nodes.
+carry the V variants on a leading batch axis. The model head reads each
+decode step's state directly: one call per step, K rows per variant. Its
+context, glimpse and logits are one fused diffcore node each
+(context_query, attention, masked_logits); with the rollout's take_per_row
+a step records 4 nodes.
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -166,35 +165,19 @@ def _agent_keep_then(emb, n_rows):
     return np.concatenate([keep, np.ones((len(keep), n_rows), dtype=bool)], axis=1)
 
 
-class StepInputs(namedtuple("StepInputs", "agent node fracs feats exp_rows masks")):
-    """What the model head reads of one decode step's V x K rows, each
-    V x K (x features): agent and node index the agent rows and the
-    candidate rows, fracs and feats are scalar_features, exp_rows is
-    dist_exp_row and masks feasibility_mask."""
-
-    __slots__ = ()
-
-
-def step_inputs(state):
-    """The StepInputs of the state's V x K rows."""
-    V = len(state.variants)
-    K = len(state.rows) // V
-    fracs, feats = scalar_features(state)
-    return StepInputs(state.agent.reshape(V, K), state.node.reshape(V, K),
-                      fracs.reshape(V, K, -1), feats.reshape(V, K, -1),
-                      dist_exp_row(state).reshape(V, K, -1),
-                      feasibility_mask(state).reshape(V, K, -1))
-
-
-def context(inputs, H_a, cand, pooled, params):
+def context(state, H_a, cand, pooled, params):
     """The V x K x d glimpse queries, (pooled graph + step + length) @
-    dec.glimpse.q, of the V x K rows of inputs (StepInputs), one node. Row
-    (a, k) joins its agent row of H_a[a], its current node's row of the
-    candidate rows cand[a] and its scalar features; the pooled-graph term
-    pooled[a] (pooled_graph) is shared by every row of variant a."""
-    return dc.context_query(H_a, inputs.agent, cand, inputs.node, inputs.fracs,
-                            inputs.feats, pooled, params["dec.step"],
-                            params["dec.length"], params["dec.glimpse.q"])
+    dec.glimpse.q, of the state's V x K rows, one node. Row (a, k) joins its
+    agent row of H_a[a], its current node's row of the candidate rows
+    cand[a] and its scalar_features; the pooled-graph term pooled[a]
+    (pooled_graph) is shared by every row of variant a."""
+    V = len(state.variants)
+    fracs, feats = scalar_features(state)
+    agent, node, fracs, feats = (x.reshape((V, -1) + x.shape[1:])
+                                 for x in (state.agent, state.node, fracs, feats))
+    return dc.context_query(H_a, agent, cand, node, fracs, feats, pooled,
+                            params["dec.step"], params["dec.length"],
+                            params["dec.glimpse.q"])
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +213,12 @@ def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     """Masked log-probabilities, V x K x C.
 
     q: V x K x d glimpse output; cand_proj_t: (candidates @ W_L)
-    transposed, V x d x C; exp_rows/masks: V x K x C numpy (distance
-    factors and feasibility).
+    transposed, V x d x C; exp_rows/masks: the state's numpy distance
+    factors (dist_exp_row) and feasibility_mask, R x C or V x K x C.
     """
     if not masks.any(axis=-1).all():
         raise ValueError("a decode state has no feasible action")
+    exp_rows, masks = (x.reshape(q.shape[:-1] + (-1,)) for x in (exp_rows, masks))
     # every encoder and decoder value reaches the op's pre-tanh sum, so its
     # one check per call catches a NaN or inf from anywhere in the model
     return dc.masked_logits(q, cand_proj_t, 1.0 / math.sqrt(d_model), exp_rows,

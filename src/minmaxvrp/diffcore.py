@@ -76,9 +76,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         if self.data.size != 1:
             raise ValueError(f"item() on non-scalar shape {self.data.shape}")
@@ -503,7 +500,7 @@ def grad_check(f, params, eps=1e-5, samples_per_param=None, rng=None):
         rng = np.random.default_rng(0)
 
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     loss = f(params)
     backward(loss)
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

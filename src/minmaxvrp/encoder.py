@@ -22,12 +22,15 @@ PE_KINDS = ("rotation", "sinusoidal")
 
 def check_field_types(config, what):
     """Raise a ValueError naming the first int, float, str or bool field of
-    a config dataclass that holds another type (an int passes for a float)."""
+    a config dataclass that holds another type (an int passes for a float),
+    or a float field that holds NaN or an infinity."""
     for f in fields(config):
         want = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool}.get(f.type)
         value = getattr(config, f.name)
         if want and (not isinstance(value, want) or isinstance(value, bool) != (f.type is bool)):
             raise ValueError(f"{what} field {f.name} must be {f.type.__name__}, got {value!r}")
+        if f.type is float and not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+            raise ValueError(f"{what} field {f.name} must be finite, got {value!r}")
 
 
 def check_keys(cls, rec, what):
@@ -318,17 +321,6 @@ def _mh_attention(X, C, params, prefix, n_heads, scaled,
     k_t, v = keys_values(C, params, prefix)
     return attend(q, k_t, v, n_heads, scaled, params[f"{prefix}.proj"],
                   probe=probe, probe_at=probe_at, bias=bias)
-
-
-def mha(X, C, params, prefix, n_heads):
-    """Softmax attention with the 1/sqrt(d_k) temperature."""
-    return _mh_attention(X, C, params, prefix, n_heads, scaled=True)
-
-
-def mhsa(X, C, params, prefix, n_heads, pickup_rows=None):
-    """Sharp attention: identical to mha but without the temperature."""
-    return _mh_attention(X, C, params, prefix, n_heads, scaled=False,
-                         pickup_rows=pickup_rows)
 
 
 def ff(X, params, prefix):

@@ -92,26 +92,17 @@ def _partitions(items, m):
 
 
 def _best_tsp_block(members_key, kind, D, cc, dc):
-    """Optimal (cost, order, start_depot, end_depot) for one customer block."""
+    """Optimal (cost, order, start_depot, end_depot) for one customer block;
+    only an FMDVRP route may end at another depot than its start."""
     members = list(members_key)
-    if kind == "FMDVRP":
-        best = None
-        for s in range(D):
-            paths = _route_order_paths(members, cc, dc[s])
-            for last, (cost, order) in paths.items():
-                for e in range(D):
-                    total = cost + dc[e, last]
-                    if best is None or total < best[0]:
-                        best = (total, order, s, e)
-        return best
-    depots = range(D) if kind == "MDVRP" else (0,)
     best = None
-    for s in depots:
+    for s in range(D):
         paths = _route_order_paths(members, cc, dc[s])
         for last, (cost, order) in paths.items():
-            total = cost + dc[s, last]
-            if best is None or total < best[0]:
-                best = (total, order, s, s)
+            for e in (range(D) if kind == "FMDVRP" else (s,)):
+                total = cost + dc[e, last]
+                if best is None or total < best[0]:
+                    best = (total, order, s, e)
     return best
 
 
@@ -258,12 +249,9 @@ def nn_heuristic(instance):
     starts = []
     ends = []
     for chunk in chunks:
-        if instance.D == 1:
-            s = 0
-        else:
-            centroid = instance.coords[chunk].mean(axis=0)
-            s = int(np.argmin(np.hypot(instance.depot_coords[:, 0] - centroid[0],
-                                       instance.depot_coords[:, 1] - centroid[1])))
+        centroid = instance.coords[chunk].mean(axis=0)
+        s = int(np.argmin(np.hypot(instance.depot_coords[:, 0] - centroid[0],
+                                   instance.depot_coords[:, 1] - centroid[1])))
         order = _nn_order(chunk, cc, dc[s])
         e = s
         if kind == "FMDVRP":

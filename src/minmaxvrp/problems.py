@@ -162,6 +162,10 @@ def validate(solution, instance):
     routes = solution.routes
     if len(routes) != instance.M:
         return f"route count {len(routes)} != M={instance.M}"
+    for name in ("start_depots", "end_depots"):
+        n = len(getattr(solution, name))
+        if n != len(routes):
+            return f"{n} {name} for {len(routes)} routes"
     for i, r in enumerate(routes):
         if len(r) == 0:
             return f"route {i} is empty"
@@ -231,15 +235,19 @@ def _json_int(value, field):
 
 
 def _json_number(value, field):
-    """value as a float if it is a JSON number (not a bool) a double can
-    hold; any other value raises a ValueError that names field."""
+    """value as a float if it is a finite JSON number (not a bool) a double
+    can hold; any other value, NaN and Infinity too, raises a ValueError that
+    names field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {json.dumps(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"{field} is too large for a double: an integer of "
                          f"{len(str(abs(value)))} digits") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be a finite number, got {json.dumps(value)}")
+    return number
 
 
 def _json_points(value, field):

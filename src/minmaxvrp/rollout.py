@@ -287,10 +287,10 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     scoring = forced is not None or dc.grad_enabled()
     picked, entropy = [], []
     while not state.terminal:
-        inputs = de.step_inputs(state)
-        q = de.glimpse(de.context(inputs, emb.H_a, cand, pooled, params), kv, cfg,
+        mask = de.feasibility_mask(state)
+        q = de.glimpse(de.context(state, emb.H_a, cand, pooled, params), kv, cfg,
                        params, bias)
-        logp = de.logits(q, cand_proj_t, inputs.exp_rows, inputs.masks, params,
+        logp = de.logits(q, cand_proj_t, de.dist_exp_row(state), mask, params,
                          cfg.d_model)
         if forced is not None:
             chosen = forced[:, state.t]
@@ -298,7 +298,7 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
             rows = logp.data.reshape(R, -1)
             chosen = sample_rows(rng, rows) if sampling else rows.argmax(axis=1)
         # step first: it rejects a forced action that is no candidate
-        step(state, chosen, inputs.masks.reshape(R, -1))
+        step(state, chosen, mask)
         if scoring:
             picked.append(dc.take_per_row(logp, chosen.reshape(V, -1)))
             lp = logp.data.astype(np.float64)

@@ -118,7 +118,7 @@ def test_criterion_1_gradient_fidelity(capsys):
 
         p = _attn_params64(rng, "blk", d, d_k, n_heads)
         check("mha", lambda pp: dc.sum_all(dc.tanh(
-            en.mha(X, C, pp, "blk", n_heads))), p, 4, seed)
+            en._mh_attention(X, C, pp, "blk", n_heads, scaled=True))), p, 4, seed)
 
         p = _attn_params64(rng, "blk", d, d_k, n_heads)
         keep = np.arange(6)[None, :] < 3 + seed % 3  # the last keys are padding
@@ -127,12 +127,13 @@ def test_criterion_1_gradient_fidelity(capsys):
 
         p = _attn_params64(rng, "blk", d, d_k, n_heads)
         check("mhsa", lambda pp: dc.sum_all(dc.tanh(
-            en.mhsa(X, C, pp, "blk", n_heads))), p, 4, seed)
+            en._mh_attention(X, C, pp, "blk", n_heads, scaled=False))), p, 4, seed)
 
         p = _attn_params64(rng, "blk", d, d_k, n_heads, split_query=True)
         rows = rng.random(4) < 0.5
         check("mhsa-pd", lambda pp: dc.sum_all(dc.tanh(
-            en.mhsa(X, C, pp, "blk", n_heads, pickup_rows=rows))), p, 4, seed)
+            en._mh_attention(X, C, pp, "blk", n_heads, scaled=False,
+                             pickup_rows=rows))), p, 4, seed)
 
         p = {"blk.w1": _t64(rng, (d, 32)), "blk.w2": _t64(rng, (32, d))}
         check("ff", lambda pp: dc.sum_all(dc.tanh(
@@ -343,8 +344,9 @@ def test_criterion_7_mhsa_mha_equivalence(capsys):
         p["blk.proj"] = dc.Tensor(rng.normal(0.0, 0.3, (d, d)))
         X = rng.normal(0.0, 1.0, (5, d))
         C = dc.constant(rng.normal(0.0, 1.0, (7, d)))
-        soft = en.mha(dc.constant(X), C, p, "blk", n_heads)
-        sharp = en.mhsa(dc.constant(X / math.sqrt(d_k)), C, p, "blk", n_heads)
+        soft = en._mh_attention(dc.constant(X), C, p, "blk", n_heads, scaled=True)
+        sharp = en._mh_attention(dc.constant(X / math.sqrt(d_k)), C, p, "blk", n_heads,
+                                 scaled=False)
         worst = max(worst, float(np.abs(soft.data - sharp.data).max()))
     ok = worst < 1e-5
     report(capsys, 7, "MHSA/MHA equivalence", ok,

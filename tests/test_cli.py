@@ -465,6 +465,20 @@ def test_eval_rejects_an_infeasible_reference(trained, tmp_path, capsys):
     assert (code, err) == (1, "error: reference solution infeasible: route count 1 != M=2\n")
 
 
+def test_eval_rejects_depot_lists_shorter_than_the_routes(trained, tmp_path, capsys):
+    """With one start and end depot for two routes, only the first route
+    would be scored, and the gap would read below the oracle's."""
+    ckpt, data = trained
+    sols = tmp_path / "sols.jsonl"
+    assert run(["solve", "--checkpoint", ckpt, "--dataset", data, "--out", sols]) == 0
+    lines = sols.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[0])
+    rec["start_depots"], rec["end_depots"] = [0], [0]
+    sols.write_text(json.dumps(rec) + "\n" + lines[1] + lines[2])
+    code, _out, err = run(["eval", "--solutions", sols, "--dataset", data], capsys)
+    assert (code, err) == (1, "error: solution 0 infeasible: 1 start_depots for 2 routes\n")
+
+
 def test_eval_rejects_a_stored_objective_that_does_not_match_its_routes(trained, tmp_path,
                                                                        capsys):
     ckpt, data = trained

@@ -119,7 +119,7 @@ def test_masked_probability_is_exactly_zero():
     H_a, cand, pooled, kv, proj = batch_inputs(en.encode([ins], cfg, params),
                                                  cfg, params)
     s = one(ins, (0, 1))
-    ctx = de.context(de.step_inputs(s), H_a, cand, pooled, params)
+    ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
     mask = de.feasibility_mask(s)[None]
     logp = de.logits(q, proj, de.dist_exp_row(s)[None], mask,
@@ -187,7 +187,7 @@ def test_alpha_d_only_shifts_logits_not_masks():
                                                  cfg, params)
     s = one(ins, (0, 1))
     mask = de.feasibility_mask(s)[None]
-    ctx = de.context(de.step_inputs(s), H_a, cand, pooled, params)
+    ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
     exp_rows = de.dist_exp_row(s)[None]
     with_bias = de.logits(q, proj, exp_rows, mask, params, cfg.d_model).data.copy()
@@ -296,7 +296,7 @@ def test_context_row_shape_and_multi_depot_pool():
         H_a, cand, pooled, _, _ = batch_inputs(en.encode([ins], cfg, params),
                                                cfg, params)
         s = one(ins, (0, 1), rng=np.random.default_rng(0))
-        row = de.context(de.step_inputs(s), H_a, cand, pooled, params)
+        row = de.context(s, H_a, cand, pooled, params)
         assert row.shape == (1, 1, cfg.d_model)
         assert np.isfinite(row.data).all()
 
@@ -318,10 +318,10 @@ def test_context_rows_match_one_state_calls(kind):
     batch = ro.DecodeState(variants, perms)
     rng = np.random.default_rng(1)
     while not batch.terminal:
-        rows = de.context(de.step_inputs(batch), H_a, cand, pooled, params).data
+        rows = de.context(batch, H_a, cand, pooled, params).data
         assert rows.shape == (2, 3, cfg.d_model)
         for r, (s, (h_a, c, p, _, _)) in enumerate(singles):
-            row = de.context(de.step_inputs(s), h_a, c, p, params).data[0, 0]
+            row = de.context(s, h_a, c, p, params).data[0, 0]
             np.testing.assert_allclose(rows[r // 3, r % 3], row, rtol=1e-6, atol=1e-7)
         masks = de.feasibility_mask(batch)
         acts = [int(rng.choice(np.flatnonzero(m))) for m in masks]
@@ -336,7 +336,7 @@ def test_glimpse_gradients_reach_encoder_params():
     H_a, cand, pooled, kv, _ = batch_inputs(en.encode([ins], cfg, params),
                                             cfg, params)
     s = one(ins, (0, 1))
-    ctx = de.context(de.step_inputs(s), H_a, cand, pooled, params)
+    ctx = de.context(s, H_a, cand, pooled, params)
     q = de.glimpse(ctx, kv, cfg, params)
     dc.backward(dc.sum_all(q))
     assert params["embed.customer.W"].grad is not None

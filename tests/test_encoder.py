@@ -136,15 +136,16 @@ def test_fused_attention_matches_per_head_reference(n_heads):
         Xt, Ct = dc.constant(X, dtype=np.float64), dc.constant(C, dtype=np.float64)
         params = attn_params(d, n_heads, seed, dtype=np.float64)
         np.testing.assert_allclose(
-            en.mha(Xt, Ct, params, "blk", n_heads).data,
+            en._mh_attention(Xt, Ct, params, "blk", n_heads, scaled=True).data,
             per_head_reference(X, C, params, "blk", n_heads, True), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            en.mhsa(Xt, Ct, params, "blk", n_heads).data,
+            en._mh_attention(Xt, Ct, params, "blk", n_heads, scaled=False).data,
             per_head_reference(X, C, params, "blk", n_heads, False), rtol=0, atol=1e-12)
         params = attn_params(d, n_heads, seed, split_query=True, dtype=np.float64)
         rows = rng.random(5) < 0.5
         np.testing.assert_allclose(
-            en.mhsa(Xt, Ct, params, "blk", n_heads, pickup_rows=rows).data,
+            en._mh_attention(Xt, Ct, params, "blk", n_heads, scaled=False,
+                             pickup_rows=rows).data,
             per_head_reference(X, C, params, "blk", n_heads, False, pickup_rows=rows),
             rtol=0, atol=1e-12)
 
@@ -241,8 +242,8 @@ def test_mhsa_equals_mha_with_prescaled_input():
     X = dc.constant(rng.normal(size=(5, d)))
     C = dc.constant(rng.normal(size=(9, d)))
     scaled_X = dc.scale(X, 1.0 / math.sqrt(d // H))
-    a = en.mha(X, C, params, "blk", H).data
-    b = en.mhsa(scaled_X, C, params, "blk", H).data
+    a = en._mh_attention(X, C, params, "blk", H, scaled=True).data
+    b = en._mh_attention(scaled_X, C, params, "blk", H, scaled=False).data
     assert np.allclose(a, b, atol=1e-5)
 
 
@@ -252,7 +253,7 @@ def test_attention_single_context_row_collapses():
     params = attn_params(d, H, 9)
     X = dc.constant(rng.normal(size=(4, d)))
     C = dc.constant(rng.normal(size=(1, d)))
-    out = en.mhsa(X, C, params, "blk", H).data
+    out = en._mh_attention(X, C, params, "blk", H, scaled=False).data
     # softmax over one element is 1, so every row equals the projected value
     want = dc.matmul(dc.matmul(C, params["blk.v"]), params["blk.proj"]).data
     for r in range(4):

@@ -233,6 +233,18 @@ def test_validate_flags_a_wrong_route_count():
     assert pb.validate(pb.RouteSet(routes=[[0, 1, 2, 3]]), ins) == "route count 1 != M=2"
 
 
+def test_validate_flags_depot_lists_that_do_not_match_the_route_count():
+    """Every route needs its start and end depot: a shorter list would leave
+    the later routes out of the objective."""
+    ins = pb.gen_uniform("MTSP", N=6, D=1, M=2, seed=1)
+    routes = [[0, 1, 2], [3, 4, 5]]
+    for starts, ends, name, n in (([0], [0], "start_depots", 1),
+                                  ([0, 0], [0], "end_depots", 1),
+                                  ([0, 0], [0, 0, 0], "end_depots", 3)):
+        sol = pb.RouteSet(routes=routes, start_depots=starts, end_depots=ends)
+        assert pb.validate(sol, ins) == f"{n} {name} for 2 routes"
+
+
 def test_validate_flags_a_customer_index_out_of_range():
     ins = pb.gen_uniform("MTSP", N=4, D=1, M=2, seed=1)
     for bad in (4, -1):
@@ -484,3 +496,14 @@ def test_read_json_file_stops_after_the_members_asked_for(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="holds a list, not a JSON object"):
         pb.read_json_file(path, "config", dict, members=frozenset({"a"}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_solution_record_rejects_a_non_finite_objective(bad):
+    """Python's json reads NaN and Infinity; a NaN objective would pass every
+    tolerance check, as each comparison with it is False."""
+    sol = pb.RouteSet(routes=[[0, 1], [2, 3]])
+    rec = json.loads(json.dumps(pb.solution_to_record(sol, bad, (0, 1), 0)))
+    with pytest.raises(ValueError, match=rf"^objective must be a finite number, "
+                                         rf"got {json.dumps(bad)}$"):
+        pb.solution_from_record(rec)

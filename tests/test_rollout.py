@@ -212,36 +212,41 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
 
 
 def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
-    """One context per step over every row: under no_grad, with the graph
-    recorded, and with forced actions."""
-    real_consts, real_context = de.DecodeConstants, de.context
+    """Every decoder layer the benchmark's tracer wraps runs through its
+    module attribute, so an inlined or renamed layer fails here: once per
+    step over every row (mask, features, distance bias, context, glimpse,
+    logits) and once per batch (constants, glimpse keys and values), under
+    no_grad, with the graph recorded, and with forced actions."""
+    per_step = ("feasibility_mask", "scalar_features", "dist_exp_row", "context",
+                "glimpse", "logits")
     calls = Counter()
 
-    def consts(variants):
-        calls["consts"] += 1
-        return real_consts(variants)
+    def counted(name, real):
+        def layer(*args, **kwargs):
+            calls[name] += 1
+            if name == "context":
+                calls["rows"] += len(args[0].rows)
+            return real(*args, **kwargs)
+        return layer
 
-    def context(inputs, *args):
-        calls["context"] += 1
-        calls["rows"] += inputs.agent.size
-        return real_context(inputs, *args)
-
-    monkeypatch.setattr(de, "DecodeConstants", consts)
-    monkeypatch.setattr(de, "context", context)
+    for name in per_step + ("DecodeConstants", "glimpse_kv"):
+        monkeypatch.setattr(de, name, counted(name, getattr(de, name)))
     perms = [(0, 1, 2), (2, 1, 0), (1, 2, 0)]
     for kind in ALL_KINDS:
         cfg, params = tiny_model(kind)
         ins = make(kind, N=6, M=3, seed=5)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
+        want = dict.fromkeys(per_step, steps)
+        want.update(DecodeConstants=1, glimpse_kv=1, rows=3 * steps)
         calls.clear()
         with dc.no_grad():
             sols, _, _ = ro.decode_batch(ins, perms, cfg, params)
-        assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
+        assert calls == want
         forced = [ro.actions_from_solution(rs, o, ins) for rs, o in zip(sols, perms)]
         for kw in ({}, {"forced": forced}):
             calls.clear()
             ro.decode_batch(ins, perms, cfg, params, **kw)
-            assert calls == {"consts": 1, "context": steps, "rows": 3 * steps}
+            assert calls == want
 
 
 def graph_nodes(loss):

@@ -75,6 +75,18 @@ def test_config_rejects_wrong_types():
     assert tiny_tc(lr=1).lr == 1  # an int passes for a float
 
 
+def test_config_rejects_nan_and_inf_in_float_fields():
+    """json reads NaN and Infinity; a NaN lr would train an epoch before
+    anything noticed."""
+    for field in ("lr", "lr_decay", "clip_norm"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^train config field {field} must be "
+                                                 rf"finite, got {bad!r}$"):
+                tiny_tc(**{field: bad})
+    with pytest.raises(ValueError, match="^train config field lr must be finite, got nan$"):
+        tr.TrainConfig.from_dict(json.loads('{"kind": "MTSP", "N": 4, "lr": NaN}'))
+
+
 def test_config_roundtrip_and_unknown_keys():
     tc = tiny_tc(kind="MDVRP", d_min=2, d_max=3, N=6,
                  model=tiny_cfg("MDVRP"))
