@@ -134,8 +134,7 @@ def scalar_features(state):
         out[:, 3] = np.where(state.done_pairs, pair_d, 0.0).max(axis=1)
         # the farthest unvisited pickup and delivery from the depot
         out[:, 4:6] = np.where(visited, 0.0, c.depot_d[v]).reshape(R, 2, n_pairs).max(axis=2)
-        # row by row: a sum over the whole row would round differently
-        out[:, 6] = [d[~u].sum() for d, u in zip(pair_d, visited[:, :n_pairs])]
+        out[:, 6] = np.where(visited[:, :n_pairs], 0.0, pair_d).sum(axis=1)
         out[:, 6] /= np.maximum(M - 1 - state.pos, 1)
     else:
         out = np.empty((len(visited), 5))

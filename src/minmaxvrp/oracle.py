@@ -1,7 +1,8 @@
 """Desk-scale ground truth: exact min-max solver plus a sweep/NN baseline.
 
 brute_force enumerates unordered set partitions of the customers (pairs for
-MPDP) into M non-empty routes and orders each route optimally, memoizing
+MPDP) into M non-empty routes and orders each route optimally with one
+Held-Karp for every kind (an MPDP delivery only after its pickup), memoizing
 optimal sub-tours per customer subset. Tractable up to N=10 (N=8 for MPDP),
 M=4. nn_heuristic is the deterministic comparison baseline; two_opt improves
 closed tours.
@@ -35,32 +36,38 @@ def _dist_tables(instance):
     return cc, dc
 
 
-def _route_order_paths(members, cc, start_dist):
+def _route_order_paths(members, cc, start_dist, n_pairs=0):
     """Held-Karp over paths from the start point through all members.
 
     members: customer indexes. start_dist[j]: start-to-customer distance.
-    Returns {last: (cost, order)}: the cheapest full-set path ending at
-    each member, with its visiting order.
+    With n_pairs > 0, a delivery n_pairs + p comes after its pickup p, which
+    must be a member too. Returns {last: (cost, order)}: the cheapest
+    full-set path ending at each member that can end one, with its visiting
+    order.
     """
     k = len(members)
     idx = {j: i for i, j in enumerate(members)}
+    # need[i]: the bit of the pickup that member i waits for (0: none)
+    need = [1 << idx[j - n_pairs] if 0 < n_pairs <= j else 0 for j in members]
+    step = cc[np.ix_(members, members)].tolist()
     full = (1 << k) - 1
     dp = {}
-    for j in members:
-        dp[(1 << idx[j], idx[j])] = (start_dist[j], (j,))
+    for i, j in enumerate(members):
+        if not need[i]:
+            dp[(1 << i, i)] = (float(start_dist[j]), (j,))
     for mask in range(1, full + 1):
+        free = [n for n in range(k) if not mask & (1 << n) and mask & need[n] == need[n]]
         for last in range(k):
-            if not mask & (1 << last):
+            entry = dp.get((mask, last))
+            if entry is None:
                 continue
-            cost, path = dp[(mask, last)]
-            for nxt in range(k):
-                if mask & (1 << nxt):
-                    continue
-                cand = cost + cc[members[last], members[nxt]]
+            cost, path = entry
+            for nxt in free:
+                cand = cost + step[last][nxt]
                 key = (mask | (1 << nxt), nxt)
                 if key not in dp or cand < dp[key][0]:
                     dp[key] = (cand, path + (members[nxt],))
-    return {members[last]: dp[(full, last)] for last in range(k)}
+    return {members[last]: dp[(full, last)] for last in range(k) if (full, last) in dp}
 
 
 def _partitions(items, m):
@@ -91,56 +98,19 @@ def _partitions(items, m):
     yield from rec(0)
 
 
-def _best_tsp_block(members_key, kind, D, cc, dc):
+def _best_block(members_key, kind, D, cc, dc, n_pairs=0):
     """Optimal (cost, order, start_depot, end_depot) for one customer block;
     only an FMDVRP route may end at another depot than its start."""
     members = list(members_key)
     best = None
     for s in range(D):
-        paths = _route_order_paths(members, cc, dc[s])
+        paths = _route_order_paths(members, cc, dc[s], n_pairs)
         for last, (cost, order) in paths.items():
             for e in (range(D) if kind == "FMDVRP" else (s,)):
                 total = cost + dc[e, last]
                 if best is None or total < best[0]:
                     best = (total, order, s, e)
     return best
-
-
-def _pdp_block_orders(pairs, n_pairs, cc, dc):
-    """Optimal order for a set of pickup-delivery pairs from the single depot.
-
-    Exhaustive DFS over interleavings where each delivery follows its pickup.
-    """
-    best = [math.inf, None]
-    pair_list = list(pairs)
-    k = len(pair_list)
-
-    def rec(pos, cost, picked, delivered, order):
-        if cost >= best[0]:
-            return
-        if len(order) == 2 * k:
-            total = cost + dc[0, pos]
-            if total < best[0]:
-                best[0] = total
-                best[1] = tuple(order)
-            return
-        for i, p in enumerate(pair_list):
-            bit = 1 << i
-            if not picked & bit:
-                j = p
-                step = dc[0, j] if pos < 0 else cc[pos, j]
-                order.append(j)
-                rec(j, cost + step, picked | bit, delivered, order)
-                order.pop()
-            elif not delivered & bit:
-                j = p + n_pairs
-                step = cc[pos, j]
-                order.append(j)
-                rec(j, cost + step, picked, delivered | bit, order)
-                order.pop()
-
-    rec(-1, 0.0, 0, 0, [])
-    return best[0], best[1]
 
 
 def brute_force(instance):
@@ -153,19 +123,18 @@ def brute_force(instance):
         raise ValueError(f"brute_force limit: M={instance.M} > {BRUTE_FORCE_MAX_M}")
 
     cc, dc = _dist_tables(instance)
-    n_items = instance.n_pairs if kind == "MPDP" else instance.N
+    n_pairs = instance.n_pairs if kind == "MPDP" else 0
 
     @lru_cache(maxsize=None)
     def block_value(block):
         """(cost, order, start_depot, end_depot) of one block of customers
-        (of pickup-delivery pairs for MPDP)."""
-        if kind == "MPDP":
-            return (*_pdp_block_orders(block, instance.n_pairs, cc, dc), 0, 0)
-        return _best_tsp_block(block, kind, instance.D, cc, dc)
+        (of pickup-delivery pairs for MPDP: their pickups, then deliveries)."""
+        members = block + tuple(p + n_pairs for p in block if n_pairs)
+        return _best_block(members, kind, instance.D, cc, dc, n_pairs)
 
     explored = 0
     best = None
-    for part in _partitions(list(range(n_items)), instance.M):
+    for part in _partitions(list(range(n_pairs or instance.N)), instance.M):
         explored += 1
         blocks = [block_value(tuple(block)) for block in part]
         worst = max(cost for cost, *_ in blocks)
@@ -200,15 +169,16 @@ def _sweep_chunks(points, center, m):
     return chunks
 
 
-def _nn_order(members, cc, start_dist):
+def _nn_order(members, cc, start_dist, n_pairs=0):
+    """Nearest-neighbor walk from the start point through all members; with
+    n_pairs > 0, a delivery n_pairs + p waits until its pickup p is taken."""
     left = list(members)
     order = []
     pos = -1
     while left:
-        if pos < 0:
-            nxt = min(left, key=lambda j: (start_dist[j], j))
-        else:
-            nxt = min(left, key=lambda j: (cc[pos, j], j))
+        dist = start_dist if pos < 0 else cc[pos]
+        nxt = min((j for j in left if not 0 < n_pairs <= j or j - n_pairs not in left),
+                  key=lambda j: (dist[j], j))
         order.append(nxt)
         left.remove(nxt)
         pos = nxt
@@ -216,35 +186,14 @@ def _nn_order(members, cc, start_dist):
 
 
 def nn_heuristic(instance):
-    """Angular sweep around the depot centroid, nearest-neighbor per route."""
+    """Angular sweep around the depot centroid, nearest-neighbor per route.
+    MPDP sweeps the pickups, and each route adds their deliveries."""
     cc, dc = _dist_tables(instance)
     center = instance.depot_coords.mean(axis=0)
     kind = instance.kind
+    n_pairs = instance.n_pairs if kind == "MPDP" else 0
 
-    if kind == "MPDP":
-        n_pairs = instance.n_pairs
-        chunks = _sweep_chunks(instance.coords[:n_pairs], center, instance.M)
-        routes = []
-        for chunk in chunks:
-            left_pick = set(chunk)
-            can_drop = set()
-            order = []
-            pos = -1
-            while left_pick or can_drop:
-                cand = [(dc[0, j] if pos < 0 else cc[pos, j], j) for j in left_pick]
-                cand += [(cc[pos, j + n_pairs], j + n_pairs) for j in can_drop]
-                _, j = min(cand)
-                order.append(j)
-                if j < n_pairs:
-                    left_pick.remove(j)
-                    can_drop.add(j)
-                else:
-                    can_drop.remove(j - n_pairs)
-                pos = j
-            routes.append(order)
-        return RouteSet(routes=routes)
-
-    chunks = _sweep_chunks(instance.coords, center, instance.M)
+    chunks = _sweep_chunks(instance.coords[:n_pairs or instance.N], center, instance.M)
     routes = []
     starts = []
     ends = []
@@ -252,7 +201,8 @@ def nn_heuristic(instance):
         centroid = instance.coords[chunk].mean(axis=0)
         s = int(np.argmin(np.hypot(instance.depot_coords[:, 0] - centroid[0],
                                    instance.depot_coords[:, 1] - centroid[1])))
-        order = _nn_order(chunk, cc, dc[s])
+        members = chunk + [p + n_pairs for p in chunk if n_pairs]
+        order = _nn_order(members, cc, dc[s], n_pairs)
         e = s
         if kind == "FMDVRP":
             e = int(np.argmin(dc[:, order[-1]]))

@@ -9,7 +9,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +73,14 @@ class RouteSet:
     """Ordered routes of customer indexes with per-route depot endpoints."""
 
     routes: list
-    start_depots: list = field(default_factory=list)
-    end_depots: list = field(default_factory=list)
+    start_depots: list = None
+    end_depots: list = None
 
     def __post_init__(self):
-        if not self.start_depots:
+        # fill only a list left out: a given [] stays for validate to reject
+        if self.start_depots is None:
             self.start_depots = [0] * len(self.routes)
-        if not self.end_depots:
+        if self.end_depots is None:
             self.end_depots = list(self.start_depots)
 
 

@@ -193,7 +193,8 @@ def finish(state):
                 routes.append(current)
                 ends.append(a if multi else 0)
                 current = []
-        out.append(pb.RouteSet(routes=routes, start_depots=starts, end_depots=ends))
+        out.append(pb.RouteSet(routes=routes, start_depots=starts if multi else [0] * len(routes),
+                               end_depots=ends))
     return out
 
 

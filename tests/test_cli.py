@@ -479,6 +479,18 @@ def test_eval_rejects_depot_lists_shorter_than_the_routes(trained, tmp_path, cap
     assert (code, err) == (1, "error: solution 0 infeasible: 1 start_depots for 2 routes\n")
 
 
+def test_eval_rejects_empty_depot_lists(tmp_path, capsys):
+    """A solutions line that states no depots is not read as depot-0 routes."""
+    data, sols = tmp_path / "data.jsonl", tmp_path / "sols.jsonl"
+    assert run(["gen", "--kind", "MDVRP", "--n", 4, "--d", 3, "--count", 1,
+                "--seed", 2, "--out", data]) == 0
+    rec = {"objective": 1.0, "routes": [[0, 1], [2, 3]], "start_depots": [],
+           "end_depots": [], "permutation": [0, 1], "aug_index": 0}
+    sols.write_text(json.dumps(rec) + "\n")
+    code, _out, err = run(["eval", "--solutions", sols, "--dataset", data], capsys)
+    assert (code, err) == (1, "error: solution 0 infeasible: 0 start_depots for 2 routes\n")
+
+
 def test_eval_rejects_a_stored_objective_that_does_not_match_its_routes(trained, tmp_path,
                                                                        capsys):
     ckpt, data = trained

@@ -253,8 +253,8 @@ def test_mpdp_longest_p_and_d_track_unvisited():
 
 
 def mpdp_loop_reference(s):
-    """The MPDP mask and served-pair feature of a one-row state as per-pair
-    loops over the current route's contents."""
+    """The MPDP mask, served-pair feature and pending-pair feature of a
+    one-row state as per-pair loops over the current route's contents."""
     ins = s.variants[0]
     M, n = ins.M, ins.n_pairs
     current = []
@@ -273,7 +273,9 @@ def mpdp_loop_reference(s):
         mask[s.o[0, pos]] = (pairs_left >= routes_after if routes_after
                              else pairs_left == 0)
     pair_d = np.sqrt(((ins.coords[:n] - ins.coords[n:]) ** 2).sum(axis=1))
-    return mask, max((float(pair_d[p]) for p in served), default=0.0)
+    pending = sum(float(pair_d[p]) for p in range(n) if not visited[p])
+    return (mask, max((float(pair_d[p]) for p in served), default=0.0),
+            pending / max(routes_after, 1))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -282,9 +284,11 @@ def test_mpdp_arrays_match_per_pair_loops(seed):
     rng = np.random.default_rng(seed)
     s = one(ins, tuple(rng.permutation(ins.M)))
     while not s.terminal:
-        mask, longest_pd = mpdp_loop_reference(s)
+        mask, longest_pd, pending_pd = mpdp_loop_reference(s)
         assert mask0(s) == mask.tolist()
         assert features0(s)[2][1] == longest_pd
+        # summed in another order than the loop: equal to rounding
+        assert math.isclose(features0(s)[2][4], pending_pd, rel_tol=1e-12, abs_tol=1e-12)
         walk(s, [int(rng.choice(np.flatnonzero(mask)))])
 
 

@@ -139,36 +139,56 @@ def test_fmdvrp_matches_exhaustive():
     assert math.isclose(oc.brute_force(ins).objective, best, rel_tol=1e-9)
 
 
-def test_mpdp_matches_exhaustive():
-    rng = np.random.default_rng(8)
-    ins = pb.Instance(kind="MPDP", coords=rng.uniform(0, 1, (6, 2)),
-                      depot_coords=rng.uniform(0, 1, (1, 2)), M=2)
-    res = oc.brute_force(ins)
-    assert pb.validate(res.solution, ins) is None
-    # independent: all pair splits x all valid interleavings per block
-    n_pairs = 3
+def pdp_orders(pairs, n_pairs):
+    """Every order of the pairs' pickups and deliveries that puts each
+    delivery p + n_pairs after its pickup p."""
+    nodes = list(pairs) + [p + n_pairs for p in pairs]
+    for perm in itertools.permutations(nodes):
+        at = {j: t for t, j in enumerate(perm)}
+        if all(at[p] < at[p + n_pairs] for p in pairs):
+            yield perm
 
-    def valid_orders(pairs):
-        k = len(pairs)
-        nodes = [p for p in pairs] + [p + n_pairs for p in pairs]
-        out = []
-        for perm in itertools.permutations(nodes):
-            ok = all(perm.index(p) < perm.index(p + n_pairs) for p in pairs)
-            if ok:
-                out.append(perm)
-        return out
+
+def exhaustive_mpdp(ins):
+    """Independent exact MPDP optimum: every labelling of the pairs with M
+    routes that uses each route, every valid order of each route."""
+    n_pairs = ins.N // 2
+    best_order = {}
+
+    def block_cost(block):
+        if block not in best_order:
+            best_order[block] = min(closed_tour_cost(o, ins.coords, ins.depot_coords[0])
+                                    for o in pdp_orders(block, n_pairs))
+        return best_order[block]
 
     best = math.inf
-    for size_a in (1, 2):
-        for block_a in itertools.combinations(range(n_pairs), size_a):
-            block_b = tuple(p for p in range(n_pairs) if p not in block_a)
-            costs = []
-            for block in (block_a, block_b):
-                c = min(closed_tour_cost(o, ins.coords, ins.depot_coords[0])
-                        for o in valid_orders(block))
-                costs.append(c)
-            best = min(best, max(costs))
-    assert math.isclose(res.objective, best, rel_tol=1e-9)
+    for labels in itertools.product(range(ins.M), repeat=n_pairs):
+        if len(set(labels)) < ins.M:
+            continue
+        blocks = [tuple(p for p in range(n_pairs) if labels[p] == m) for m in range(ins.M)]
+        best = min(best, max(block_cost(b) for b in blocks))
+    return best
+
+
+MPDP_CASES = [(seed, N, M) for seed in (8, 9, 10) for N in (2, 4, 6, 8)
+              for M in range(1, N // 2 + 1)]
+
+
+@pytest.mark.parametrize("seed,N,M", MPDP_CASES + [("lattice", 8, 2)],
+                         ids=[f"seed{s}-N{n}-M{m}" for s, n, m in MPDP_CASES] + ["lattice"])
+def test_mpdp_matches_exhaustive(seed, N, M):
+    """M=1 puts every pair in one block; on the lattice, many orders tie, so
+    only objectives are compared."""
+    if seed == "lattice":
+        rng = np.random.default_rng(5)
+        coords, depot = rng.integers(0, 3, (N, 2)) / 2.0, np.array([[0.5, 0.5]])
+    else:
+        rng = np.random.default_rng(seed)
+        coords, depot = rng.uniform(0, 1, (N, 2)), rng.uniform(0, 1, (1, 2))
+    ins = pb.Instance(kind="MPDP", coords=coords, depot_coords=depot, M=M)
+    res = oc.brute_force(ins)
+    assert pb.validate(res.solution, ins) is None
+    assert math.isclose(res.objective, exhaustive_mpdp(ins), rel_tol=1e-9)
 
 
 def test_brute_force_limits():

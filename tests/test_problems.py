@@ -235,12 +235,15 @@ def test_validate_flags_a_wrong_route_count():
 
 def test_validate_flags_depot_lists_that_do_not_match_the_route_count():
     """Every route needs its start and end depot: a shorter list would leave
-    the later routes out of the objective."""
+    the later routes out of the objective. Lists given empty, as a solutions
+    file may state them, are not filled with depot 0."""
     ins = pb.gen_uniform("MTSP", N=6, D=1, M=2, seed=1)
     routes = [[0, 1, 2], [3, 4, 5]]
     for starts, ends, name, n in (([0], [0], "start_depots", 1),
                                   ([0, 0], [0], "end_depots", 1),
-                                  ([0, 0], [0, 0, 0], "end_depots", 3)):
+                                  ([0, 0], [0, 0, 0], "end_depots", 3),
+                                  ([], [], "start_depots", 0),
+                                  ([0, 0], [], "end_depots", 0)):
         sol = pb.RouteSet(routes=routes, start_depots=starts, end_depots=ends)
         assert pb.validate(sol, ins) == f"{n} {name} for 2 routes"
 
