@@ -10,8 +10,8 @@ holds R = V x K rows (V variants, K permutations each), and the tensors
 carry the V variants on a leading batch axis. The model head reads each
 decode step's state directly: one call per step, K rows per variant. Its
 context, glimpse and logits are one fused diffcore node each
-(context_query, attention, masked_logits); with the rollout's take_per_row
-a step records 4 nodes.
+(context_query, attention, masked_logits); with the rollout's pick_sum,
+which adds every step's chosen log-probs in one node, a step records 3.
 """
 
 import math
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import diffcore as dc
 from . import encoder as en
-from . import problems as pb
 
 LOGIT_CLIP = 50.0
 RATIO_CAP = 30.0
@@ -37,13 +36,12 @@ class DecodeConstants:
     nearest depot) and span V, the largest of those.
     """
 
-    def __init__(self, variants):
+    def __init__(self, variants, n_slots):
         ins = variants[0]
         xy = np.stack([v.coords for v in variants])
         depots = np.stack([v.depot_coords for v in variants])
-        multi = ins.kind in pb.MULTI_DEPOT_KINDS
-        n_slots = ins.D if multi else max(v.M for v in variants)
-        slot_coords = depots if multi else np.repeat(depots, n_slots, axis=1)
+        # one slot per depot, or n_slots agent slots at a single-depot kind's depot
+        slot_coords = np.repeat(depots, n_slots // ins.D, axis=1)
         cand = np.concatenate([slot_coords, xy], axis=1)
         self.cand_dist = np.empty(cand.shape[:2] + cand.shape[1:2])
         for dist, c in zip(self.cand_dist, cand):  # one variant at a time: less memory

@@ -244,38 +244,29 @@ def mean_rows(a, keep=None):
     return _make(out_data, (a,), backward)
 
 
-def take_per_row(a, indexes):
-    """out[..., k, 0] = a[..., k, indexes[..., k]] -> one column."""
-    idx = np.asarray(indexes, dtype=np.intp)
-    if idx.shape != a.shape[:-1]:
-        raise ValueError(f"take_per_row needs one index per row, got {idx.shape} for {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-1]):
-        raise IndexError(f"take_per_row index out of range for {a.shape[-1]} cols")
-    flat = a.data.reshape(-1, a.shape[-1])
-    rows, cols = np.arange(len(flat)), idx.reshape(-1)
-    out_data = flat[rows, cols].reshape(idx.shape + (1,))
-
-    def backward(g, out):
-        acc = np.zeros_like(flat)
-        acc[rows, cols] = g.reshape(-1)
-        _accum(a, acc.reshape(a.shape))
-
-    return _make(out_data, (a,), backward)
-
-
-def sum_row_blocks(a, n_blocks):
-    """V x (n_blocks * K) x c -> V x K x c: row k of the output sums row k
-    of each of the n_blocks blocks of K rows, block by block in order, as a
+def pick_sum(steps, indexes):
+    """out[..., k, 0] = sum over t of steps[t][..., k, indexes[t, ..., k]]:
+    T same-shape V x K x C tensors and a T x V x K index array -> V x K x 1,
+    one chosen entry per row and step, added step by step in order, as a
     chain of adds would."""
-    if a.data.ndim != 3 or a.shape[1] % n_blocks:
-        raise ValueError(f"sum_row_blocks: {n_blocks} blocks do not divide {a.shape}")
-    V, _rows, cols = a.shape
-    out_data = np.cumsum(a.data.reshape(V, n_blocks, -1, cols), axis=1)[:, -1]
+    idx = np.asarray(indexes, dtype=np.intp)
+    shape = steps[0].shape
+    if any(t.shape != shape for t in steps) or idx.shape != (len(steps),) + shape[:-1]:
+        raise ValueError(f"pick_sum needs one index per row of each step, got "
+                         f"{idx.shape} for steps {[t.shape for t in steps]}")
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[-1]):
+        raise IndexError(f"pick_sum index out of range for {shape[-1]} cols")
+    rows, cols = np.arange(idx[0].size), idx.reshape(len(steps), -1)
+    picks = np.stack([t.data.reshape(len(rows), -1)[rows, c] for t, c in zip(steps, cols)])
+    out_data = np.cumsum(picks, axis=0)[-1].reshape(idx.shape[1:] + (1,))
 
     def backward(g, out):
-        _accum(a, np.tile(g, (1, n_blocks, 1)))
+        for t, c in zip(steps, cols):
+            acc = np.zeros_like(t.data).reshape(len(rows), -1)
+            acc[rows, c] = g.reshape(-1)
+            _accum(t, acc.reshape(shape))
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, tuple(steps), backward)
 
 
 def sum_all(a):

@@ -48,6 +48,8 @@ class Instance:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 2)
         self.depot_coords = np.asarray(self.depot_coords, dtype=np.float64).reshape(-1, 2)
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
+            raise ValueError(f"M must be an integer, got {self.M!r}")
         check_instance_shape(self.kind, self.N, self.D, self.M)
         if isinstance(self.uid, bool) or not isinstance(self.uid, (int, np.integer)) or self.uid < 0:
             raise ValueError(f"uid must be an integer >= 0, got {self.uid!r}")

@@ -74,7 +74,7 @@ class DecodeState:
         self.row_steps = ins.N + (2 if self.multi else 1) * self.M
         self.n_steps = int(self.row_steps.max())
         self.first_done = int(self.row_steps.min())
-        self.consts = de.DecodeConstants(variants)
+        self.consts = de.DecodeConstants(variants, self.n_slots)
         # the agent order, with the last agent repeated for a finished row
         self.o = np.array([o + o[-1:] * (M + 1 - len(o)) for row in table for o in row],
                           dtype=np.intp)
@@ -286,7 +286,7 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     bias = de.candidate_bias(emb)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
     scoring = forced is not None or dc.grad_enabled()
-    picked, entropy = [], []
+    steps, entropy = [], []
     while not state.terminal:
         mask = de.feasibility_mask(state)
         q = de.glimpse(de.context(state, emb.H_a, cand, pooled, params), kv, cfg,
@@ -301,23 +301,14 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
         # step first: it rejects a forced action that is no candidate
         step(state, chosen, mask)
         if scoring:
-            picked.append(dc.take_per_row(logp, chosen.reshape(V, -1)))
+            steps.append(logp)
             lp = logp.data.astype(np.float64)
             entropy.append(-(np.exp(lp) * lp).sum(axis=-1))
     if not scoring:
         return finish(state), None, None
-    total = dc.sum_row_blocks(dc.concat_rows(picked), T)
+    total = dc.pick_sum(steps, state.actions.T.reshape(T, V, -1))
     entropy = np.stack(entropy, axis=-1).reshape(R, T)
     return finish(state), total, entropy[np.arange(T) < state.row_steps[:, None]]
-
-
-def rollout(instance, permutation, cfg, params, mode="greedy", rng=None):
-    """Single-permutation rollout -> (RouteSet, objective, log_prob_sum);
-    the log-prob sum is None under no_grad (see decode_batch)."""
-    (rs,), total, _ = decode_batch(instance, [permutation], cfg, params,
-                                   mode=mode, rng=rng)
-    return (rs, pb.minmax_objective(rs, instance),
-            None if total is None else float(total.data[0, 0, 0]))
 
 
 def size_groups(instances, sizes=("N", "M", "D")):

@@ -262,12 +262,6 @@ def resume(checkpoint_path, make_config, config_lr=False):
     return tc, params, opt
 
 
-def finetune(checkpoint_path, tc, on_epoch=None):
-    """Resume training from a checkpoint at tc's (usually smaller) lr."""
-    tc, params, opt = resume(checkpoint_path, lambda _stored: tc, config_lr=True)
-    return train(tc, params=params, opt=opt, on_epoch=on_epoch)
-
-
 # ---------------------------------------------------------------------------
 # metrics and checkpoint files
 # ---------------------------------------------------------------------------
@@ -322,11 +316,13 @@ def save_checkpoint(path, cfg, params, opt):
 
 def _from_payload(payload, optimizer):
     """(ModelConfig, params, AdamState or None) of a checkpoint's JSON
-    object; v1 heads are fused side by side in head order, and the first
-    missing, mis-shaped, unknown or non-finite entry raises a ValueError."""
+    object; v1 heads are fused side by side in head order. A params or
+    moments member that is not an object of float32 records, and the first
+    undecodable, missing, mis-shaped, unknown or non-finite entry, raise a
+    ValueError."""
     version = payload.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise ValueError(f"format version {version} is not a supported "
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"format version {version!r} is not a supported "
                          f"version (1 or {CHECKPOINT_VERSION})")
     cfg = en.ModelConfig.from_dict(payload["model"])
     table = en.param_table(cfg)
@@ -335,7 +331,20 @@ def _from_payload(payload, optimizer):
     fused = [name for names, _, _ in table if len(names) > 1 for name in names]
 
     def read(what, records):
-        arrays = records_to_arrays(records)
+        if not isinstance(records, dict):
+            raise ValueError(f"{what} is a {type(records).__name__}, not an object of records")
+        arrays = {}
+        for name, rec in records.items():
+            shape = rec.get("shape") if isinstance(rec, dict) else None
+            if (not isinstance(shape, list) or not all(type(n) is int for n in shape)
+                    or rec.get("dtype") != "float32"):
+                raise ValueError(f"{what} entry {name} is not a float32 record with a "
+                                 f"list of ints for its shape")
+            try:
+                arrays.update(records_to_arrays({name: rec}))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{what} entry {name} does not decode: "
+                                 f"{type(exc).__name__}: {exc}") from None
         for name in fused if version == 1 else ():
             heads = [f"{name}{h}" for h in range(cfg.n_heads) if f"{name}{h}" in arrays]
             if heads:

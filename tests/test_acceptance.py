@@ -210,8 +210,8 @@ def test_criterion_2_feasibility_suite(capsys):
                                      seed=int(rng.integers(2 ** 63)))
                 perm = ro.sample_permutations(M, 1, rng)[0]
                 for mode in ("greedy", "sample"):
-                    rs, _, _ = ro.rollout(ins, perm, cfg, params,
-                                          mode=mode, rng=rng)
+                    (rs,), _, _ = ro.decode_batch(ins, [perm], cfg, params,
+                                                  mode=mode, rng=rng)
                     msg = pb.validate(rs, ins)
                     checked += 1
                     if msg is not None:

@@ -282,6 +282,20 @@ def test_solve_rejects_a_non_finite_parameter_naming_the_entry(
     assert "params entry layer0.cust_attn.v holds NaN or inf" in err
 
 
+def test_solve_rejects_an_int32_parameter_naming_the_entry(trained, tmp_path, capsys):
+    # the float32 bytes read as integers would make a garbage model
+    ckpt, data = trained
+    payload = json.loads(ckpt.read_text())
+    payload["params"]["dec.logit"]["dtype"] = "int32"
+    ckpt.write_text(json.dumps(payload))
+    out = tmp_path / "x.jsonl"
+    code, _out, err = run(["solve", "--checkpoint", ckpt, "--dataset", data,
+                           "--out", out], capsys)
+    assert code == 1 and err.count("\n") == 1
+    assert str(ckpt) in err and "params entry dec.logit is not a float32 record" in err
+    assert not out.exists()
+
+
 def test_resume_rejects_a_non_finite_adam_moment_naming_the_entry(
         tmp_path, capsys):
     cfg_path = tmp_path / "train.json"

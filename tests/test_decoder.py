@@ -159,7 +159,7 @@ def test_nonfinite_logit_input_raises():
             de.logits(dc.constant(q), proj, exp_rows, mask, params, cfg.d_model)
     params["embed.customer.W"].data[0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="decoder logits"):
-        ro.rollout(mtsp(5, 2), (0, 1), cfg, params)
+        ro.decode_batch(mtsp(5, 2), [(0, 1)], cfg, params)
 
 
 # ---------------------------------------------------------------------------

@@ -219,9 +219,16 @@ BATCHED_OPS = [
     ("mha_shared", lambda p: _weighted(dc.attention(
         p["x"], p["w"], dc.transpose(p["w"]), p["w"], 1, 0.7)[0])),
     ("context_query", lambda p: _context(p, p["x"], p["c"])),
-    ("sum_row_blocks", lambda p: _weighted(dc.sum_row_blocks(
-        dc.concat_rows([p["x"], dc.tanh(p["c"]), p["x"]]), 3))),
+    ("pick_sum", lambda p: _weighted(_pick_sum([p["x"], dc.tanh(p["c"]), p["x"]]))),
 ]
+
+
+def _pick_sum(steps):
+    """pick_sum of the steps at indexes drawn from their shape, so one
+    entry may be picked at several steps."""
+    V, n, m = steps[0].shape
+    idx = np.random.default_rng([V, n, m]).integers(0, m, size=(len(steps), V, n))
+    return dc.pick_sum(steps, idx)
 
 
 def _batched_case(rng):
@@ -254,7 +261,7 @@ def test_batched_gather_and_take_gradients():
         rng = np.random.default_rng(2000 + seed)
         a = t64(rng.standard_normal((3, 5, 4)))
         idx = rng.integers(0, 5, size=(3, 2))
-        cols = rng.integers(0, 4, size=(3, 2))
+        cols = rng.integers(0, 4, size=(2, 3, 2))
         fixed = {"pooled": dc.constant(np.zeros((3, 1, 4)), dtype=F64),
                  "w_length": dc.constant(np.zeros((1, 4)), dtype=F64),
                  "w_q": _eye(4)}
@@ -265,7 +272,7 @@ def test_batched_gather_and_take_gradients():
             picked = dc.context_query(p["a"], idx, p["a"], idx, np.zeros((3, 2, 1)),
                                       np.zeros((3, 2, 1)), fixed["pooled"], w_step,
                                       fixed["w_length"], fixed["w_q"])
-            return dc.sum_all(dc.tanh(dc.take_per_row(picked, cols)))
+            return dc.sum_all(dc.tanh(dc.pick_sum([picked, dc.tanh(picked)], cols)))
 
         assert dc.grad_check(f, {"a": a}, eps=1e-5) < 1e-3
 
@@ -302,28 +309,38 @@ def test_batched_forward_matches_per_matrix_calls():
             (dc.masked_logits(X, Y, 0.5, y[:, :4], alpha, 5.0, -x[:, :, :5]),
              dc.masked_logits(xv, dc.constant(y[v]), 0.5, y[v, :4], alpha, 5.0,
                               -x[v, :, :5])),
-            (dc.take_per_row(X, idx[:, :1].repeat(4, axis=1)),
-             dc.take_per_row(xv, idx[v, :1].repeat(4))),
+            (dc.pick_sum([X, X], idx.T[:, :, None].repeat(4, axis=2)),
+             dc.pick_sum([xv, xv], idx[v, :, None].repeat(4, axis=1))),
         ]
         for batched, single in pairs:
             assert np.array_equal(batched.data[v], single.data)
         assert np.array_equal(query(slice(None)).data[v], query(slice(v, v + 1)).data[0])
 
 
-def test_sum_row_blocks_adds_block_by_block():
-    """Bitwise the float32 chain of adds over the blocks, V x K x c."""
+def test_pick_sum_adds_step_by_step():
+    """Bitwise the float32 chain of adds over the per-step gathers, V x K x 1."""
     rng = np.random.default_rng(8)
-    blocks = [rng.standard_normal((2, 3, 1)).astype(np.float32) for _ in range(5)]
-    out = dc.sum_row_blocks(dc.constant(np.concatenate(blocks, axis=1)), 5)
-    chain = blocks[0]
-    for b in blocks[1:]:
-        chain = chain + b
-    assert out.shape == (2, 3, 1)
+    steps = [rng.standard_normal((2, 3, 4)).astype(np.float32) for _ in range(5)]
+    idx = rng.integers(0, 4, size=(5, 2, 3))
+    out = dc.pick_sum([dc.constant(s) for s in steps], idx)
+    picks = [np.take_along_axis(s, i[..., None], axis=-1) for s, i in zip(steps, idx)]
+    chain = picks[0]
+    for p in picks[1:]:
+        chain = chain + p
+    assert out.shape == (2, 3, 1) and out.data.dtype == np.float32
     assert np.array_equal(out.data, chain)
-    with pytest.raises(ValueError, match="blocks"):
-        dc.sum_row_blocks(dc.constant(np.zeros((2, 7, 1))), 3)
-    with pytest.raises(ValueError, match="blocks"):
-        dc.sum_row_blocks(dc.constant(np.zeros((6, 1))), 3)
+    tensors = [dc.constant(s) for s in steps]
+    with pytest.raises(ValueError, match="one index per row"):
+        dc.pick_sum(tensors, idx[:, :, :2])
+    with pytest.raises(ValueError, match="one index per row"):
+        dc.pick_sum(tensors[:4], idx)
+    with pytest.raises(ValueError, match="one index per row"):
+        dc.pick_sum(tensors[:4] + [dc.constant(steps[4][:, :, :3])], idx)
+    for bad in (4, -1):
+        wrong = idx.copy()
+        wrong[3, 1, 2] = bad
+        with pytest.raises(IndexError, match="out of range"):
+            dc.pick_sum(tensors, wrong)
 
 
 def test_split_and_merge_heads_layout():

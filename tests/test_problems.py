@@ -86,6 +86,16 @@ def test_instance_rejects_non_finite_coordinates():
         pb.Instance("MDVRP", ok, [[0.0, 0.0], [np.inf, 1.0]], M=2)
 
 
+@pytest.mark.parametrize("M", [True, 2.0, "2", None],
+                         ids=["bool", "float", "string", "none"])
+def test_instance_rejects_a_route_count_that_is_no_integer(M):
+    # True would build a one-route instance, 2.0 fail deep inside infer, and
+    # "2" inside the shape check's comparison
+    with pytest.raises(ValueError, match=f"^M must be an integer, got {M!r}$"):
+        pb.Instance("MTSP", [[0.1, 0.2], [0.3, 0.4]], [[0.0, 0.0]], M=M)
+    pb.Instance("MTSP", [[0.1, 0.2], [0.3, 0.4]], [[0.0, 0.0]], M=np.int64(2))
+
+
 @pytest.mark.parametrize("uid", [-3, 1.5, True])
 def test_instance_rejects_a_uid_that_seeds_no_rng(uid):
     # infer seeds every instance's rngs with its uid, so a bad one must

@@ -99,10 +99,11 @@ def test_permutation_decides_depot_slots():
 def test_greedy_rollout_is_deterministic():
     cfg, params = tiny_model("MTSP")
     ins = make("MTSP", N=7, M=2, seed=3)
-    rs1, obj1, lp1 = ro.rollout(ins, (0, 1), cfg, params)
-    rs2, obj2, lp2 = ro.rollout(ins, (0, 1), cfg, params)
+    (rs1,), lp1, _ = ro.decode_batch(ins, [(0, 1)], cfg, params)
+    (rs2,), lp2, _ = ro.decode_batch(ins, [(0, 1)], cfg, params)
     assert rs1.routes == rs2.routes
-    assert obj1 == obj2 and lp1 == lp2
+    assert pb.minmax_objective(rs1, ins) == pb.minmax_objective(rs2, ins)
+    assert np.array_equal(lp1.data, lp2.data)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -112,29 +113,27 @@ def test_rollouts_always_feasible(kind):
         ins = make(kind, N=6, M=2, seed=seed)
         rng = np.random.default_rng(seed)
         for mode in ("greedy", "sample"):
-            rs, obj, logp = ro.rollout(ins, (0, 1), cfg, params,
-                                       mode=mode, rng=rng)
+            (rs,), logp, _ = ro.decode_batch(ins, [(0, 1)], cfg, params,
+                                             mode=mode, rng=rng)
             assert pb.validate(rs, ins) is None, pb.validate(rs, ins)
-            assert abs(obj - pb.minmax_objective(rs, ins)) < 1e-12
-            assert logp <= 1e-6
+            assert logp.data[0, 0, 0] <= 1e-6
 
 
 def test_forced_replay_reproduces_solution():
     cfg, params = tiny_model("MDVRP")
     ins = make("MDVRP", N=6, M=2, seed=4)
-    rs, obj, logp = ro.rollout(ins, (1, 0), cfg, params, mode="sample",
-                               rng=np.random.default_rng(7))
+    (rs,), logp, _ = ro.decode_batch(ins, [(1, 0)], cfg, params, mode="sample",
+                                     rng=np.random.default_rng(7))
     acts = ro.actions_from_solution(rs, (1, 0), ins)
     # replay under the same seed so the random start-context node matches
     (rs2,), total, _ = ro.decode_batch(ins, [(1, 0)], cfg, params,
                                        forced=[acts],
                                        rng=np.random.default_rng(7))
-    obj2 = pb.minmax_objective(rs2, ins)
     assert rs2.routes == rs.routes
     assert rs2.start_depots == rs.start_depots
     assert rs2.end_depots == rs.end_depots
-    assert abs(obj2 - obj) < 1e-12
-    assert abs(float(total.data[0, 0, 0]) - logp) <= 1e-5
+    assert abs(pb.minmax_objective(rs2, ins) - pb.minmax_objective(rs, ins)) < 1e-12
+    assert abs(float(total.data[0, 0, 0]) - float(logp.data[0, 0, 0])) <= 1e-5
 
 
 def test_forced_replay_recovers_logp_all_kinds():
@@ -143,12 +142,12 @@ def test_forced_replay_recovers_logp_all_kinds():
         ins = make(kind, N=6, M=3, seed=11)
         seed = ALL_KINDS.index(kind)
         perm = (2, 0, 1)
-        rs, obj, logp = ro.rollout(ins, perm, cfg, params, mode="sample",
-                                   rng=np.random.default_rng(seed))
+        (rs,), logp, _ = ro.decode_batch(ins, [perm], cfg, params, mode="sample",
+                                         rng=np.random.default_rng(seed))
         acts = ro.actions_from_solution(rs, perm, ins)
         _, total, _ = ro.decode_batch(ins, [perm], cfg, params, forced=[acts],
                                       rng=np.random.default_rng(seed))
-        assert abs(float(total.data[0, 0, 0]) - logp) <= 1e-5
+        assert abs(float(total.data[0, 0, 0]) - float(logp.data[0, 0, 0])) <= 1e-5
 
 
 def test_decode_batch_matches_stacked_single_rollouts():
@@ -158,10 +157,10 @@ def test_decode_batch_matches_stacked_single_rollouts():
     results, total, _ = ro.decode_batch(ins, perms, cfg, params)
     assert total.shape == (1, 3, 1)
     for k, perm in enumerate(perms):
-        rs, obj, logp = ro.rollout(ins, perm, cfg, params)
+        (rs,), logp, _ = ro.decode_batch(ins, [perm], cfg, params)
         assert results[k].routes == rs.routes
-        assert abs(pb.minmax_objective(results[k], ins) - obj) < 1e-12
-        assert abs(float(total.data[0, k, 0]) - logp) <= 1e-5
+        assert abs(pb.minmax_objective(results[k], ins) - pb.minmax_objective(rs, ins)) < 1e-12
+        assert abs(float(total.data[0, k, 0]) - float(logp.data[0, 0, 0])) <= 1e-5
 
 
 def test_decode_batch_rejects_masked_forced_action():
@@ -261,10 +260,10 @@ def graph_nodes(loss):
     return len(seen)
 
 
-def test_a_decode_step_records_four_graph_nodes():
-    """Context query, glimpse, masked logits and the chosen log-probs: one
-    more customer adds one decode step and exactly 4 nodes to the graph
-    behind the log-prob total."""
+def test_a_decode_step_records_three_graph_nodes():
+    """Context query, glimpse and masked logits: one more customer adds one
+    decode step and exactly 3 nodes to the graph behind the log-prob total,
+    whose one pick_sum node adds the chosen log-probs of every step."""
     cfg, params = tiny_model("MTSP")
     perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
     counts = []
@@ -273,7 +272,7 @@ def test_a_decode_step_records_four_graph_nodes():
         _, total, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
                                       rng=np.random.default_rng(0))
         counts.append(graph_nodes(total))
-    assert counts[1] - counts[0] == 4
+    assert counts[1] - counts[0] == 3
 
 
 @settings(max_examples=40)
@@ -522,18 +521,19 @@ def test_mixed_m_batch_rows_match_their_own_single_m_decodes(kind, K, seed, data
     cfg, params = MODELS[kind]
     picked = []
 
-    def take_per_row(a, indexes, _real=dc.take_per_row):
-        out = _real(a, indexes)
-        picked.append(out.data.copy())
-        return out
+    def pick_sum(steps, indexes, _real=dc.pick_sum):
+        # each step's chosen log-probs, T x V x K
+        picked.append(np.take_along_axis(np.stack([t.data for t in steps]),
+                                         indexes[..., None], axis=-1)[..., 0])
+        return _real(steps, indexes)
 
     draws = np.random.default_rng(seed)
-    with mock.patch.object(dc, "take_per_row", take_per_row):
+    with mock.patch.object(dc, "pick_sum", pick_sum):
         sols, total, entropy = ro.decode_batch(instances, perms, cfg, params,
                                                mode="sample", rng=draws)
-    # one V x K x 1 output per step: chosen[i, t, k] is step t of rollout (i, k)
-    assert len(picked) == T
-    chosen = np.stack(picked, axis=1).reshape(len(Ms), T, K)
+    # chosen[i, t, k] is step t of rollout (i, k)
+    assert len(picked) == 1 and picked[0].shape == (T, len(Ms), K)
+    chosen = picked[0].transpose(1, 0, 2)
     assert entropy.shape == (K * sum(steps),)
     # the pre-start nodes the batch drew, K per variant in row order
     nodes = ro.DecodeState(instances, perms, rng=np.random.default_rng(seed)).node.tolist()

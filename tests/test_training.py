@@ -483,6 +483,56 @@ def test_load_checkpoint_rejects_unknown_moment(tmp_path):
     assert "optimizer.v" in msg and "dec.extra" in msg
 
 
+def _set(path, value):
+    """A payload mutation: the member at path (keys from the top) set to value."""
+    def mutate(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return mutate
+
+
+NOT_FLOAT32 = "is not a float32 record with a list of ints for its shape"
+
+
+@pytest.mark.parametrize("mutate,want", [
+    pytest.param(_set(("params", "dec.emb", "dtype"), "int32"),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="int32-param"),
+    pytest.param(_set(("params", "dec.emb", "dtype"), "float64"),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="float64-param"),
+    pytest.param(_set(("params",), []), "params is a list, not an object of records",
+                 id="params-list"),
+    pytest.param(_set(("params", "dec.emb"), [16, 16]),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="record-list"),
+    pytest.param(_set(("params", "dec.emb", "shape"), "ab"),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="shape-string"),
+    pytest.param(_set(("params", "dec.emb", "shape"), [16, "16"]),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="shape-string-entry"),
+    pytest.param(_set(("params", "dec.emb", "shape"), [16, 17]),
+                 "params entry dec.emb does not decode: ValueError: cannot reshape array "
+                 "of size 256 into shape (16,17)", id="shape-of-other-size"),
+    pytest.param(_set(("params", "dec.emb", "data_b64"), 5),
+                 "params entry dec.emb does not decode: TypeError: argument should be "
+                 "bytes, buffer or ASCII string, not 'int'", id="data-int"),
+    pytest.param(_set(("optimizer", "m"), "m"), "optimizer.m is a str, not an object of records",
+                 id="moments-string"),
+    pytest.param(_set(("optimizer", "v", "dec.emb", "dtype"), "int32"),
+                 f"optimizer.v entry dec.emb {NOT_FLOAT32}", id="int32-moment"),
+    pytest.param(_set(("format_version",), "2"),
+                 "format version '2' is not a supported version (1 or 2)", id="version-string"),
+    pytest.param(_set(("format_version",), True),
+                 "format version True is not a supported version (1 or 2)", id="version-bool")])
+def test_load_checkpoint_rejects_a_bad_member_naming_file_and_entry(tmp_path, mutate, want):
+    path, payload = _saved_payload(tmp_path)
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    assert _one_line_error(path) == f"checkpoint {path}: {want}"
+    if not want.startswith("optimizer"):  # load_model never reads the moments
+        with pytest.raises(ValueError) as err:
+            tr.load_model(path)
+        assert str(err.value) == f"checkpoint {path}: {want}"
+
+
 def _as_v1(payload, n_heads):
     """The payload in format v1: every fused attention matrix of the params
     and of both Adam moment sets split into per-head {prefix}.{role}{i}."""
@@ -593,6 +643,12 @@ def test_load_model_skips_the_optimizer(tmp_path):
     assert "optimizer.m" in _one_line_error(path)
 
 
+def _finetune(path, tc):
+    """What the finetune command runs: a resume at tc's lr, then train."""
+    tc, params, opt = tr.resume(path, lambda _stored: tc, config_lr=True)
+    return tr.train(tc, params=params, opt=opt)
+
+
 def test_finetune_rejects_mismatched_width(tmp_path):
     cfg, params = tiny_model("MTSP")
     opt = dc.AdamState(params, lr=1e-3)
@@ -600,7 +656,7 @@ def test_finetune_rejects_mismatched_width(tmp_path):
     tr.save_checkpoint(path, cfg, params, opt)
     tc = tiny_tc(model=tiny_cfg("MTSP", d_model=32, d_ff=64))
     with pytest.raises(ValueError) as err:
-        tr.finetune(path, tc)
+        _finetune(path, tc)
     assert "16" in str(err.value) and "32" in str(err.value)
 
 
@@ -610,7 +666,7 @@ def test_finetune_zero_epochs_keeps_params(tmp_path):
     path = tmp_path / "model.ckpt"
     tr.save_checkpoint(path, tc.model, params, opt)
     tc2 = tiny_tc(epochs=0, lr=1e-5)
-    params2, opt2, metrics = tr.finetune(path, tc2)
+    params2, opt2, metrics = _finetune(path, tc2)
     assert metrics == []
     assert opt2.lr == 1e-5
     for k in params:
@@ -623,7 +679,7 @@ def test_finetune_runs_at_new_lr(tmp_path):
     path = tmp_path / "model.ckpt"
     tr.save_checkpoint(path, tc.model, params, opt)
     tc2 = tiny_tc(epochs=1, epoch_size=4, lr=1e-5)
-    _, _, metrics = tr.finetune(path, tc2)
+    _, _, metrics = _finetune(path, tc2)
     assert metrics[0]["lr"] == 1e-5
 
 
