@@ -7,11 +7,12 @@ multi-depot kinds; in a batch of mixed M, M is the largest, and a variant
 of fewer routes pads its slots. Functions here take the rollout's
 DecodeState by duck type so the two modules stay import-acyclic. The state
 holds R = V x K rows (V variants, K permutations each), and the tensors
-carry the V variants on a leading batch axis. The model head reads each
-decode step's state directly: one call per step, K rows per variant. Its
+carry the V variants on a leading batch axis. The model head reads a
+decode step's state directly: one call per step on which some row has a
+choice (mask_penalty stands in on the others), K rows per variant. Its
 context, glimpse and logits are one fused diffcore node each
 (context_query, attention, masked_logits); with the rollout's pick_sum,
-which adds every step's chosen log-probs in one node, a step records 3.
+which adds every step's chosen log-probs in one node, such a step records 3.
 """
 
 import math
@@ -26,33 +27,35 @@ RATIO_CAP = 30.0
 
 
 class DecodeConstants:
-    """Per-variant arrays that every decode step reads, stacked over the V
-    variants of one decode_batch.
+    """The arrays that every decode step reads, fixed for one decode_batch
+    of V variants whose R rows belong to the variants variant[r].
 
     cand_dist: V x C x C distances between candidate rows (a single-depot
     agent slot, padded or not, sits at the depot). The rest are read from
-    it. MPDP: pair_d V x P (pickup to delivery) and depot_d V x N (depot to
-    each customer). Other kinds: nearest V x N (each customer to its
-    nearest depot) and span V, the largest of those.
+    it, one row per decode row. MPDP: pair_d R x P (pickup to delivery) and
+    depot_d R x N (depot to each customer). Other kinds: nearest R x N (each
+    customer to its nearest depot) and span R, the largest of those.
     """
 
-    def __init__(self, variants, n_slots):
+    def __init__(self, variants, n_slots, variant):
         ins = variants[0]
         xy = np.stack([v.coords for v in variants])
         depots = np.stack([v.depot_coords for v in variants])
         # one slot per depot, or n_slots agent slots at a single-depot kind's depot
         slot_coords = np.repeat(depots, n_slots // ins.D, axis=1)
         cand = np.concatenate([slot_coords, xy], axis=1)
-        self.cand_dist = np.empty(cand.shape[:2] + cand.shape[1:2])
-        for dist, c in zip(self.cand_dist, cand):  # one variant at a time: less memory
-            np.sqrt(((c - c[:, None]) ** 2).sum(axis=2), out=dist)
+        # sqrt(dx * dx + dy * dy) of every pair of every variant; dy is the one temporary
+        dist, dy = (c[:, None, :] - c[:, :, None] for c in (cand[..., 0], cand[..., 1]))
+        dist *= dist
+        dist += np.square(dy, out=dy)
+        self.cand_dist = np.sqrt(dist, out=dist)
         slot_to_cust = self.cand_dist[:, :n_slots, n_slots:]
         if ins.kind == "MPDP":
             pickup = n_slots + np.arange(ins.n_pairs)
-            self.pair_d = self.cand_dist[:, pickup, pickup + ins.n_pairs]
-            self.depot_d = slot_to_cust[:, 0]
+            self.pair_d = self.cand_dist[:, pickup, pickup + ins.n_pairs][variant]
+            self.depot_d = slot_to_cust[:, 0][variant]
             return
-        self.nearest = slot_to_cust.min(axis=1)
+        self.nearest = slot_to_cust.min(axis=1)[variant]
         self.span = self.nearest.max(axis=1)
 
 
@@ -122,23 +125,22 @@ def scalar_features(state):
     Returns (R x 2 [agents fraction, customers fraction], R x L length
     features).
     """
-    c, v = state.consts, state.variant
+    c = state.consts
     M, N, visited = state.M, state.N, state.visited
     if state.kind == "MPDP":
         R, n_pairs = len(visited), state.n_pairs
-        pair_d = c.pair_d[v]
         out = np.empty((R, 7))
         out[:, 1] = 2.0 * state.pairs_remaining / N
-        out[:, 3] = np.where(state.done_pairs, pair_d, 0.0).max(axis=1)
+        out[:, 3] = np.where(state.done_pairs, c.pair_d, 0.0).max(axis=1)
         # the farthest unvisited pickup and delivery from the depot
-        out[:, 4:6] = np.where(visited, 0.0, c.depot_d[v]).reshape(R, 2, n_pairs).max(axis=2)
-        out[:, 6] = np.where(visited[:, :n_pairs], 0.0, pair_d).sum(axis=1)
+        out[:, 4:6] = np.where(visited, 0.0, c.depot_d).reshape(R, 2, n_pairs).max(axis=2)
+        out[:, 6] = np.where(visited[:, :n_pairs], 0.0, c.pair_d).sum(axis=1)
         out[:, 6] /= np.maximum(M - 1 - state.pos, 1)
     else:
         out = np.empty((len(visited), 5))
         out[:, 1] = state.n_unvisited / N
-        out[:, 3] = c.span[v]
-        out[:, 4] = np.where(visited, 0.0, c.nearest[v]).max(axis=1)
+        out[:, 3] = c.span
+        out[:, 4] = np.where(visited, 0.0, c.nearest).max(axis=1)
     out[:, 0] = (M - state.pos) / M
     out[:, 2] = state.route_len
     return out[:, :2], out[:, 2:]
@@ -187,12 +189,14 @@ def candidate_rows(emb):
     return dc.concat_rows([first, emb.H_c])
 
 
-def candidate_bias(emb):
+def candidate_bias(emb, n_heads):
     """The glimpse's key bias (encoder.key_bias) over the candidate rows
-    that leaves padded agent slots out; None when no slot is padded."""
+    that leaves padded agent slots out, repeated per head and at the
+    embeddings' dtype, (V*H) x 1 x C; None when no slot is padded."""
     if emb.H_d is not None or emb.agent_keep is None:
         return None
-    return en.key_bias(_agent_keep_then(emb, emb.H_c.shape[-2]))
+    bias = en.key_bias(_agent_keep_then(emb, emb.H_c.shape[-2]))
+    return np.repeat(bias, n_heads, axis=0).astype(emb.H_c.dtype)
 
 
 def glimpse_kv(cand, params):
@@ -202,7 +206,8 @@ def glimpse_kv(cand, params):
 
 def glimpse(q, kv, cfg, params, bias=None):
     """Scaled multi-head attention of the glimpse queries (context) over
-    candidates, one dc.attention node; bias is candidate_bias."""
+    candidates, one dc.attention node; kv is glimpse_kv's, its values split
+    into heads or not (dc.split_heads), and bias is candidate_bias."""
     return en.attend(q, *kv, cfg.n_heads, True, params["dec.glimpse.proj"], bias=bias)
 
 
@@ -220,4 +225,11 @@ def logits(q, cand_proj_t, exp_rows, masks, params, d_model):
     # one check per call catches a NaN or inf from anywhere in the model
     return dc.masked_logits(q, cand_proj_t, 1.0 / math.sqrt(d_model), exp_rows,
                             params["dec.alpha_dist"], LOGIT_CLIP,
-                            np.where(masks, 0.0, dc.MASK_VALUE))
+                            mask_penalty(masks, q.dtype))
+
+
+def mask_penalty(masks, dtype):
+    """0 where masks is True and dc.MASK_VALUE elsewhere, at dtype: the
+    logits' additive mask, and their exact stand-in where every row has one
+    legal action (a log-prob of 0 there, a probability of 0 elsewhere)."""
+    return np.where(masks, dtype.type(0.0), dtype.type(dc.MASK_VALUE))

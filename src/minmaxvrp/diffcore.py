@@ -248,7 +248,7 @@ def pick_sum(steps, indexes):
     """out[..., k, 0] = sum over t of steps[t][..., k, indexes[t, ..., k]]:
     T same-shape V x K x C tensors and a T x V x K index array -> V x K x 1,
     one chosen entry per row and step, added step by step in order, as a
-    chain of adds would."""
+    chain of adds would. A step may be a constant; it gets no gradient."""
     idx = np.asarray(indexes, dtype=np.intp)
     shape = steps[0].shape
     if any(t.shape != shape for t in steps) or idx.shape != (len(steps),) + shape[:-1]:
@@ -262,9 +262,10 @@ def pick_sum(steps, indexes):
 
     def backward(g, out):
         for t, c in zip(steps, cols):
-            acc = np.zeros_like(t.data).reshape(len(rows), -1)
-            acc[rows, c] = g.reshape(-1)
-            _accum(t, acc.reshape(shape))
+            if t.requires_grad:  # a constant step gets no gradient
+                acc = np.zeros_like(t.data).reshape(len(rows), -1)
+                acc[rows, c] = g.reshape(-1)
+                _accum(t, acc.reshape(shape))
 
     return _make(out_data, tuple(steps), backward)
 
@@ -316,8 +317,8 @@ def context_query(H_a, agent, cand, node, fracs, feats, pooled, w_step, w_length
             or len({len(agent), H_a.shape[0], cand.shape[0]}) > 1):
         raise ValueError(f"context_query needs one index list per matrix, got "
                          f"{agent.shape} and {node.shape} for {H_a.shape} and {cand.shape}")
-    for idx, a in ((agent, H_a), (node, cand)):  # NumPy would wrap a negative index
-        if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+    for idx, a in ((agent, H_a), (node, cand)):  # read unsigned, a negative index is too large
+        if (idx.view(np.uintp) >= a.shape[1]).any():
             raise IndexError(f"context_query index out of range for {a.shape[1]} rows")
     lane = np.arange(len(agent))[:, None]
     fracs, feats = (np.asarray(x, dtype=H_a.dtype) for x in (fracs, feats))
@@ -355,32 +356,54 @@ def _merge(arr, shape):
     return heads.swapaxes(1, 2).reshape(shape)
 
 
+def split_heads(a, n_heads):
+    """a's columns as heads, (V x) rows x d -> (V*H) x rows x d/H, as
+    attention splits its values: values shared by many attention calls are
+    split, and their summed gradient merged, once. One head returns a."""
+    if n_heads == 1:
+        return a
+    if a.shape[-1] % n_heads:
+        raise ValueError(f"split_heads: {n_heads} heads do not divide {a.shape}")
+
+    def backward(g, out):
+        _accum(a, _merge(g, a.shape))
+
+    return _make(_split(a.data, n_heads), (a,), backward)
+
+
 def attention(q, k_t, v, proj, n_heads=1, c=None, bias=None):
     """softmax_rows(q_h @ k_t_h * c + bias) @ v_h for each head h, merged
     and times proj, as one node. q is (V x) rows x d, the transposed keys
-    k_t (V x) d x C and v (V x) C x d_v; head h holds columns h*d_k..(h+1)*d_k
-    of q and v and those rows of k_t. With one head a 2-D k_t or v is shared
-    as in matmul. c=None leaves the logits unscaled (the sharp variant).
-    bias, broadcast to each head's logits (such as V x 1 x C), is a constant
-    at q's dtype: a bias of MASK_VALUE gives its keys a weight of exactly 0.
-    Returns (the output Tensor, the logits and the softmax weights as arrays,
-    head h of matrix v in entry v * n_heads + h)."""
-    if q.shape[-1] % n_heads or k_t.shape[-2] % n_heads or v.shape[-1] % n_heads:
+    k_t (V x) d x C and v (V x) C x d_v, where proj takes d_v rows, or v's
+    heads as split_heads gives them, (V*H) x C x d_v/H; head h holds columns
+    h*d_k..(h+1)*d_k of q and v and those rows of k_t. With one head a 2-D
+    k_t or v is shared as in matmul. c=None leaves the logits unscaled (the
+    sharp variant). bias, broadcast to each head's logits (such as V x 1 x C,
+    or (V*H) x 1 x C already repeated per head), is a constant at q's dtype:
+    a bias of MASK_VALUE gives its keys a weight of exactly 0. Returns (the
+    output Tensor, the logits and the softmax weights as arrays, head h of
+    matrix v in entry v * n_heads + h)."""
+    d_v = proj.shape[-2]
+    if q.shape[-1] % n_heads or k_t.shape[-2] % n_heads or d_v % n_heads:
         raise ValueError(f"attention: {n_heads} heads do not divide "
                          f"{q.shape}, {k_t.shape}, {v.shape}")
+    split_v = v.shape[-1] != d_v
     qh, kh, vh = q.data, k_t.data, v.data
     if n_heads > 1:
-        qh, vh = _split(qh, n_heads), _split(vh, n_heads)
+        qh = _split(qh, n_heads)
+        vh = vh if split_v else _split(vh, n_heads)
         kh = kh.reshape(-1, kh.shape[-2] // n_heads, kh.shape[-1])
     raw = _matmul(qh, kh)
     logits = raw if c is None else raw * c
     if bias is not None:
         bias = np.asarray(bias, dtype=q.dtype)
-        logits = logits + (np.repeat(bias, n_heads, axis=0) if bias.ndim == 3 else bias)
+        if bias.ndim == 3 and len(bias) != len(raw):
+            bias = np.repeat(bias, n_heads, axis=0)
+        logits = logits + bias
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     soft = e / e.sum(axis=-1, keepdims=True)
     heads = _matmul(soft, vh)
-    merged = heads if n_heads == 1 else _merge(heads, q.shape[:-1] + v.shape[-1:])
+    merged = heads if n_heads == 1 else _merge(heads, q.shape[:-1] + (d_v,))
     out_data = _matmul(merged, proj.data)
 
     def backward(g, out):
@@ -390,7 +413,8 @@ def attention(q, k_t, v, proj, n_heads=1, c=None, bias=None):
         g_logits = soft * (g_soft - np.sum(g_soft * soft, axis=-1, keepdims=True))
         g_q, g_k_t = _matmul_grads(qh, kh, g_logits if c is None else g_logits * c)
         if n_heads > 1:
-            g_q, g_k_t, g_v = _merge(g_q, q.shape), g_k_t.reshape(k_t.shape), _merge(g_v, v.shape)
+            g_q, g_k_t = _merge(g_q, q.shape), g_k_t.reshape(k_t.shape)
+            g_v = g_v if split_v else _merge(g_v, v.shape)
         for t, grad in ((proj, g_proj), (v, g_v), (q, g_q), (k_t, g_k_t)):
             _accum(t, grad)
 

@@ -293,10 +293,11 @@ def keys_values(C, params, prefix):
 
 def attend(q, k_t, v, n_heads, scaled, proj, probe=None, probe_at=None, bias=None):
     """Multi-head attention of the projected queries q over keys_values'
-    k_t and v, then proj: one dc.attention node. scaled=True divides logits
-    by sqrt(d_k), scaled=False is the sharp variant; bias (key_bias,
-    V x 1 x C) is added to every head's logits of its variant."""
-    c = 1.0 / math.sqrt(v.shape[-1] // n_heads) if scaled else None
+    k_t and v (or v split into heads, dc.split_heads), then proj: one
+    dc.attention node. scaled=True divides logits by sqrt(d_k), scaled=False
+    is the sharp variant; bias (key_bias, V x 1 x C) is added to every
+    head's logits of its variant."""
+    c = 1.0 / math.sqrt(proj.shape[-2] // n_heads) if scaled else None
     out, logits, soft = dc.attention(q, k_t, v, proj, n_heads, c, bias)
     if probe is not None:
         layer, relation = probe_at

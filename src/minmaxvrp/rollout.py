@@ -13,7 +13,8 @@ pads its agent slots to the batch's largest M, the padded slots are no key
 of any attention and never legal, and a row whose episode has ended takes
 masked no-op steps until the longest row ends. A batch of one M decodes
 each row bitwise as a batch of its variant alone would; in a batch of
-mixed M a row's policy is its own decode's within rounding.
+mixed M a row's policy is its own decode's within rounding. The decoder
+head runs only on a step where some row has more than one legal action.
 """
 
 from collections import namedtuple
@@ -74,7 +75,7 @@ class DecodeState:
         self.row_steps = ins.N + (2 if self.multi else 1) * self.M
         self.n_steps = int(self.row_steps.max())
         self.first_done = int(self.row_steps.min())
-        self.consts = de.DecodeConstants(variants, self.n_slots)
+        self.consts = de.DecodeConstants(variants, self.n_slots, self.variant)
         # the agent order, with the last agent repeated for a finished row
         self.o = np.array([o + o[-1:] * (M + 1 - len(o)) for row in table for o in row],
                           dtype=np.intp)
@@ -254,10 +255,16 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
 
     Returns (list of R RouteSets in row order a * K + k, log-prob sums as a
     V x K x 1 Tensor, policy entropies as one array of every real step:
-    row a * K + k's steps in order, then the next row's). Each step runs the
-    model head once over all R rows and records its graph while gradients
-    are on; under no_grad without forced actions nothing is scored, and
-    both are None.
+    row a * K + k's steps in order, then the next row's). A step on which
+    some row has a choice runs the model head once over all R rows and
+    records its graph while gradients are on. Where every row has one legal
+    action, the head would give it a log-prob of exactly 0, every other
+    action a probability of exactly 0 and every parameter a gradient of
+    exactly 0, so the step takes de.mask_penalty's constant rows instead,
+    with the same choices, rng draws, entropies and gradients; a decode
+    without any choice (one route, nothing to order) returns a constant
+    total of zeros. Under no_grad without forced actions nothing is scored,
+    and both are None.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -282,17 +289,22 @@ def decode_batch(instances, perms, cfg, params, mode="greedy", rng=None,
     emb = en.encode(state.variants, cfg, params)
     cand = de.candidate_rows(emb)
     pooled = de.pooled_graph(emb, params)
-    kv = de.glimpse_kv(cand, params)
-    bias = de.candidate_bias(emb)
+    k_t, v = de.glimpse_kv(cand, params)
+    kv = k_t, dc.split_heads(v, cfg.n_heads)
+    bias = de.candidate_bias(emb, cfg.n_heads)
     cand_proj_t = dc.transpose(dc.matmul(cand, params["dec.logit"]))
+    dtype = cand_proj_t.dtype
     scoring = forced is not None or dc.grad_enabled()
     steps, entropy = [], []
     while not state.terminal:
         mask = de.feasibility_mask(state)
-        q = de.glimpse(de.context(state, emb.H_a, cand, pooled, params), kv, cfg,
-                       params, bias)
-        logp = de.logits(q, cand_proj_t, de.dist_exp_row(state), mask, params,
-                         cfg.d_model)
+        if (np.count_nonzero(mask, axis=1) == 1).all():  # no row has a choice
+            logp = dc.constant(de.mask_penalty(mask.reshape(V, R // V, -1), dtype), dtype)
+        else:
+            q = de.glimpse(de.context(state, emb.H_a, cand, pooled, params), kv, cfg,
+                           params, bias)
+            logp = de.logits(q, cand_proj_t, de.dist_exp_row(state), mask, params,
+                             cfg.d_model)
         if forced is not None:
             chosen = forced[:, state.t]
         else:

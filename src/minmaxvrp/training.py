@@ -7,6 +7,7 @@ receive gradient. Also holds fine-tuning and the checkpoint file format.
 
 import binascii
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -18,6 +19,15 @@ from . import problems as pb
 from . import rollout as ro
 
 CHECKPOINT_VERSION = 2
+# a checkpoint's Adam scalars: (field, rule, check); a bool is not a number here
+_ADAM_SCALARS = (
+    ("lr", "a finite number > 0", lambda x: 0 < x <= sys.float_info.max),
+    ("lr_decay", "a finite number > 0", lambda x: 0 < x <= sys.float_info.max),
+    ("beta1", "a number in [0, 1)", lambda x: 0 <= x < 1),
+    ("beta2", "a number in [0, 1)", lambda x: 0 <= x < 1),
+    ("eps", "a finite number > 0", lambda x: 0 < x <= sys.float_info.max),
+    ("step_count", "an int >= 0", lambda x: type(x) is int and x >= 0),
+)
 
 
 @dataclass
@@ -317,9 +327,9 @@ def save_checkpoint(path, cfg, params, opt):
 def _from_payload(payload, optimizer):
     """(ModelConfig, params, AdamState or None) of a checkpoint's JSON
     object; v1 heads are fused side by side in head order. A params or
-    moments member that is not an object of float32 records, and the first
-    undecodable, missing, mis-shaped, unknown or non-finite entry, raise a
-    ValueError."""
+    moments member that is not an object of float32 records, the first
+    undecodable, missing, mis-shaped, unknown or non-finite entry, and an
+    optimizer scalar outside its range (_ADAM_SCALARS) raise a ValueError."""
     version = payload.get("format_version")
     if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"format version {version!r} is not a supported "
@@ -360,9 +370,14 @@ def _from_payload(payload, optimizer):
     if not optimizer:
         return cfg, params, None
     o = payload["optimizer"]
+    if not isinstance(o, dict):
+        raise ValueError(f"optimizer is a {type(o).__name__}, not an object")
+    for key, rule, ok in _ADAM_SCALARS:
+        if type(o[key]) not in (int, float) or not ok(o[key]):
+            raise ValueError(f"optimizer.{key} must be {rule}, got {o[key]!r}")
     opt = dc.AdamState(params, lr=o["lr"], lr_decay=o["lr_decay"],
                        beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"])
-    opt.step_count = int(o["step_count"])
+    opt.step_count = o["step_count"]
     opt.m, opt.v = read("optimizer.m", o["m"]), read("optimizer.v", o["v"])
     return cfg, params, opt
 

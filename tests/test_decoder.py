@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import tiny_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxvrp import decoder as de
 from minmaxvrp import diffcore as dc
@@ -276,6 +278,44 @@ def mpdp_loop_reference(s):
     pending = sum(float(pair_d[p]) for p in range(n) if not visited[p])
     return (mask, max((float(pair_d[p]) for p in served), default=0.0),
             pending / max(routes_after, 1))
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["MTSP", "MPDP", "MDVRP", "FMDVRP"]), V=st.integers(1, 3),
+       K=st.integers(1, 3), M=st.integers(1, 3), D=st.integers(1, 3),
+       grid=st.sampled_from([0, 4]), seed=st.integers(0, 2 ** 16))
+def test_decode_constants_match_the_per_variant_norm(kind, V, K, M, D, grid, seed):
+    """The candidate distances of all variants, made in one pass, are
+    bitwise (sign bits included) the norm of each variant's coordinate
+    differences, one variant at a time; repeated points (grid 4) give exact
+    zeros. The per-row constants are the rows of their variant's."""
+    rng = np.random.default_rng(seed)
+    D = D if kind in pb.MULTI_DEPOT_KINDS else 1
+    N = 2 * M + 2 if kind == "MPDP" else M + 3
+
+    def point(shape):
+        xy = rng.uniform(-1.0, 1.0, shape)
+        return np.round(xy * grid) / grid if grid else xy
+
+    variants = [pb.Instance(kind=kind, coords=point((N, 2)), depot_coords=point((D, 2)), M=M)
+                for _ in range(V)]
+    state = ro.DecodeState(variants, [tuple(range(M))] * K)
+    c = state.consts
+    for a, v in enumerate(variants):
+        slots = np.repeat(v.depot_coords, state.n_slots // D, axis=0)
+        cand = np.concatenate([slots, v.coords])
+        want = np.sqrt(((cand - cand[:, None]) ** 2).sum(axis=2))
+        assert np.array_equal(c.cand_dist[a], want)
+        assert np.array_equal(np.signbit(c.cand_dist[a]), np.signbit(want))
+    rows, n = state.variant, state.n_slots
+    if kind == "MPDP":
+        pickup = n + np.arange(N // 2)
+        assert np.array_equal(c.pair_d, c.cand_dist[:, pickup, pickup + N // 2][rows])
+        assert np.array_equal(c.depot_d, c.cand_dist[rows, 0, n:])
+    else:
+        nearest = c.cand_dist[:, :n, n:].min(axis=1)
+        assert np.array_equal(c.nearest, nearest[rows])
+        assert np.array_equal(c.span, nearest.max(axis=1)[rows])
 
 
 @pytest.mark.parametrize("seed", range(6))

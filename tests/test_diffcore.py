@@ -329,6 +329,14 @@ def test_pick_sum_adds_step_by_step():
         chain = chain + p
     assert out.shape == (2, 3, 1) and out.data.dtype == np.float32
     assert np.array_equal(out.data, chain)
+    # constant steps among trainable ones get no gradient; the others theirs
+    mixed = [dc.Tensor(s, requires_grad=t % 2 == 0) for t, s in enumerate(steps)]
+    dc.backward(dc.sum_all(dc.pick_sum(mixed, idx)))
+    for t, (tensor, i) in enumerate(zip(mixed, idx)):
+        if t % 2:
+            assert tensor.grad is None
+        else:
+            assert np.array_equal(tensor.grad, np.arange(4) == i[..., None])
     tensors = [dc.constant(s) for s in steps]
     with pytest.raises(ValueError, match="one index per row"):
         dc.pick_sum(tensors, idx[:, :, :2])
@@ -363,6 +371,59 @@ def test_split_and_merge_heads_layout():
     assert np.allclose(out.data, pick, atol=1e-12)
     with pytest.raises(ValueError, match="heads do not divide"):
         dc.attention(eye, eye, eye, eye, 3)
+
+
+def test_values_split_once_attend_bitwise_as_values_split_per_call():
+    """Values split once by split_heads and a key bias repeated per head
+    once give the outputs of attention over the merged values and the
+    per-variant bias, and, summed over several calls, the same value
+    gradient, merged once by split_heads' backward."""
+    rng = np.random.default_rng(5)
+    V, C, d, H = 2, 5, 8, 4
+    v0, proj0 = rng.standard_normal((V, C, d)), rng.standard_normal((d, d))
+    k_t = dc.constant(rng.standard_normal((V, d, C)))
+    qs = [dc.constant(rng.standard_normal((V, 3, d))) for _ in range(3)]
+    bias = np.where(rng.random((V, 1, C)) < 0.3, dc.MASK_VALUE, 0.0)
+    bias[..., 0] = 0.0
+    grads = []
+    for once in (False, True):
+        v, proj = dc.Tensor(v0, requires_grad=True), dc.Tensor(proj0, requires_grad=True)
+        vals, b = (dc.split_heads(v, H), np.repeat(bias, H, axis=0)) if once else (v, bias)
+        outs = [dc.attention(q, k_t, vals, proj, H, 0.5, b)[0] for q in qs]
+        dc.backward(dc.sum_all(dc.tanh(dc.concat_rows(outs))))
+        grads.append((np.concatenate([o.data for o in outs]), v.grad, proj.grad))
+    for plain, split in zip(*grads):
+        assert np.array_equal(plain, split)
+    one = dc.Tensor(v0)
+    assert dc.split_heads(one, 1) is one
+    with pytest.raises(ValueError, match="heads do not divide"):
+        dc.split_heads(one, 3)
+
+
+@settings(max_examples=60)
+@given(dtype=st.sampled_from([np.float32, F64]), V=st.integers(1, 3), K=st.integers(1, 4),
+       C=st.integers(1, 6), d=st.integers(1, 4), size=st.sampled_from([0.1, 1.0, 30.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_masked_logits_of_one_legal_action_are_exact(dtype, V, K, C, d, size, seed):
+    """With one legal action per row the masked log-probabilities are
+    exactly 0.0 there and exp to exactly 0 elsewhere, and backward from the
+    chosen entries gives q, the candidate keys and alpha gradients of
+    exactly 0: what lets a decode step without a choice skip the head."""
+    rng = np.random.default_rng(seed)
+    q = dc.Tensor(rng.normal(0.0, size, (V, K, d)), requires_grad=True, dtype=dtype)
+    cand_t = dc.Tensor(rng.normal(0.0, size, (V, d, C)), requires_grad=True, dtype=dtype)
+    alpha = dc.Tensor(rng.normal(0.0, 1.0, (1, 1)), requires_grad=True, dtype=dtype)
+    exp_rows = np.exp(rng.uniform(0.0, 30.0, (V, K, C)))  # dist_exp_row caps its ratio at 30
+    legal = rng.integers(C, size=(V, K))
+    mask = np.arange(C) == legal[..., None]
+    logp = dc.masked_logits(q, cand_t, 1.0 / math.sqrt(d), exp_rows, alpha, 50.0,
+                            np.where(mask, 0.0, dc.MASK_VALUE).astype(dtype))
+    assert logp.dtype == dtype
+    assert (logp.data[mask] == 0.0).all()
+    assert (np.exp(logp.data[~mask].astype(F64)) == 0.0).all()
+    dc.backward(dc.sum_all(dc.pick_sum([logp], legal[None])))
+    for t in (q, cand_t, alpha):
+        assert t.grad.dtype == dtype and not t.grad.any()
 
 
 def test_batched_shape_errors():

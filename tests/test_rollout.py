@@ -210,14 +210,20 @@ def test_decode_batch_masks_each_state_once_per_step(monkeypatch):
         assert calls == {"masks": steps, "rows": 3 * steps}
 
 
+def has_choice(mask):
+    """Some row of the R x C mask has more than one legal action."""
+    return bool((np.count_nonzero(mask, axis=1) > 1).any())
+
+
 def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch):
     """Every decoder layer the benchmark's tracer wraps runs through its
-    module attribute, so an inlined or renamed layer fails here: once per
-    step over every row (mask, features, distance bias, context, glimpse,
-    logits) and once per batch (constants, glimpse keys and values), under
-    no_grad, with the graph recorded, and with forced actions."""
-    per_step = ("feasibility_mask", "scalar_features", "dist_exp_row", "context",
-                "glimpse", "logits")
+    module attribute, so an inlined or renamed layer fails here: the mask
+    once per step over every row; the head (features, distance bias,
+    context, glimpse, logits) once per step on which some row has a choice,
+    over every row; and once per batch (constants, glimpse keys and
+    values), under no_grad, with the graph recorded, and with forced
+    actions."""
+    head = ("scalar_features", "dist_exp_row", "context", "glimpse", "logits")
     calls = Counter()
 
     def counted(name, real):
@@ -225,54 +231,159 @@ def test_decode_batch_builds_constants_once_and_one_context_per_step(monkeypatch
             calls[name] += 1
             if name == "context":
                 calls["rows"] += len(args[0].rows)
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            if name == "feasibility_mask":
+                calls["choices"] += has_choice(out)
+            return out
         return layer
 
-    for name in per_step + ("DecodeConstants", "glimpse_kv"):
+    for name in head + ("feasibility_mask", "DecodeConstants", "glimpse_kv"):
         monkeypatch.setattr(de, name, counted(name, getattr(de, name)))
     perms = [(0, 1, 2), (2, 1, 0), (1, 2, 0)]
+    skipped = 0
     for kind in ALL_KINDS:
         cfg, params = tiny_model(kind)
         ins = make(kind, N=6, M=3, seed=5)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
-        want = dict.fromkeys(per_step, steps)
-        want.update(DecodeConstants=1, glimpse_kv=1, rows=3 * steps)
         calls.clear()
         with dc.no_grad():
             sols, _, _ = ro.decode_batch(ins, perms, cfg, params)
+        choices = calls["choices"]
+        want = dict.fromkeys(head, choices)
+        want.update(feasibility_mask=steps, choices=choices, DecodeConstants=1,
+                    glimpse_kv=1, rows=3 * choices)
         assert calls == want
+        skipped += steps - choices
         forced = [ro.actions_from_solution(rs, o, ins) for rs, o in zip(sols, perms)]
         for kw in ({}, {"forced": forced}):
             calls.clear()
             ro.decode_batch(ins, perms, cfg, params, **kw)
             assert calls == want
+    assert skipped > 0
 
 
 def graph_nodes(loss):
     """Tensors reachable from loss through recorded parents, counted as
     the benchmark's tracer counts them."""
-    seen, stack = {id(loss)}, [loss]
+    return len(reachable(loss))
+
+
+def reachable(t):
+    """The ids of t and of every tensor behind it through recorded parents."""
+    seen, stack = {id(t)}, [t]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return len(seen)
+    return seen
 
 
-def test_a_decode_step_records_three_graph_nodes():
-    """Context query, glimpse and masked logits: one more customer adds one
-    decode step and exactly 3 nodes to the graph behind the log-prob total,
-    whose one pick_sum node adds the chosen log-probs of every step."""
+def test_a_decode_step_records_three_graph_nodes(monkeypatch):
+    """Context query, glimpse and masked logits: a decode step on which
+    some row has a choice records exactly 3 graph nodes of its own behind
+    the log-prob total, and a step without one a single constant leaf, its
+    log-prob rows; one pick_sum node adds the chosen log-probs of every
+    step. So one more customer adds steps and nodes by just those counts."""
+    masks, picked = [], []
+    real_mask, real_pick_sum = de.feasibility_mask, dc.pick_sum
+    monkeypatch.setattr(de, "feasibility_mask",
+                        lambda state: masks.append(real_mask(state)) or masks[-1])
+    monkeypatch.setattr(dc, "pick_sum",
+                        lambda steps, idx: picked.append(steps) or real_pick_sum(steps, idx))
     cfg, params = tiny_model("MTSP")
     perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
-    counts = []
+    fixed = []
     for N in (6, 7):
+        masks.clear()
+        picked.clear()
         ins = make("MTSP", N=N, M=3, seed=4)
         _, total, _ = ro.decode_batch(ins, perms, cfg, params, mode="sample",
                                       rng=np.random.default_rng(0))
-        counts.append(graph_nodes(total))
-    assert counts[1] - counts[0] == 3
+        (steps,) = picked
+        choices = [has_choice(m) for m in masks]
+        assert len(steps) == len(choices) and 0 < sum(choices) < len(choices)
+        behind = [reachable(t) for t in steps]
+        for t, choice in enumerate(choices):
+            own = behind[t].difference(*behind[:t], *behind[t + 1:])
+            assert len(own) == (3 if choice else 1)
+            assert steps[t].requires_grad == choice
+        fixed.append(graph_nodes(total) - 3 * sum(choices) - (len(choices) - sum(choices)))
+    assert fixed[0] == fixed[1]
+
+
+def test_a_step_without_a_choice_scores_as_the_head_would(monkeypatch):
+    """At every step on which each row has one legal action, the decoder
+    head run on that state gives the constant log-prob rows that
+    decode_batch uses in its place the same argmax and chosen value (0.0),
+    and every other action a probability of exactly 0; mixed M, so done
+    rows' no-op steps are among them."""
+    real_encode, real_mask, real_pick_sum = en.encode, de.feasibility_mask, dc.pick_sum
+    head, picked = {}, []
+
+    def encode(variants, cfg, params):
+        emb = real_encode(variants, cfg, params)
+        cand = de.candidate_rows(emb)
+        head.update(emb=emb, cand=cand, pooled=de.pooled_graph(emb, params),
+                    kv=de.glimpse_kv(cand, params), bias=de.candidate_bias(emb, cfg.n_heads),
+                    proj_t=dc.transpose(dc.matmul(cand, params["dec.logit"])))
+        return emb
+
+    def feasibility_mask(state):
+        mask = real_mask(state)
+        if not has_choice(mask):
+            cfg, params = head["model"]
+            with dc.no_grad():
+                ctx = de.context(state, head["emb"].H_a, head["cand"], head["pooled"], params)
+                q = de.glimpse(ctx, head["kv"], cfg, params, head["bias"])
+                logp = de.logits(q, head["proj_t"], de.dist_exp_row(state), mask, params,
+                                 cfg.d_model)
+            head["rows"].append((state.t, logp.data.reshape(mask.shape)))
+        return mask
+
+    def pick_sum(steps, indexes):
+        picked[:] = steps
+        return real_pick_sum(steps, indexes)
+
+    monkeypatch.setattr(en, "encode", encode)
+    monkeypatch.setattr(de, "feasibility_mask", feasibility_mask)
+    monkeypatch.setattr(dc, "pick_sum", pick_sum)
+    for kind in ALL_KINDS:
+        cfg, params = tiny_model(kind)
+        head.update(model=(cfg, params), rows=[])
+        D = 2 if kind in ("MDVRP", "FMDVRP") else 1
+        instances = [make(kind, N=6, M=M, D=D, seed=M) for M in (2, 3)]
+        perms = [ro.sample_permutations(v.M, 2, np.random.default_rng(v.M)) for v in instances]
+        ro.decode_batch(instances, perms, cfg, params, mode="sample",
+                        rng=np.random.default_rng(1))
+        assert head["rows"]
+        for t, rows in head["rows"]:
+            assert not picked[t].requires_grad
+            const = picked[t].data.reshape(rows.shape)
+            legal = const == 0.0
+            assert (legal.sum(axis=1) == 1).all()
+            assert np.array_equal(rows.argmax(axis=1), const.argmax(axis=1))
+            assert (rows[legal] == 0.0).all()
+            assert (np.exp(rows[~legal].astype(np.float64)) == 0.0).all()
+            assert (np.exp(const[~legal].astype(np.float64)) == 0.0).all()
+
+
+@pytest.mark.parametrize("kind,N", [("MTSP", 1), ("MPDP", 2)])
+def test_a_decode_without_a_choice_returns_its_only_solution_and_a_zero_total(kind, N):
+    """With one route and no customer to order, no step has a choice:
+    greedy, sampled with the graph and forced, each row returns the one
+    solution, a total of exactly 0 that is a constant, and entropies of 0."""
+    rng = np.random.default_rng(0)
+    ins = pb.Instance(kind=kind, coords=rng.uniform(0, 1, (N, 2)),
+                      depot_coords=rng.uniform(0, 1, (1, 2)), M=1)
+    cfg, params = tiny_model(kind)
+    only = pb.RouteSet(routes=[list(range(N))])
+    forced = [ro.actions_from_solution(only, (0,), ins)] * 2
+    for kw in ({}, {"mode": "sample", "rng": np.random.default_rng(1)}, {"forced": forced}):
+        sols, total, entropy = ro.decode_batch(ins, [(0,), (0,)], cfg, params, **kw)
+        assert sols == [only, only]
+        assert total.data.tolist() == [[[0.0], [0.0]]] and not total.requires_grad
+        assert entropy.shape == (2 * (N + 1),) and (entropy == 0.0).all()
 
 
 @settings(max_examples=40)
@@ -557,13 +668,18 @@ def test_mixed_m_batch_rows_match_their_own_single_m_decodes(kind, K, seed, data
 
 
 def test_infer_decodes_every_symmetry_in_one_loop(monkeypatch):
+    """One encoder pass, one mask per step and one head run per step on
+    which some of the 24 rows has a choice."""
     calls = Counter()
     for mod, name in ((de, "logits"), (de, "feasibility_mask"), (en, "encode")):
         real = getattr(mod, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            out = _real(*args, **kwargs)
+            if _name == "feasibility_mask":
+                calls["choices"] += has_choice(out)
+            return out
 
         monkeypatch.setattr(mod, name, counted)
     for kind in ALL_KINDS:
@@ -572,7 +688,10 @@ def test_infer_decodes_every_symmetry_in_one_loop(monkeypatch):
         ins = make(kind, N=6, M=3, seed=4)
         ro.infer(ins, cfg, params, n_per=3, use_aug8=True)
         steps = ins.N + (2 if kind in ("MDVRP", "FMDVRP") else 1) * ins.M
-        assert calls == {"logits": steps, "feasibility_mask": steps, "encode": 1}
+        choices = calls["choices"]
+        assert 0 < choices <= steps
+        assert calls == {"logits": choices, "feasibility_mask": steps, "encode": 1,
+                         "choices": choices}
 
 
 def _instance(kind, N, M, D=1, coincident=False, seed=0):

@@ -521,7 +521,27 @@ NOT_FLOAT32 = "is not a float32 record with a list of ints for its shape"
     pytest.param(_set(("format_version",), "2"),
                  "format version '2' is not a supported version (1 or 2)", id="version-string"),
     pytest.param(_set(("format_version",), True),
-                 "format version True is not a supported version (1 or 2)", id="version-bool")])
+                 "format version True is not a supported version (1 or 2)", id="version-bool"),
+    pytest.param(_set(("optimizer", "lr"), "0.1"),
+                 "optimizer.lr must be a finite number > 0, got '0.1'", id="lr-string"),
+    pytest.param(_set(("optimizer", "lr"), -1),
+                 "optimizer.lr must be a finite number > 0, got -1", id="lr-negative"),
+    pytest.param(_set(("optimizer", "step_count"), 2.7),
+                 "optimizer.step_count must be an int >= 0, got 2.7", id="step-count-float"),
+    pytest.param(_set(("optimizer", "beta1"), "x"),
+                 "optimizer.beta1 must be a number in [0, 1), got 'x'", id="beta1-string"),
+    pytest.param(_set(("optimizer",), []), "optimizer is a list, not an object",
+                 id="optimizer-list"),
+    pytest.param(_set(("optimizer", "lr_decay"), True),
+                 "optimizer.lr_decay must be a finite number > 0, got True", id="lr-decay-bool"),
+    pytest.param(_set(("optimizer", "beta1"), -0.5), "optimizer.beta1 must be a number in "
+                 "[0, 1), got -0.5", id="beta1-negative"),
+    pytest.param(_set(("optimizer", "beta2"), 1), "optimizer.beta2 must be a number in [0, 1), "
+                 "got 1", id="beta2-one"),
+    pytest.param(_set(("optimizer", "eps"), 0.0),
+                 "optimizer.eps must be a finite number > 0, got 0.0", id="eps-zero"),
+    pytest.param(_set(("optimizer", "step_count"), False),
+                 "optimizer.step_count must be an int >= 0, got False", id="step-count-bool")])
 def test_load_checkpoint_rejects_a_bad_member_naming_file_and_entry(tmp_path, mutate, want):
     path, payload = _saved_payload(tmp_path)
     mutate(payload)
