@@ -5,6 +5,7 @@ routes over customers plus per-route start/end depots. The objective is the
 length of the longest route. Route lengths accumulate in float64.
 """
 
+import codecs
 import json
 import math
 import os
@@ -293,39 +294,51 @@ def atomic_write_text(path, text):
 
 
 _JSON = json.JSONDecoder()
-_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*(?=")')  # what opens a member
-_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_KEY = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*'  # what opens a member: "{" or ","
+                  r'("(?:[^"\\]|\\.)*")[ \t\n\r]*:[ \t\n\r]*')  # then its key and ":"
+_CLOSE = re.compile(r"[ \t\n\r]*[,}]")  # what ends a member
 
 
-def _json_members(text, members):
-    """The JSON object in text as a dict, parsed one member (one key and its
-    value) at a time until every key of members is read; the rest of the
-    text is then never looked at. Everything else (members None, text that
-    is not an object, a fault, or a member missing) is json.loads(text)."""
+def _json_members(f, members):
+    """The JSON object in the binary file f as a dict. Given members, a set of
+    keys, f is read in chunks (1 MiB, then twice the last) and parsed one
+    member at a time until every key of members is read. A value counts once
+    a "," or "}" or the end of the file follows it, so no number cut by a
+    chunk is read short; a member a chunk cuts is parsed again after the
+    next. Everything else (members None, text that is not UTF-8 or not an
+    object, a fault, a member missing) is json.loads of the whole file."""
     if members is not None:
-        rec, sep, i = {}, "{", 0
-        try:
-            while (m := _MEMBER.match(text, i)) and m[1] == sep:
-                key, i = _JSON.raw_decode(text, m.end())
-                if not (m := _COLON.match(text, i)):
-                    break
-                rec[key], i = _JSON.raw_decode(text, m.end())
-                if rec.keys() >= members:
-                    return rec
-                sep = ","
-        except json.JSONDecodeError:
-            pass
-    return json.loads(text)
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        text, rec, sep, i, size, end = "", {}, "{", 0, 1 << 20, False
+        while not end:
+            chunk = f.read(size)
+            size, end = 2 * size, not chunk
+            try:
+                text += decode(chunk, end)
+                while (m := _KEY.match(text, i)) and m[1] == sep:
+                    value, j = _JSON.raw_decode(text, m.end())
+                    if not (_CLOSE.match(text, j) or end and j == len(text)):
+                        break
+                    rec[json.loads(m[2])], i, sep = value, j, ","
+                    if rec.keys() >= members:
+                        return rec
+            except json.JSONDecodeError:
+                pass  # a value the chunk cuts: read on; past the end, fall back
+            except UnicodeDecodeError:
+                break
+        f.seek(0)
+    return json.loads(f.read().decode("utf-8"))
 
 
 def read_json_file(path, what, parse, members=None):
     """parse(the JSON object in a file). Given members, a set of keys, the
-    parse ends once all of them are read, so the members after them are
-    never parsed. A file that is not JSON or not an object, or whose object
-    parse rejects, fails as one ValueError line that names the file."""
+    file is read in chunks only until all of them are parsed (_json_members),
+    so what follows the chunk that ends them is never read. A file that is
+    not JSON or not an object, or whose object parse rejects, fails as one
+    ValueError line that names the file."""
     try:
         with open(path, "rb") as f:
-            rec = _json_members(f.read().decode("utf-8"), members)
+            rec = _json_members(f, members)
         if not isinstance(rec, dict):
             raise ValueError(f"the file holds a {type(rec).__name__}, not a JSON object")
         return parse(rec)

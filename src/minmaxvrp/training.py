@@ -346,10 +346,10 @@ def _from_payload(payload, optimizer):
         arrays = {}
         for name, rec in records.items():
             shape = rec.get("shape") if isinstance(rec, dict) else None
-            if (not isinstance(shape, list) or not all(type(n) is int for n in shape)
+            if (not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape)
                     or rec.get("dtype") != "float32"):
                 raise ValueError(f"{what} entry {name} is not a float32 record with a "
-                                 f"list of ints for its shape")
+                                 f"list of ints >= 0 for its shape")
             try:
                 arrays.update(records_to_arrays({name: rec}))
             except (KeyError, TypeError, ValueError) as exc:
@@ -385,13 +385,14 @@ def _from_payload(payload, optimizer):
 def load_model(path):
     """Read a checkpoint's (ModelConfig, params) without the optimizer.
 
-    Only the format_version, model and params members are parsed: in a file
-    save_checkpoint wrote they come first, so the optimizer member (two
-    thirds of the file) is never parsed and may even be damaged. Every
-    parameter must have the name and shape that init_params gives the
-    stored config (encoder.check_params) and hold finite values; format v1
-    (per-head attention matrices) is fused. Any fault of what is read fails
-    as one line naming the file.
+    Only the format_version, model and params members are parsed, and the
+    file is read only up to the chunk that ends params (pb.read_json_file).
+    In a file save_checkpoint wrote they come first, so the optimizer member
+    (two thirds of the file) is never parsed, is never read past that chunk,
+    and may be damaged there. Every parameter must have the name and shape
+    that init_params gives the stored config (encoder.check_params) and hold
+    finite values; format v1 (per-head attention matrices) is fused. Any
+    fault of what is read fails as one line naming the file.
     """
     return pb.read_json_file(path, "checkpoint",
                              lambda payload: _from_payload(payload, False)[:2],

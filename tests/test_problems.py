@@ -1,4 +1,5 @@
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -459,31 +460,64 @@ JSON_VALUES = st.recursive(
 
 
 def outcome(parse, text):
-    """What parse gives text, or the JSONDecodeError class if it rejects it."""
+    """What parse gives text, or the class and message of the JSONDecodeError
+    or UnicodeDecodeError it raises."""
     try:
         return parse(text)
-    except json.JSONDecodeError:
-        return json.JSONDecodeError
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def members_of(raw, members, most=None):
+    """_json_members of the bytes raw, from a file whose every read of a
+    size gives at most `most` bytes (None: the size asked for)."""
+    f = io.BytesIO(raw)
+    if most:
+        read = f.read
+        f.read = lambda size=-1: read(size if size < 0 else min(size, most))
+    return pb._json_members(f, members)
+
+
+def loads(raw):
+    return json.loads(raw.decode("utf-8"))
 
 
 @settings(max_examples=300)
 @given(obj=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5),
        indent=st.sampled_from([None, 0, 2, "\t"]), pad=st.sampled_from(["", " \n", "\r\t "]),
-       data=st.data())
-def test_json_members_reads_what_json_loads_reads(obj, indent, pad, data):
-    text = pad + json.dumps(obj, indent=indent) + pad
-    assert pb._json_members(text, None) == json.loads(text) == obj
+       most=st.integers(1, 7), data=st.data())
+def test_json_members_reads_what_json_loads_reads(obj, indent, pad, most, data):
+    """Read in chunks of 1 to 7 bytes, so a multi-byte character of the
+    non-ASCII text is split across chunks."""
+    text = pad + json.dumps(obj, indent=indent, ensure_ascii=False) + pad
+    raw = text.encode()
+    assert members_of(raw, None) == loads(raw) == obj
     wanted = frozenset(data.draw(st.sets(st.sampled_from(sorted(obj))), label="members")
                        if obj else ())
-    got = pb._json_members(text, wanted)
+    got = members_of(raw, wanted, most)
     assert {k: got[k] for k in wanted} == {k: obj[k] for k in wanted}
-    # a damaged text: cut short, or with a character spliced in; a whole read
-    # accepts and rejects what json.loads does
-    cut = data.draw(st.integers(0, len(text)), label="cut")
-    splice = data.draw(st.sampled_from(["", "x", ",", "}", "]", ":", '"', "{", " "]),
+    # damaged files: cut short (maybe inside a character), or with a character
+    # spliced in; a read in chunks accepts and rejects what a whole read does,
+    # and a whole read of every member what json.loads does
+    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    at = data.draw(st.integers(0, len(text)), label="splice at")
+    splice = data.draw(st.sampled_from(["", "x", ",", "}", "]", ":", '"', "{", " ", "é"]),
                        label="splice")
-    for bad in (text[:cut], text[:cut] + splice + text[cut:]):
-        assert outcome(lambda t: pb._json_members(t, None), bad) == outcome(json.loads, bad)
+    for bad in (raw[:cut], (text[:at] + splice + text[at:]).encode()):
+        assert outcome(lambda b: members_of(b, None), bad) == outcome(loads, bad)
+        assert outcome(lambda b: members_of(b, wanted, most), bad) == \
+            outcome(lambda b: members_of(b, wanted), bad)
+
+
+@pytest.mark.parametrize("most", range(1, 8))
+@pytest.mark.parametrize("text", ['{"a": 12, "b": 0}', '{"a": 1.25}', '{"a": -1e+25}',
+                                  '{"b": "\u00e9", "a": 12.5E-3}', '{"a": 12}'])
+def test_json_members_never_reads_a_number_a_chunk_cuts_short(text, most):
+    """Chunks of `most` bytes, after a pad that moves their ends, cut the
+    number of "a" after each of its characters."""
+    for pad in range(most):
+        raw = (" " * pad + text).encode()
+        assert members_of(raw, {"a"}, most)["a"] == json.loads(text)["a"]
 
 
 @pytest.mark.parametrize("text", ["", "  ", "not a checkpoint{", "{", '{"a"', '{"a" 1}',

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -492,7 +494,7 @@ def _set(path, value):
     return mutate
 
 
-NOT_FLOAT32 = "is not a float32 record with a list of ints for its shape"
+NOT_FLOAT32 = "is not a float32 record with a list of ints >= 0 for its shape"
 
 
 @pytest.mark.parametrize("mutate,want", [
@@ -511,6 +513,14 @@ NOT_FLOAT32 = "is not a float32 record with a list of ints for its shape"
     pytest.param(_set(("params", "dec.emb", "shape"), [16, 17]),
                  "params entry dec.emb does not decode: ValueError: cannot reshape array "
                  "of size 256 into shape (16,17)", id="shape-of-other-size"),
+    pytest.param(_set(("params", "dec.emb", "shape"), [-1, 16]),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="shape-inferred-first"),
+    pytest.param(_set(("params", "dec.emb", "shape"), [16, -1]),
+                 f"params entry dec.emb {NOT_FLOAT32}", id="shape-inferred-last"),
+    pytest.param(_set(("optimizer", "m", "dec.emb", "shape"), [-1, 16]),
+                 f"optimizer.m entry dec.emb {NOT_FLOAT32}", id="moment-m-shape-inferred"),
+    pytest.param(_set(("optimizer", "v", "dec.emb", "shape"), [16, -1]),
+                 f"optimizer.v entry dec.emb {NOT_FLOAT32}", id="moment-v-shape-inferred"),
     pytest.param(_set(("params", "dec.emb", "data_b64"), 5),
                  "params entry dec.emb does not decode: TypeError: argument should be "
                  "bytes, buffer or ASCII string, not 'int'", id="data-int"),
@@ -661,6 +671,59 @@ def test_load_model_skips_the_optimizer(tmp_path):
     cfg, params = tr.load_model(path)
     assert cfg == tiny_cfg("MTSP") and "dec.glimpse.q" in params
     assert "optimizer.m" in _one_line_error(path)
+
+
+BENCH_CHECKPOINTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
+
+
+class CountedReads(io.BytesIO):
+    """A file's bytes, counting what its reads give."""
+    count = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.count += len(data)
+        return data
+
+
+@pytest.mark.parametrize("name", ["mdvrp", "mpdp"])
+def test_load_model_of_a_benchmark_checkpoint_gives_load_checkpoint_params(name):
+    """The committed benchmark checkpoints (format v1) are only read."""
+    cfg1, params1 = tr.load_model(BENCH_CHECKPOINTS / name / "checkpoint.ckpt")
+    cfg2, params2, _ = tr.load_checkpoint(BENCH_CHECKPOINTS / name / "checkpoint.ckpt")
+    assert cfg1 == cfg2 and list(params1) == list(params2)
+    for n, p in params2.items():
+        got = params1[n].data
+        assert got.dtype == p.data.dtype and got.tobytes() == p.data.tobytes(), n
+
+
+def test_load_model_reads_one_mib_of_the_mdvrp_benchmark_checkpoint(monkeypatch):
+    """Its params member ends before 1 MiB, and the file (2.97 MB) goes on
+    with the Adam moments, which solve never reads."""
+    path = BENCH_CHECKPOINTS / "mdvrp" / "checkpoint.ckpt"
+    files = []
+
+    def counted_open(path, mode):
+        assert mode == "rb"
+        files.append(CountedReads(pathlib.Path(path).read_bytes()))
+        return files[-1]
+
+    monkeypatch.setattr(pb, "open", counted_open, raising=False)
+    tr.load_model(path)
+    assert len(files) == 1 and files[0].count <= 1 << 20 < path.stat().st_size // 2
+
+
+def test_a_benchmark_checkpoint_whose_moments_are_not_utf8_serves_load_model(tmp_path):
+    raw = (BENCH_CHECKPOINTS / "mdvrp" / "checkpoint.ckpt").read_bytes()
+    path = tmp_path / "checkpoint.ckpt"
+    path.write_bytes(raw[:len(raw) // 2] + b"\xff" * (len(raw) - len(raw) // 2))
+    assert raw.index(b'"optimizer"') < len(raw) // 2
+    cfg, params = tr.load_model(path)
+    cfg1, params1 = tr.load_model(BENCH_CHECKPOINTS / "mdvrp" / "checkpoint.ckpt")
+    assert cfg == cfg1 and all(params[n].data.tobytes() == p.data.tobytes()
+                               for n, p in params1.items())
+    assert _one_line_error(path).startswith(
+        f"checkpoint {path}: 'utf-8' codec can't decode byte 0xff in position {len(raw) // 2}")
 
 
 def _finetune(path, tc):
